@@ -3,6 +3,7 @@ inpainting task (IDX parsing, patch split, round-trip reassembly)."""
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -15,9 +16,11 @@ class FormatError(ValueError):
     pass
 
 
+@functools.lru_cache(maxsize=8)
 def haar_orthogonal(d, seed):
     """Haar-distributed orthogonal d x d matrix: QR of a standard Gaussian
-    matrix with the R-diagonal sign correction."""
+    matrix with the R-diagonal sign correction. Memoized, since every
+    sample_synthetic call needs it; the array is shared, so read-only."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -25,7 +28,9 @@ def haar_orthogonal(d, seed):
     Q, R = np.linalg.qr(G)
     signs = np.sign(np.diag(R))
     signs[signs == 0] = 1.0
-    return Q * signs[None, :]
+    Q = Q * signs[None, :]
+    Q.flags.writeable = False
+    return Q
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,30 @@
 """Deterministic equivalents: the 2x2 dilation fixed point, its
 second-order companion, and the predicted risk and bias/variance split.
 
-The fixed point iterates on the 2x2 matrix B:
+The fixed point is the symmetric 2x2 matrix B with B = F(B):
 
     Sigma_bar(B) = b11 Sigma + b12 (Sigma' + Sigma'^T) + b22 Sigma''
-    R_bar = (Sigma_bar(B) + alpha LambdaBar + lam I)^{-1}
+    R_bar = M(B)^{-1},  M(B) = Sigma_bar(B) + alpha LambdaBar + lam I
     A = [[tr(Sigma R_bar), tr(Sigma' R_bar)],
          [tr(Sigma' R_bar), tr(Sigma'' R_bar)]]
-    B <- W (I_2 + n^{-1} W A W)^{-1} W,  W = Diag(sqrt(1-alpha), sqrt(alpha))
+    F(B) = W (I_2 + n^{-1} W A W)^{-1} W,  W = Diag(sqrt(1-alpha), sqrt(alpha))
 
-with damped Picard updates (slot 1 weights the true data, slot 2 the
-augmented means). The random resolvent expectation is closed with R_bar
-itself, the only deterministic closure available; its validity is what the
-Monte-Carlo oracle checks confirm. The second-order matrix is
-D = n^{-1} B C_bar B with C_bar the traces of X R_bar Sigma R_bar.
+(slot 1 weights the true data, slot 2 the augmented means). It is solved
+by safeguarded Newton on the free entries of B, starting from the
+infinite-data limit B = W^2: b11 alone at alpha = 0, b22 alone at
+alpha = 1, (b11, b12, b22) otherwise. A step factors M(B) = L L^T once and
+whitens the blocks X = (Sigma, sym Sigma', Sigma'') into
+Z_i = L^{-1} X_i L^{-T}, so tr(X_i R_bar) = tr Z_i. Through
+dR_bar = -R_bar dM R_bar and dF = -n^{-1} F dA F, the exact Jacobian of F
+needs only T_ij = tr(X_i R_bar X_j R_bar) = <Z_i, Z_j>_F. A step is halved
+while M(B) is not positive definite or the residual ||F(B) - B||_F grows;
+it is not held inside the Loewner box 0 <= B <= W^2, because with a
+nearly rank-one A (masking) the fixed point lies on its boundary.
+
+The random resolvent expectation is closed with R_bar itself, the only
+deterministic closure available; its validity is what the Monte-Carlo
+oracle checks confirm. The second-order matrix is D = n^{-1} B C_bar B
+with C_bar the traces of X R_bar Sigma R_bar, read from T.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import blas, cho_solve, lapack
 
 from .ridge import NumericalFailureError
 from .schemes import InvalidParameterError
@@ -37,9 +48,16 @@ class PreconditionViolationError(ValueError):
 
 @dataclass(frozen=True)
 class DilationState:
+    """The fixed point B and what it was solved from. A_traces is A and
+    T_traces the 3x3 traces tr(X_i R_bar X_j R_bar) over the blocks
+    X = (Sigma, sym Sigma', Sigma''). Traces of a block that does not
+    enter the solve are 0: sym Sigma' at alpha in {0, 1}, and Sigma'' at
+    alpha = 0."""
+
     W: np.ndarray
     B: np.ndarray
     A_traces: np.ndarray
+    T_traces: np.ndarray
     R_bar: np.ndarray
     residual: float
     iterations: int
@@ -76,9 +94,15 @@ class EquivalentReport:
     plugin_mode: bool
 
 
-def _trace_prod_sym(X, R):
-    # tr(X R) with R symmetric: sum over elementwise product with R
-    return float(np.sum(X * R))
+# free entry k of B, as (b11, b12, b22): its slot in B, and the weight of
+# its block in M(B) (b12 multiplies Sigma' + Sigma'^T = 2 sym Sigma')
+_SLOT = ((0, 0), (0, 1), (1, 1))
+_WEIGHT = (1.0, 2.0, 1.0)
+_MAX_HALVINGS = 30
+
+
+def _sym2(v):
+    return np.array([[v[0], v[1]], [v[1], v[2]]])
 
 
 def _sigma_bar_of(B, ms):
@@ -91,61 +115,156 @@ def _gamma_bar_of(B, ms):
     return (B[0, 0] * ms.G1 + B[0, 1] * (ms.G2 + ms.G3) + B[1, 1] * ms.G4)
 
 
-def _resolvent(ms, B, alpha, lam):
-    p = ms.Sigma.shape[0]
-    M = _sigma_bar_of(B, ms) + alpha * ms.LambdaBar + lam * np.eye(p)
-    M = 0.5 * (M + M.T)
-    try:
-        cf = cho_factor(M, lower=True)
-    except np.linalg.LinAlgError as exc:
-        smallest = float(np.linalg.eigvalsh(M)[0])
-        raise NumericalFailureError(
-            f"Sigma_bar + alpha LambdaBar + lam I not positive definite "
-            f"(smallest eigenvalue {smallest:.3e})"
-        ) from exc
-    return cho_solve(cf, np.eye(p))
+def _cholesky(M, what=None):
+    """Lower Cholesky factor of the symmetric matrix M (its lower triangle
+    is read). If M is not positive definite: None when `what` is None,
+    else a NumericalFailureError naming `what` and M's smallest
+    eigenvalue."""
+    L, info = lapack.dpotrf(M, lower=1)
+    if info == 0:
+        return L
+    if what is None:
+        return None
+    smallest = float(np.linalg.eigvalsh(M)[0])
+    raise NumericalFailureError(
+        f"{what} not positive definite (smallest eigenvalue {smallest:.3e})"
+    )
 
 
-def _a_traces(ms, R):
-    a11 = _trace_prod_sym(ms.Sigma, R)
-    a12 = _trace_prod_sym(ms.SigmaPrime, R)
-    a22 = _trace_prod_sym(ms.SigmaDoublePrime, R)
-    return np.array([[a11, a12], [a12, a22]])
+def _whiten(L, X):
+    """L^{-1} X L^{-T} by two triangular solves, the second in place."""
+    Y = blas.dtrsm(1.0, L, X, lower=1)
+    return blas.dtrsm(1.0, L, Y, side=1, lower=1, trans_a=1, overwrite_b=1)
 
 
-def solve_fixed_point(moment_set, alpha, lam, n, tol=1e-10, max_iter=500,
-                      damping=0.5) -> DilationState:
-    """Damped Picard iteration for B, initialized at the infinite-data
-    limit B0 = W^2. Never raises on non-convergence; the state carries an
-    honest converged flag."""
+def _traces(Z):
+    """tr Z_i and <Z_i, Z_j>_F over the whitened blocks, 0 elsewhere."""
+    a = np.zeros(3)
+    T = np.zeros((3, 3))
+    flat = {k: z.ravel(order="K") for k, z in Z.items()}
+    for i in flat:
+        a[i] = np.trace(Z[i])
+        for j in flat:
+            if j >= i:
+                T[i, j] = T[j, i] = np.dot(flat[i], flat[j])
+    return a, T
+
+
+@dataclass
+class _Point:
+    b: np.ndarray  # (b11, b12, b22)
+    L: np.ndarray | None  # Cholesky factor of M(B)
+    Z: dict | None  # block index -> whitened block
+    a: np.ndarray  # tr(X_i R_bar)
+    T: np.ndarray  # tr(X_i R_bar X_j R_bar)
+    F: np.ndarray  # F(B)
+    residual: float  # ||F(B) - B||_F
+
+
+class _DilationMap:
+    """F on the free entries of B, with the traces its Jacobian needs."""
+
+    def __init__(self, ms, alpha, lam, n):
+        self.ms, self.alpha, self.lam, self.n = ms, alpha, lam, n
+        self.W = np.diag([np.sqrt(1.0 - alpha), np.sqrt(alpha)])
+        if alpha == 0.0:
+            self.free = (0,)
+        elif alpha == 1.0:
+            self.free = (2,)
+        else:
+            self.free = (0, 1, 2)
+        # only the symmetric part of Sigma' enters A
+        self.X = (ms.Sigma,
+                  0.5 * (ms.SigmaPrime + ms.SigmaPrime.T)
+                  if 1 in self.free else None,
+                  ms.SigmaDoublePrime)
+
+    def at(self, b, what=None):
+        """The point b, or None when M(B) is not positive definite (and
+        `what` is None, see _cholesky)."""
+        M = _sigma_bar_of(_sym2(b), self.ms) + self.alpha * self.ms.LambdaBar
+        M.flat[::M.shape[0] + 1] += self.lam
+        L = _cholesky(M, what)
+        if L is None:
+            return None
+        Z = {k: _whiten(L, self.X[k]) for k in self.free}
+        a, T = _traces(Z)
+        W = self.W
+        F = W @ np.linalg.solve(np.eye(2) + W @ _sym2(a) @ W / self.n, W)
+        F = 0.5 * (F + F.T)
+        residual = float(np.linalg.norm(F - _sym2(b)))
+        return _Point(b, L, Z, a, T, F, residual)
+
+    def newton_step(self, P):
+        """Solve (I - J_F) step = F(B) - B on the free entries, with
+        dF/db_j = n^{-1} weight_j F _sym2(T[:, j]) F."""
+        free = self.free
+        J = np.empty((len(free), len(free)))
+        for col, j in enumerate(free):
+            dF = P.F @ _sym2(_WEIGHT[j] * P.T[:, j]) @ P.F / self.n
+            J[:, col] = [dF[_SLOT[k]] for k in free]
+        g = [P.F[_SLOT[k]] - P.b[k] for k in free]
+        step = np.zeros(3)
+        step[list(free)] = np.linalg.solve(np.eye(len(free)) - J, g)
+        return step
+
+
+def solve_fixed_point(moment_set, alpha, lam, n, tol=1e-10,
+                      max_iter=500) -> DilationState:
+    """Safeguarded Newton iteration for B from the infinite-data limit
+    B0 = W^2 (see the module docstring). `iterations` counts the Newton
+    iterates, B0 included. The solve stops at the first iterate where both
+    the residual ||F(B) - B||_F and the Newton correction are at most
+    tol * min(1, ||F(B)||_F): relative where B is small, never looser than
+    an absolute tol. It also stops, unconverged, after max_iter iterates or
+    when 30 halvings of a step find no point that is positive definite
+    with a residual no larger. Never raises on non-convergence; the state
+    carries an honest converged flag.
+
+    R_bar, the traces and the residual belong to the last iterate. A
+    converged B is that iterate plus its Newton correction, so its error is
+    of the order of the correction squared: the bound above caps only the
+    error of ||B||_F, and beta = sum(B) can be much smaller than ||B||_F."""
     if lam <= 0:
         raise InvalidParameterError(f"lambda must be > 0, got {lam}")
     if not 0.0 <= alpha <= 1.0:
         raise InvalidParameterError(f"alpha must be in [0,1], got {alpha}")
-    if n < 1 or tol <= 0:
-        raise InvalidParameterError("need n >= 1 and tol > 0")
-    w = np.array([np.sqrt(1.0 - alpha), np.sqrt(alpha)])
-    W = np.diag(w)
-    B = np.diag(w * w)
-    residual = np.inf
-    iterations = 0
+    if n < 1 or tol <= 0 or max_iter < 1:
+        raise InvalidParameterError("need n >= 1, tol > 0 and max_iter >= 1")
+    fmap = _DilationMap(moment_set, alpha, lam, n)
+    P = fmap.at(np.array([1.0 - alpha, 0.0, alpha]),
+                what="Sigma_bar + alpha LambdaBar + lam I")
     converged = False
     for iterations in range(1, max_iter + 1):
-        R = _resolvent(moment_set, B, alpha, lam)
-        A = _a_traces(moment_set, R)
-        inner = np.eye(2) + (W @ A @ W) / n
-        B_plus = W @ np.linalg.solve(inner, W)
-        B_plus = 0.5 * (B_plus + B_plus.T)
-        residual = float(np.linalg.norm(B_plus - B))
-        if residual <= tol:
-            B = B_plus
+        step = fmap.newton_step(P)
+        bound = tol * min(1.0, float(np.linalg.norm(P.F)))
+        if P.residual <= bound and np.linalg.norm(_sym2(step)) <= bound:
             converged = True
             break
-        B = (1.0 - damping) * B + damping * B_plus
-    R = _resolvent(moment_set, B, alpha, lam)
-    A = _a_traces(moment_set, R)
+        if iterations == max_iter:
+            break
+        b, residual = P.b, P.residual
+        P.L = P.Z = None  # freed before the trials allocate their own
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = fmap.at(b + t * step)
+            if trial is not None and trial.residual <= residual:
+                P = trial
+                break
+            t *= 0.5
+        else:
+            break
+    if P.L is None:  # the last line search failed
+        P = fmap.at(P.b)
+    if 0 not in fmap.free:  # alpha = 1: C_bar needs tr(Sigma'' R Sigma R)
+        P.Z[0] = _whiten(P.L, fmap.X[0])
+        P.a, P.T = _traces(P.Z)
+    P.Z = None
+    R, _ = lapack.dpotri(P.L, lower=1, overwrite_c=1)
+    R += np.tril(R, -1).T
     return DilationState(
-        W=W, B=B, A_traces=A, R_bar=R, residual=residual,
+        W=fmap.W, B=_sym2(P.b + step if converged else P.b),
+        A_traces=_sym2(P.a), T_traces=P.T, R_bar=R, residual=P.residual,
         iterations=iterations, converged=converged,
         alpha=float(alpha), lam=float(lam), n=int(n),
     )
@@ -160,19 +279,19 @@ def loewner_gap_eigs(M):
 
 
 def compute_second_order(state, moment_set, alpha=None, lam=None, n=None):
-    """D = n^{-1} B C_bar B with C_bar the second-order traces at the
-    converged resolvent; symmetrized."""
+    """D = n^{-1} B C_bar B with C_bar_ij = tr(X_i R_bar Sigma R_bar), the
+    first row of the converged state's T_traces; symmetrized. Raises
+    NotConvergedError, naming the cell, on an unconverged state."""
     if not state.converged:
         raise NotConvergedError(
-            f"fixed point not converged (residual {state.residual:.3e})"
+            f"fixed point not converged at lambda={state.lam:g}, "
+            f"alpha={state.alpha:g}, n={state.n} "
+            f"(residual {state.residual:.3e} after {state.iterations} "
+            f"iterations)"
         )
     n = state.n if n is None else n
-    R = state.R_bar
-    T = R @ moment_set.Sigma @ R
-    c11 = _trace_prod_sym(moment_set.Sigma, T)
-    c12 = _trace_prod_sym(moment_set.SigmaPrime, T)
-    c22 = _trace_prod_sym(moment_set.SigmaDoublePrime, T)
-    C_bar = np.array([[c11, c12], [c12, c22]])
+    T = state.T_traces
+    C_bar = np.array([[T[0, 0], T[0, 1]], [T[0, 1], T[0, 2]]])
     D = state.B @ C_bar @ state.B / n
     return 0.5 * (D + D.T)
 
@@ -211,11 +330,8 @@ def equivalents(state, D, moment_set, theta_star, sigma2, alpha=None,
     Gamma_bar = _gamma_bar_of(B, ms)
     M = Sigma_bar + alpha * ms.LambdaBar + lam * np.eye(p)
     M = 0.5 * (M + M.T)
-    try:
-        cf = cho_factor(M, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError("equivalents: matrix not PD") from exc
-    theta_bar = cho_solve(cf, Gamma_bar + alpha * ms.OmegaBar)
+    L = _cholesky(M, "equivalents: Sigma_bar + alpha LambdaBar + lam I")
+    theta_bar = cho_solve((L, True), Gamma_bar + alpha * ms.OmegaBar)
 
     Sigma_bar_prime = _sigma_bar_of(D, ms)
     Gamma_bar_prime = _gamma_bar_of(D, ms)

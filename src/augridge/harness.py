@@ -417,12 +417,10 @@ def run_sweep(config, bias_variance=False, csv_name=None, moment_set=None):
         for lam in config.lambda_grid:
             for alpha in config.alpha_grid:
                 state = detequiv.solve_fixed_point(moment_set, alpha, lam, n)
-                if state.converged:
-                    D = detequiv.compute_second_order(state, moment_set)
-                    rep = detequiv.equivalents(state, D, moment_set,
-                                               theta_star, sigma2)
-                else:
-                    rep = None
+                # raises NotConvergedError on an unconverged cell
+                D = detequiv.compute_second_order(state, moment_set)
+                rep = detequiv.equivalents(state, D, moment_set,
+                                           theta_star, sigma2)
                 states[(lam, alpha)] = (state, rep)
         for lam in config.lambda_grid:
             for alpha in config.alpha_grid:
@@ -445,13 +443,13 @@ def run_sweep(config, bias_variance=False, csv_name=None, moment_set=None):
                     chi_std=float(chis.std(ddof=1)) if len(chis) > 1 else 0.0,
                     bias2_emp=bias2,
                     var_emp=float(gs.mean()) - bias2,
-                    g_det=rep.g_bar_mean if rep else float("nan"),
-                    overlap_det=rep.overlap_bar_mean if rep else float("nan"),
-                    chi_det=rep.chi_bar_mean if rep else float("nan"),
-                    bias2_det=rep.bias2_bar_mean if rep else float("nan"),
-                    var_det=rep.var_bar_mean if rep else float("nan"),
+                    g_det=rep.g_bar_mean,
+                    overlap_det=rep.overlap_bar_mean,
+                    chi_det=rep.chi_bar_mean,
+                    bias2_det=rep.bias2_bar_mean,
+                    var_det=rep.var_bar_mean,
                     beta=float(state.B.sum()),
-                    delta=rep.delta if rep else float("nan"),
+                    delta=rep.delta,
                     fp_iterations=state.iterations,
                     fp_residual=state.residual,
                     fp_converged=state.converged,
@@ -629,11 +627,9 @@ def mnist_pipeline(config, csv_name=None):
             theta_mean = theta_sums[(lam, alpha)] / len(vals)
             bias2 = _empirical_bias2(theta_mean, moment_set, None, sigma2)
             state = detequiv.solve_fixed_point(moment_set, alpha, lam, n)
-            if state.converged:
-                D = detequiv.compute_second_order(state, moment_set)
-                rep = detequiv.equivalents(state, D, moment_set, None, sigma2)
-            else:
-                rep = None
+            # raises NotConvergedError on an unconverged cell
+            D = detequiv.compute_second_order(state, moment_set)
+            rep = detequiv.equivalents(state, D, moment_set, None, sigma2)
             rows.append(ResultRow(
                 lam=lam, alpha=alpha, n=n, p=p, d=759,
                 aspect_ratio=p / n,
@@ -645,13 +641,13 @@ def mnist_pipeline(config, csv_name=None):
                 chi_std=float(chis.std(ddof=1)) if len(chis) > 1 else 0.0,
                 bias2_emp=bias2,
                 var_emp=float(gs.mean()) - bias2,
-                g_det=rep.g_bar_mean if rep else float("nan"),
-                overlap_det=rep.overlap_bar_mean if rep else float("nan"),
-                chi_det=rep.chi_bar_mean if rep else float("nan"),
-                bias2_det=rep.bias2_bar_mean if rep else float("nan"),
-                var_det=rep.var_bar_mean if rep else float("nan"),
+                g_det=rep.g_bar_mean,
+                overlap_det=rep.overlap_bar_mean,
+                chi_det=rep.chi_bar_mean,
+                bias2_det=rep.bias2_bar_mean,
+                var_det=rep.var_bar_mean,
                 beta=float(state.B.sum()),
-                delta=rep.delta if rep else float("nan"),
+                delta=rep.delta,
                 fp_iterations=state.iterations,
                 fp_residual=state.residual,
                 fp_converged=state.converged,

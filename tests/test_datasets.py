@@ -38,6 +38,14 @@ def test_haar_reproducible():
     assert not np.array_equal(a, c)
 
 
+def test_haar_memoized_and_read_only():
+    # sample_synthetic reuses one cached rotation; no caller may alter it
+    a = haar_orthogonal(6, seed=2)
+    assert haar_orthogonal(6, seed=2) is a
+    with pytest.raises(ValueError):
+        a[0, 0] = 0.0
+
+
 def test_spectrum_options():
     spec = SyntheticSpec(d=4, n=1, theta_star=np.zeros(4),
                          truth_map=identity_map(4))

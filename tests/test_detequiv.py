@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from augridge.detequiv import (
     NotConvergedError,
@@ -22,9 +24,25 @@ def _iso_ms(p, theta_star=None, sigma2=0.0):
 
 def _beta_closed(lam, p, n):
     # positive root of beta^2 + beta (lam + p/n - 1) - lam = 0, the scalar
-    # fixed point at alpha = 0 with isotropic covariance
+    # fixed point at alpha = 0 with isotropic covariance; in the form free
+    # of cancellation, as beta ~ lam / (p/n - 1) is tiny for p > n
     b = lam + p / n - 1.0
-    return (-b + np.sqrt(b * b + 4.0 * lam)) / 2.0
+    s = np.sqrt(b * b + 4.0 * lam)
+    return 2.0 * lam / (b + s) if b > 0 else (-b + s) / 2.0
+
+
+def _aniso_masking_ms(p, seed):
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    Sigma = (Q * rng.uniform(0.2, 3.0, p)) @ Q.T
+    return closed_population_moment_set(Sigma, masking(0.7),
+                                        rng.standard_normal(p) / np.sqrt(p),
+                                        0.1)
+
+
+SIGMA_AUG = 0.5
+ISO_ADDITIVE_40 = closed_population_moment_set(
+    np.eye(40), additive_noise(SIGMA_AUG), np.ones(40) / np.sqrt(40), 0.1)
 
 
 def test_fixed_point_rejects_bad_parameters():
@@ -209,3 +227,59 @@ def test_loewner_gap_eigs_closed_form():
         w = np.linalg.eigvalsh(M)
         assert lo == pytest.approx(w[0], abs=1e-12)
         assert hi == pytest.approx(w[1], abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(log_lam=st.floats(-8.0, 3.0), log_ratio=st.floats(-1.0, 1.0),
+       alpha=st.floats(0.0, 1.0))
+def test_fixed_point_converges_over_documented_range(log_lam, log_ratio,
+                                                     alpha):
+    # isotropic additive noise: augmented ridge is plain ridge at
+    # lam' = lam + alpha sigma_aug^2, so beta is the scalar root at lam'
+    p = 40
+    lam = 10.0 ** log_lam
+    n = int(round(p / 10.0 ** log_ratio))
+    st_ = solve_fixed_point(ISO_ADDITIVE_40, alpha, lam, n)
+    assert st_.converged
+    assert st_.iterations <= 20
+    beta = _beta_closed(lam + alpha * SIGMA_AUG ** 2, p, n)
+    assert abs(float(st_.B.sum()) - beta) <= 1e-9 * beta
+
+
+def test_fixed_point_converges_at_interpolation_threshold():
+    # p = n, tiny lam: the fixed-point map has slope ~1 - 2 sqrt(lam) there
+    p = n = 200
+    ms = closed_population_moment_set(np.eye(p), additive_noise(0.5),
+                                      np.ones(p) / np.sqrt(p), 0.25)
+    st_ = solve_fixed_point(ms, 0.0, 1e-5, n)
+    assert st_.converged and st_.iterations <= 20
+    assert st_.residual <= 1e-10
+    beta = _beta_closed(1e-5, p, n)
+    assert abs(float(st_.B.sum()) - beta) <= 1e-9 * beta
+
+
+def test_fixed_point_on_loewner_boundary_under_masking():
+    # masking makes A rank one, so W^2 - B is singular at the fixed point
+    ms = _aniso_masking_ms(30, seed=4)
+    for lam in (1e-6, 1e-3, 0.1):
+        st_ = solve_fixed_point(ms, 0.5, lam, 20)
+        assert st_.converged
+        lo, hi = loewner_gap_eigs(st_.W @ st_.W - st_.B)
+        assert -1e-10 <= lo <= 1e-12
+        assert hi > 0.1
+
+
+def test_second_order_from_stored_traces_matches_direct():
+    ms = _aniso_masking_ms(30, seed=5)
+    n = 25
+    for alpha in (0.0, 0.5, 1.0):
+        st_ = solve_fixed_point(ms, alpha, 0.05, n)
+        R = st_.R_bar
+        RSR = R @ ms.Sigma @ R
+        c11 = np.sum(ms.Sigma * RSR)
+        c12 = np.sum(ms.SigmaPrime * RSR)
+        c22 = np.sum(ms.SigmaDoublePrime * RSR)
+        D_ref = st_.B @ np.array([[c11, c12], [c12, c22]]) @ st_.B / n
+        D_ref = 0.5 * (D_ref + D_ref.T)
+        D = compute_second_order(st_, ms)
+        assert np.linalg.norm(D - D_ref) <= 1e-12 * np.linalg.norm(D_ref)

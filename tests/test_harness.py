@@ -1,9 +1,11 @@
+import functools
 import json
 import struct
 
 import numpy as np
 import pytest
 
+from augridge import detequiv
 from augridge.cli import main as cli_main
 from augridge.harness import (
     RESULT_COLUMNS,
@@ -299,3 +301,33 @@ def test_mnist_pipeline_end_to_end(tmp_path):
         assert r.d == 759 and r.p == 759 and r.n == 40
         assert np.isfinite(r.g_mean) and r.g_mean >= 0.0
         assert r.fp_converged
+
+
+@pytest.mark.parametrize("command", ["sweep-lambda", "mnist"])
+def test_cli_unconverged_fixed_point_exit_4(tmp_path, monkeypatch, capsys,
+                                            command):
+    # one Newton iterate cannot converge: the cell must fail the command,
+    # not leave a NaN row behind
+    monkeypatch.setattr(detequiv, "solve_fixed_point", functools.partial(
+        detequiv.solve_fixed_point, max_iter=1))
+    out = tmp_path / "out"
+    if command == "mnist":
+        rng = np.random.default_rng(1)
+        for name, count in (("train", 60), ("t10k", 20)):
+            _idx_file(tmp_path / f"{name}-images-idx3-ubyte",
+                      rng.integers(0, 256, size=(count, 28, 28),
+                                   dtype=np.uint8))
+        cfg = {
+            "data": {"kind": "mnist",
+                     "train_images": str(tmp_path / "train-images-idx3-ubyte"),
+                     "test_images": str(tmp_path / "t10k-images-idx3-ubyte")},
+            "scheme": {"kind": "masking", "keep_prob": 0.9},
+            "lambda_grid": [1.0], "alpha_grid": [0.5], "n_grid": [30],
+            "replicates": 1, "n_mc_aug": 2, "seed": 3, "out_dir": str(out),
+        }
+    else:
+        cfg = _tiny_cfg(out_dir=str(out))
+    assert cli_main([command, "--config", _write_cfg(tmp_path, cfg)]) == 4
+    err = capsys.readouterr().err
+    assert "not converged at lambda=" in err and "residual" in err
+    assert not out.exists()
