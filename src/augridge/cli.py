@@ -17,14 +17,13 @@ from .detequiv import NotConvergedError
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    bias_variance_sweep,
     mnist_pipeline,
     run_sweep,
     validate,
 )
-from .moments import InsufficientSamplesError
-from .ridge import EmptyInputError, NumericalFailureError
-from .schemes import InvalidDimensionError
+from .features import InvalidDimensionError
+from .moments import EmptyInputError, InsufficientSamplesError
+from .ridge import NumericalFailureError
 
 _COMMANDS = (
     "sweep-lambda", "sweep-alpha", "sweep-aspect",
@@ -53,15 +52,7 @@ def _build_parser():
 
 
 def _dispatch(command, config):
-    if command == "sweep-lambda":
-        run_sweep(config, csv_name="sweep_lambda.csv")
-    elif command == "sweep-alpha":
-        run_sweep(config, csv_name="sweep_alpha.csv")
-    elif command == "sweep-aspect":
-        run_sweep(config, csv_name="sweep_aspect.csv")
-    elif command == "bias-variance":
-        bias_variance_sweep(config, csv_name="bias_variance.csv")
-    elif command == "validate":
+    if command == "validate":
         report = validate(config)
         os.makedirs(config.out_dir, exist_ok=True)
         path = os.path.join(config.out_dir, "validate.json")
@@ -70,6 +61,9 @@ def _dispatch(command, config):
         print(json.dumps(report, indent=2))
     elif command == "mnist":
         mnist_pipeline(config, csv_name="mnist.csv")
+    else:  # the sweeps, each writing <command>.csv
+        run_sweep(config, bias_variance=command == "bias-variance",
+                  csv_name=command.replace("-", "_") + ".csv")
 
 
 def main(argv=None) -> int:

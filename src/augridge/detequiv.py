@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, cho_solve, lapack
 
-from .ridge import NumericalFailureError
+from .ridge import _cholesky, _star_terms
 from .schemes import InvalidParameterError
 
 
@@ -113,22 +113,6 @@ def _sigma_bar_of(B, ms):
 
 def _gamma_bar_of(B, ms):
     return (B[0, 0] * ms.G1 + B[0, 1] * (ms.G2 + ms.G3) + B[1, 1] * ms.G4)
-
-
-def _cholesky(M, what=None):
-    """Lower Cholesky factor of the symmetric matrix M (its lower triangle
-    is read). If M is not positive definite: None when `what` is None,
-    else a NumericalFailureError naming `what` and M's smallest
-    eigenvalue."""
-    L, info = lapack.dpotrf(M, lower=1)
-    if info == 0:
-        return L
-    if what is None:
-        return None
-    smallest = float(np.linalg.eigvalsh(M)[0])
-    raise NumericalFailureError(
-        f"{what} not positive definite (smallest eigenvalue {smallest:.3e})"
-    )
 
 
 def _whiten(L, X):
@@ -278,7 +262,7 @@ def loewner_gap_eigs(M):
     return tr / 2.0 - disc, tr / 2.0 + disc
 
 
-def compute_second_order(state, moment_set, alpha=None, lam=None, n=None):
+def compute_second_order(state, moment_set):
     """D = n^{-1} B C_bar B with C_bar_ij = tr(X_i R_bar Sigma R_bar), the
     first row of the converged state's T_traces; symmetrized. Raises
     NotConvergedError, naming the cell, on an unconverged state."""
@@ -289,30 +273,13 @@ def compute_second_order(state, moment_set, alpha=None, lam=None, n=None):
             f"(residual {state.residual:.3e} after {state.iterations} "
             f"iterations)"
         )
-    n = state.n if n is None else n
     T = state.T_traces
     C_bar = np.array([[T[0, 0], T[0, 1]], [T[0, 1], T[0, 2]]])
-    D = state.B @ C_bar @ state.B / n
+    D = state.B @ C_bar @ state.B / state.n
     return 0.5 * (D + D.T)
 
 
-def _det_star_terms(theta_bar, moment_set, theta_star, sigma2):
-    q = theta_bar.shape[1]
-    if theta_star is not None and moment_set.SigmaStar is not None:
-        th = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
-        tSSt = np.einsum("ij,ik,kj->j", th, moment_set.SigmaStarStar, th)
-        tSs = np.einsum("ij,ik,kj->j", th, moment_set.SigmaStar, theta_bar)
-        plugin = False
-    else:
-        tSSt = moment_set.PsiSecond[:, 0, 0] - sigma2
-        tSs = np.einsum("ij,ij->j", moment_set.G1, theta_bar)
-        plugin = True
-    assert tSSt.shape == (q,)
-    return tSSt, tSs, plugin
-
-
-def equivalents(state, D, moment_set, theta_star, sigma2, alpha=None,
-                lam=None) -> EquivalentReport:
+def equivalents(state, D, moment_set, theta_star, sigma2) -> EquivalentReport:
     """Deterministic equivalents of theta_hat, chi, risk, and the
     bias/variance split, per output and output-averaged.
 
@@ -321,8 +288,7 @@ def equivalents(state, D, moment_set, theta_star, sigma2, alpha=None,
     and theta*^T SigmaStar theta_bar -> G1^T theta_bar are applied and
     flagged via plugin_mode.
     """
-    alpha = state.alpha if alpha is None else alpha
-    lam = state.lam if lam is None else lam
+    alpha, lam = state.alpha, state.lam
     ms = moment_set
     B = state.B
     p = ms.Sigma.shape[0]
@@ -342,7 +308,7 @@ def equivalents(state, D, moment_set, theta_star, sigma2, alpha=None,
     cross = np.einsum("ij,ij->j", theta_bar, Gamma_bar_prime)
     chi_bar = quad - 2.0 * cross + gamma_bar
 
-    tSSt, tSs, plugin = _det_star_terms(theta_bar, ms, theta_star, sigma2)
+    tSSt, tSs = _star_terms(theta_bar, ms, theta_star, sigma2)
     g_bar = tSSt - 2.0 * tSs + chi_bar + sigma2
     theta_sig = np.einsum("ij,ik,kj->j", theta_bar, ms.Sigma, theta_bar)
     bias2_bar = theta_sig + tSSt - 2.0 * tSs
@@ -364,19 +330,18 @@ def equivalents(state, D, moment_set, theta_star, sigma2, alpha=None,
         fp_iterations=state.iterations,
         fp_residual=state.residual,
         fp_converged=state.converged,
-        plugin_mode=plugin,
+        plugin_mode=theta_star is None or ms.SigmaStar is None,
     )
 
 
 def wellspecified_reduction(state, D, moment_set, theta_star, sigma2,
-                            alpha=None, lam=None, block_tol=1e-6):
+                            block_tol=1e-6):
     """Scalar beta/delta form valid when phi = phi_star and the scheme is
     unbiased and label-preserving, i.e. every Sigma block equals Sigma and
     every G block equals G1. Returns beta, delta, theta_bar and the
     simplified risk (1 + delta)[(theta_bar - theta*)^T Sigma
     (theta_bar - theta*) + sigma2]."""
-    alpha = state.alpha if alpha is None else alpha
-    lam = state.lam if lam is None else lam
+    alpha, lam = state.alpha, state.lam
     ms = moment_set
     scale = max(float(np.linalg.norm(ms.Sigma)), 1e-300)
     for name, M, ref in (

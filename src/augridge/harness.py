@@ -15,16 +15,14 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import detequiv, ridge, schemes
 from .datasets import (
-    Dataset,
-    FormatError,
+    InpaintingTask,
     SyntheticSpec,
-    haar_orthogonal,
     inpainting_task,
     mnist_load,
     sample_synthetic,
@@ -32,6 +30,7 @@ from .datasets import (
 )
 from .features import FeatureMap, identity_map, random_mlp_map
 from .moments import (
+    _LINEAR_MEAN_KINDS,
     MomentSet,
     batch_sample_moments,
     closed_population_moment_set,
@@ -41,16 +40,6 @@ from .moments import (
 
 class ConfigError(ValueError):
     pass
-
-
-RESULT_COLUMNS = [
-    "lambda", "alpha", "n", "p", "d", "aspect_ratio",
-    "g_mean", "g_std", "overlap_mean", "overlap_std",
-    "chi_mean", "chi_std", "bias2_emp", "var_emp",
-    "g_det", "overlap_det", "chi_det", "bias2_det", "var_det",
-    "beta", "delta",
-    "fp_iterations", "fp_residual", "fp_converged",
-]
 
 
 @dataclass
@@ -81,14 +70,11 @@ class ResultRow:
     fp_converged: bool
 
     def to_list(self):
-        return [
-            self.lam, self.alpha, self.n, self.p, self.d, self.aspect_ratio,
-            self.g_mean, self.g_std, self.overlap_mean, self.overlap_std,
-            self.chi_mean, self.chi_std, self.bias2_emp, self.var_emp,
-            self.g_det, self.overlap_det, self.chi_det, self.bias2_det,
-            self.var_det, self.beta, self.delta,
-            self.fp_iterations, self.fp_residual, self.fp_converged,
-        ]
+        return [getattr(self, f.name) for f in fields(self)]
+
+
+RESULT_COLUMNS = ["lambda" if f.name == "lam" else f.name
+                  for f in fields(ResultRow)]
 
 
 def _fmt(v):
@@ -314,9 +300,8 @@ def build_moment_set(config, rng=None):
     if (
         fmap.kind == "identity"
         and (config.truth_features or {"kind": "identity"})["kind"] == "identity"
-        and scheme.label_preserving
         and schemes._constant_params(scheme)
-        and scheme.kind in ("additive-noise", "masking", "salt-and-pepper")
+        and scheme.kind in _LINEAR_MEAN_KINDS
     ):
         return closed_population_moment_set(
             spec.covariance(), scheme, spec.theta_star, spec.noise_sigma2
@@ -337,54 +322,152 @@ def build_moment_set(config, rng=None):
     )
 
 
-# --- replicate work ----------------------------------------------------
+# --- replicate engine --------------------------------------------------
 
-def _mc_moments_needed(fmap, scheme):
-    return not (fmap.kind == "identity" and scheme.has_closed_moments)
+@dataclass(frozen=True)
+class _FreshDraws:
+    """Synthetic data: every replicate draws fresh data from the law, once
+    per n, and the risk is the population risk under the moment set."""
+
+    spec: SyntheticSpec
+    moment_set: MomentSet
+
+    def units(self, seeds, n_list):
+        return [(s, n_list) for s in seeds]
+
+    def draw(self, rng, n):
+        ds = sample_synthetic(self.spec, rng, n=n)
+        return ds.X, ds.Y
+
+    def risk(self, f):
+        return ridge.population_generalization(
+            f, self.moment_set, self.spec.theta_star, self.spec.noise_sigma2)
 
 
-def _run_replicate(payload, seed_seq):
-    """One replicate: draw data once per n, assemble one design per n,
-    fit every (lambda, alpha) cell. Returns per-cell statistics."""
-    (spec, fmap, scheme, lambda_grid, alpha_grid, n_list,
-     n_mc_aug, moment_set, theta_star, sigma2) = payload
+@dataclass(frozen=True)
+class _Subsamples:
+    """A fixed training set: every replicate restarts from its seed for
+    each n and subsamples n columns without replacement; the risk is the
+    error on the held-out set."""
+
+    train: InpaintingTask
+    test: InpaintingTask
+    fmap: FeatureMap
+
+    def units(self, seeds, n_list):
+        return [(s, (n,)) for n in dict.fromkeys(n_list) for s in seeds]
+
+    def draw(self, rng, n):
+        cols = rng.choice(self.train.X.shape[1], size=n, replace=False)
+        return self.train.X[:, cols], self.train.Y[:, cols]
+
+    def risk(self, f):
+        return ridge.empirical_generalization(f, self.test.X, self.test.Y,
+                                              self.fmap)
+
+
+_worker_payload = None  # set once in each pool worker by _init_worker
+
+
+def _run_unit(unit, payload=None):
+    """One work unit (seed, n_list): per n, draw data from the source,
+    assemble one design and fit every (lambda, alpha) cell. Returns
+    (risk, overlap, chi, theta_hat) by cell (n, lambda, alpha). Without a
+    payload, the one the pool worker was started with."""
+    (source, fmap, scheme, lambda_grid, alpha_grid, n_mc_aug, moment_set,
+     theta_star, sigma2) = payload or _worker_payload
+    seed_seq, n_list = unit
     rng = np.random.default_rng(seed_seq)
-    debias = n_mc_aug if _mc_moments_needed(fmap, scheme) else None
+    closed = fmap.kind == "identity" and scheme.has_closed_moments
+    debias = None if closed else n_mc_aug
     out = {}
     for n in n_list:
-        ds = sample_synthetic(spec, rng, n=n)
-        psm = batch_sample_moments(scheme, fmap, ds.X, ds.Y, n_mc_aug, rng)
-        design = ridge.assemble_design(ds.X, ds.Y, fmap, psm,
-                                       debias_n_mc=debias)
+        X, Y = source.draw(rng, n)
+        psm = batch_sample_moments(scheme, fmap, X, Y, n_mc_aug, rng)
+        design = ridge.assemble_design(X, Y, fmap, psm, debias_n_mc=debias)
         for lam in lambda_grid:
             for alpha in alpha_grid:
                 f = ridge.fit(design, alpha, lam)
-                g = ridge.population_generalization(f, moment_set,
-                                                    theta_star, sigma2)
-                ov = ridge.overlap_stat(f, moment_set, theta_star, sigma2)
-                chi = ridge.chi_stat(f, moment_set)
-                out[(n, lam, alpha)] = (g, ov, chi, f.theta_hat)
+                out[(n, lam, alpha)] = (
+                    source.risk(f),
+                    ridge.overlap_stat(f, moment_set, theta_star, sigma2),
+                    ridge.chi_stat(f, moment_set),
+                    f.theta_hat,
+                )
     return out
 
 
-def _replicate_results(config, payload, n_replicates=None):
-    """Run replicates serially or in a process pool; reduction is ordered
-    by replicate index either way."""
-    R = n_replicates if n_replicates is not None else config.replicates
-    seeds = np.random.SeedSequence(config.seed).spawn(R)
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_run_replicate, [payload] * R, seeds,
-                                    chunksize=max(1, R // (4 * config.workers))))
-    else:
-        results = [_run_replicate(payload, s) for s in seeds]
-    return results
+def _init_worker(payload):
+    global _worker_payload
+    _worker_payload = payload
 
 
-def _empirical_bias2(theta_mean, moment_set, theta_star, sigma2):
-    chi = np.einsum("ij,ik,kj->j", theta_mean, moment_set.Sigma, theta_mean)
-    tSSt, tSs = ridge._star_terms(theta_mean, moment_set, theta_star, sigma2)
-    return float(np.mean(chi + tSSt - 2.0 * tSs))
+def _run_units(payload, units, workers):
+    """The units' results in unit order, serially or in a process pool that
+    receives the payload once per worker, not once per chunk."""
+    if workers <= 1:
+        return [_run_unit(u, payload) for u in units]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(payload,)) as pool:
+        return list(pool.map(_run_unit, units,
+                             chunksize=max(1, len(units) // (4 * workers))))
+
+
+def _det_columns(moment_set, n, lam, alpha, theta_star, sigma2):
+    """A row's deterministic columns. Only these scalars outlive the call,
+    not the cell's p x p blocks."""
+    state = detequiv.solve_fixed_point(moment_set, alpha, lam, n)
+    # raises NotConvergedError on an unconverged cell
+    D = detequiv.compute_second_order(state, moment_set)
+    rep = detequiv.equivalents(state, D, moment_set, theta_star, sigma2)
+    return (rep.g_bar_mean, rep.overlap_bar_mean, rep.chi_bar_mean,
+            rep.bias2_bar_mean, rep.var_bar_mean, float(state.B.sum()),
+            rep.delta, state.iterations, state.residual, state.converged)
+
+
+def _std(a):
+    return float(a.std(ddof=1)) if len(a) > 1 else 0.0
+
+
+def _sweep(config, source, fmap, scheme, moment_set, theta_star, sigma2,
+           csv_name):
+    """The replicate engine: one ResultRow per (n, lambda, alpha) cell.
+
+    Every fixed point is solved before any Monte-Carlo, so an unconverged
+    cell fails at once, and only the row's scalars are kept of a solve.
+    Replicate seeds are spawned from the master seed, the source splits
+    them into work units (seed, n_list), and results are reduced in unit
+    order, so the rows do not depend on the worker count.
+    """
+    n_list = config.sample_sizes()
+    cells = [(n, lam, alpha) for n in n_list for lam in config.lambda_grid
+             for alpha in config.alpha_grid]
+    det = {cell: _det_columns(moment_set, *cell, theta_star, sigma2)
+           for cell in cells}
+    seeds = np.random.SeedSequence(config.seed).spawn(config.replicates)
+    payload = (source, fmap, scheme, config.lambda_grid, config.alpha_grid,
+               config.n_mc_aug, moment_set, theta_star, sigma2)
+    results = _run_units(payload, source.units(seeds, n_list), config.workers)
+    p = fmap.output_dim
+    rows = []
+    for cell in cells:
+        vals = [r[cell] for r in results if cell in r]
+        gs, ovs, chis = (np.array([v[k] for v in vals]) for k in range(3))
+        th = sum(v[3] for v in vals) / len(vals)  # the replicates' mean
+        tSSt, tSs = ridge._star_terms(th, moment_set, theta_star, sigma2)
+        chi = np.einsum("ij,ik,kj->j", th, moment_set.Sigma, th)
+        bias2 = float(np.mean(chi + tSSt - 2.0 * tSs))
+        n, lam, alpha = cell
+        rows.append(ResultRow(
+            lam, alpha, n, p, config.data_dim(), p / n,
+            float(gs.mean()), _std(gs), float(ovs.mean()), _std(ovs),
+            float(chis.mean()), _std(chis), bias2, float(gs.mean()) - bias2,
+            *det[cell],
+        ))
+    if csv_name:
+        os.makedirs(config.out_dir, exist_ok=True)
+        write_csv(rows, os.path.join(config.out_dir, csv_name))
+    return rows
 
 
 def run_sweep(config, bias_variance=False, csv_name=None, moment_set=None):
@@ -404,60 +487,8 @@ def run_sweep(config, bias_variance=False, csv_name=None, moment_set=None):
     scheme = config.build_scheme()
     if moment_set is None:
         moment_set = build_moment_set(config)
-    theta_star = spec.theta_star
-    sigma2 = spec.noise_sigma2
-    n_list = config.sample_sizes()
-    payload = (spec, fmap, scheme, config.lambda_grid, config.alpha_grid,
-               n_list, config.n_mc_aug, moment_set, theta_star, sigma2)
-    results = _replicate_results(config, payload)
-    rows = []
-    p = fmap.output_dim
-    for n in n_list:
-        states = {}
-        for lam in config.lambda_grid:
-            for alpha in config.alpha_grid:
-                state = detequiv.solve_fixed_point(moment_set, alpha, lam, n)
-                # raises NotConvergedError on an unconverged cell
-                D = detequiv.compute_second_order(state, moment_set)
-                rep = detequiv.equivalents(state, D, moment_set,
-                                           theta_star, sigma2)
-                states[(lam, alpha)] = (state, rep)
-        for lam in config.lambda_grid:
-            for alpha in config.alpha_grid:
-                key = (n, lam, alpha)
-                gs = np.array([r[key][0] for r in results])
-                ovs = np.array([r[key][1] for r in results])
-                chis = np.array([r[key][2] for r in results])
-                theta_mean = sum(r[key][3] for r in results) / len(results)
-                bias2 = _empirical_bias2(theta_mean, moment_set,
-                                         theta_star, sigma2)
-                state, rep = states[(lam, alpha)]
-                rows.append(ResultRow(
-                    lam=lam, alpha=alpha, n=n, p=p, d=spec.d,
-                    aspect_ratio=p / n,
-                    g_mean=float(gs.mean()),
-                    g_std=float(gs.std(ddof=1)) if len(gs) > 1 else 0.0,
-                    overlap_mean=float(ovs.mean()),
-                    overlap_std=float(ovs.std(ddof=1)) if len(ovs) > 1 else 0.0,
-                    chi_mean=float(chis.mean()),
-                    chi_std=float(chis.std(ddof=1)) if len(chis) > 1 else 0.0,
-                    bias2_emp=bias2,
-                    var_emp=float(gs.mean()) - bias2,
-                    g_det=rep.g_bar_mean,
-                    overlap_det=rep.overlap_bar_mean,
-                    chi_det=rep.chi_bar_mean,
-                    bias2_det=rep.bias2_bar_mean,
-                    var_det=rep.var_bar_mean,
-                    beta=float(state.B.sum()),
-                    delta=rep.delta,
-                    fp_iterations=state.iterations,
-                    fp_residual=state.residual,
-                    fp_converged=state.converged,
-                ))
-    if csv_name:
-        os.makedirs(config.out_dir, exist_ok=True)
-        write_csv(rows, os.path.join(config.out_dir, csv_name))
-    return rows
+    return _sweep(config, _FreshDraws(spec, moment_set), fmap, scheme,
+                  moment_set, spec.theta_star, spec.noise_sigma2, csv_name)
 
 
 def bias_variance_sweep(config, csv_name=None):
@@ -481,31 +512,22 @@ def validate(config, factor=4):
     and the finite-difference derivative identity error round out the
     report.
     """
-    data = config.data
-    if data["kind"] != "synthetic":
-        raise ConfigError("validate requires synthetic data")
-    base_d = int(data["d"])
-    base_n = int(data["n"])
-    if factor * base_d > 600:
+    base = config.build_synthetic_spec()
+    if factor * base.d > 600:
         raise ConfigError("validate instances must stay small (p <= 600/factor)")
     lam = config.lambda_grid[0]
     alpha = config.alpha_grid[0]
     scheme = config.build_scheme()
-    sigma2 = float(data.get("noise_sigma2", 0.0))
+    sigma2 = base.noise_sigma2
     report = {"lambda": lam, "alpha": alpha, "replicates": config.replicates}
     per_size = []
     for scale_idx, scale in enumerate((1, factor)):
-        d = base_d * scale
-        n = base_n * scale
-        spec = SyntheticSpec(
-            d=d, n=n,
-            theta_star=_resolve_theta_star(
-                data.get("theta_star", "normalized-ones"), d),
-            truth_map=identity_map(d),
-            noise_sigma2=sigma2,
-            spectrum=data.get("spectrum", "power-law"),
-            q_seed=int(data.get("q_seed", 0)),
-        )
+        d = base.d * scale
+        n = base.n * scale
+        theta = _resolve_theta_star(
+            config.data.get("theta_star", "normalized-ones"), d)
+        spec = replace(base, d=d, n=n, theta_star=theta,
+                       truth_map=identity_map(d))
         fmap = identity_map(d)
         ms = closed_population_moment_set(spec.covariance(), scheme,
                                           spec.theta_star, sigma2)
@@ -583,7 +605,9 @@ def mnist_pipeline(config, csv_name=None):
         raise ConfigError("mnist pipeline requires data.kind = 'mnist'")
     train = inpainting_task(mnist_load(data["train_images"]))
     test = inpainting_task(mnist_load(data["test_images"]))
-    sigma2 = float(data.get("noise_sigma2", 0.0))
+    for n in config.sample_sizes():
+        if n > train.X.shape[1]:
+            raise ConfigError(f"subsample size {n} exceeds training set")
     fmap = config.build_feature_map()
     scheme = config.build_scheme()
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xD0]))
@@ -591,68 +615,6 @@ def mnist_pipeline(config, csv_name=None):
         fmap, None, scheme, (train.X, train.Y),
         train.X.shape[1], config.n_mc_aug, rng,
     )
-    p = fmap.output_dim
-    rows = []
-    n_total = train.X.shape[1]
-    seeds = np.random.SeedSequence(config.seed).spawn(config.replicates)
-    for n in config.sample_sizes():
-        if n > n_total:
-            raise ConfigError(f"subsample size {n} exceeds training set")
-        per_cell = {(lam, alpha): [] for lam in config.lambda_grid
-                    for alpha in config.alpha_grid}
-        theta_sums = {k: 0.0 for k in per_cell}
-        for s in seeds:
-            r_rng = np.random.default_rng(s)
-            cols = r_rng.choice(n_total, size=n, replace=False)
-            X = train.X[:, cols]
-            Y = train.Y[:, cols]
-            psm = batch_sample_moments(scheme, fmap, X, Y,
-                                       config.n_mc_aug, r_rng)
-            debias = (config.n_mc_aug
-                      if _mc_moments_needed(fmap, scheme) else None)
-            design = ridge.assemble_design(X, Y, fmap, psm,
-                                           debias_n_mc=debias)
-            for (lam, alpha) in per_cell:
-                f = ridge.fit(design, alpha, lam)
-                g = ridge.empirical_generalization(f, test.X, test.Y, fmap)
-                ov = ridge.overlap_stat(f, moment_set, None, sigma2)
-                chi = ridge.chi_stat(f, moment_set)
-                per_cell[(lam, alpha)].append((g, ov, chi))
-                theta_sums[(lam, alpha)] = (theta_sums[(lam, alpha)]
-                                            + f.theta_hat)
-        for (lam, alpha), vals in per_cell.items():
-            gs = np.array([v[0] for v in vals])
-            ovs = np.array([v[1] for v in vals])
-            chis = np.array([v[2] for v in vals])
-            theta_mean = theta_sums[(lam, alpha)] / len(vals)
-            bias2 = _empirical_bias2(theta_mean, moment_set, None, sigma2)
-            state = detequiv.solve_fixed_point(moment_set, alpha, lam, n)
-            # raises NotConvergedError on an unconverged cell
-            D = detequiv.compute_second_order(state, moment_set)
-            rep = detequiv.equivalents(state, D, moment_set, None, sigma2)
-            rows.append(ResultRow(
-                lam=lam, alpha=alpha, n=n, p=p, d=759,
-                aspect_ratio=p / n,
-                g_mean=float(gs.mean()),
-                g_std=float(gs.std(ddof=1)) if len(gs) > 1 else 0.0,
-                overlap_mean=float(ovs.mean()),
-                overlap_std=float(ovs.std(ddof=1)) if len(ovs) > 1 else 0.0,
-                chi_mean=float(chis.mean()),
-                chi_std=float(chis.std(ddof=1)) if len(chis) > 1 else 0.0,
-                bias2_emp=bias2,
-                var_emp=float(gs.mean()) - bias2,
-                g_det=rep.g_bar_mean,
-                overlap_det=rep.overlap_bar_mean,
-                chi_det=rep.chi_bar_mean,
-                bias2_det=rep.bias2_bar_mean,
-                var_det=rep.var_bar_mean,
-                beta=float(state.B.sum()),
-                delta=rep.delta,
-                fp_iterations=state.iterations,
-                fp_residual=state.residual,
-                fp_converged=state.converged,
-            ))
-    if csv_name:
-        os.makedirs(config.out_dir, exist_ok=True)
-        write_csv(rows, os.path.join(config.out_dir, csv_name))
-    return rows
+    return _sweep(config, _Subsamples(train, test, fmap), fmap, scheme,
+                  moment_set, None, float(data.get("noise_sigma2", 0.0)),
+                  csv_name)

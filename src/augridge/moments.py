@@ -20,7 +20,7 @@ Monte-Carlo estimation notes:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .features import FeatureMap, apply_features
 from .schemes import (
     AugmentationScheme,
     _constant_params,
+    _masking_lambda,
     closed_moments,
     sample_augmented,
     sample_augmented_batch,
@@ -155,27 +156,27 @@ def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
     return MuX, MuY, LambdaBar, OmegaBar
 
 
+# scheme kinds whose mean map is mu_x = c x, with Lambda from the
+# coordinate second moments alone
+_LINEAR_MEAN_KINDS = ("additive-noise", "masking", "salt-and-pepper")
+
+
+def _linear_mean_lambda(scheme, d, v):
+    """(c, Lambda) of a constant-parameter scheme of _LINEAR_MEAN_KINDS on
+    R^d: mu_x = c x, and Lambda from the coordinate second moments v()."""
+    if scheme.kind == "additive-noise":
+        return 1.0, scheme.sigma_aug ** 2 * np.eye(d)
+    c = float(scheme.keep_prob)
+    s = scheme.replacement if scheme.kind == "salt-and-pepper" else 0.0
+    return c, _masking_lambda(v(), c, s)
+
+
 def _batch_closed_moments(scheme, X, Y):
     d, n = X.shape
     q = Y.shape[0]
-    if _constant_params(scheme) and scheme.kind in (
-        "additive-noise", "masking", "salt-and-pepper"
-    ):
-        if scheme.kind == "additive-noise":
-            MuX = X.copy()
-            LambdaBar = scheme.sigma_aug ** 2 * np.eye(d)
-        else:
-            m = scheme.keep_prob
-            s = scheme.replacement if scheme.kind == "salt-and-pepper" else 0.0
-            MuX = m * X
-            diag_mean = np.mean(X * X, axis=1)
-            if np.ndim(s) == 0:
-                ssT = float(s) ** 2 * np.eye(d)
-            else:
-                s = np.asarray(s, dtype=float)
-                ssT = s @ s.T
-            LambdaBar = (1.0 - m) * (m * np.diag(diag_mean) + ssT)
-        return MuX, Y.copy(), LambdaBar, np.zeros((d, q))
+    if _constant_params(scheme) and scheme.kind in _LINEAR_MEAN_KINDS:
+        c, LambdaBar = _linear_mean_lambda(scheme, d, lambda: (X * X).mean(1))
+        return c * X, Y.copy(), LambdaBar, np.zeros((d, q))
     MuX = np.empty((d, n))
     MuY = np.empty((q, n))
     LambdaBar = np.zeros((d, d))
@@ -248,19 +249,9 @@ class MomentSet:
         ])
 
     def save(self, path):
-        blocks = {
-            "Sigma": self.Sigma, "SigmaPrime": self.SigmaPrime,
-            "SigmaDoublePrime": self.SigmaDoublePrime,
-            "G1": self.G1, "G2": self.G2, "G3": self.G3, "G4": self.G4,
-            "PsiSecond": self.PsiSecond,
-            "LambdaBar": self.LambdaBar, "OmegaBar": self.OmegaBar,
-            "n_mc_used": np.array(self.n_mc_used),
-            "provenance": np.array(self.provenance),
-        }
-        if self.SigmaStar is not None:
-            blocks["SigmaStar"] = self.SigmaStar
-            blocks["SigmaStarStar"] = self.SigmaStarStar
-        np.savez(path, **blocks)
+        """Every field that is not None, one .npz entry each."""
+        blocks = {f.name: getattr(self, f.name) for f in fields(self)}
+        np.savez(path, **{k: v for k, v in blocks.items() if v is not None})
 
     @classmethod
     def load(cls, path):
@@ -416,26 +407,14 @@ def closed_population_moment_set(Sigma, scheme, theta_star, sigma2):
     (c = keep_prob). Every block is an exact formula, so no Monte-Carlo
     error enters the equivalents.
     """
-    if not (scheme.label_preserving and _constant_params(scheme)):
-        raise ValueError("need a constant-parameter label-preserving scheme")
+    if scheme.kind not in _LINEAR_MEAN_KINDS or not _constant_params(scheme):
+        raise ValueError("need a constant-parameter additive-noise, masking "
+                         f"or salt-and-pepper scheme, got {scheme.kind!r}")
     Sigma = np.asarray(Sigma, dtype=float)
     p = Sigma.shape[0]
     theta = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
     q = theta.shape[1]
-    if scheme.kind == "additive-noise":
-        c = 1.0
-        LambdaBar = scheme.sigma_aug ** 2 * np.eye(p)
-    elif scheme.kind in ("masking", "salt-and-pepper"):
-        c = float(scheme.keep_prob)
-        s = scheme.replacement if scheme.kind == "salt-and-pepper" else 0.0
-        if np.ndim(s) == 0:
-            ssT = float(s) ** 2 * np.eye(p)
-        else:
-            s = np.asarray(s, dtype=float)
-            ssT = s @ s.T
-        LambdaBar = (1.0 - c) * (c * np.diag(np.diag(Sigma)) + ssT)
-    else:
-        raise ValueError(f"no closed population moments for {scheme.kind!r}")
+    c, LambdaBar = _linear_mean_lambda(scheme, p, lambda: np.diag(Sigma))
     G1 = Sigma @ theta
     ey2 = np.einsum("ij,ik,kj->j", theta, Sigma, theta) + sigma2
     Psi = np.empty((q, 2, 2))

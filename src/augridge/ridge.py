@@ -16,18 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve, lapack
 
-from .features import apply_features
-from .moments import PerSampleMoments, symmetrize
-from .schemes import InvalidDimensionError, InvalidParameterError
+from .features import InvalidDimensionError, apply_features
+from .moments import EmptyInputError, symmetrize
+from .schemes import InvalidParameterError
 
 
 class NumericalFailureError(RuntimeError):
-    pass
-
-
-class EmptyInputError(ValueError):
     pass
 
 
@@ -52,8 +48,7 @@ class RidgeFit:
 def assemble_design(X, Y, feature_map, sample_moments, debias_n_mc=None):
     """Build the six design blocks with 1/n normalization.
 
-    sample_moments is either a list of PerSampleMoments (one per column)
-    or the (MuX, MuY, LambdaBar, OmegaBar) tuple from
+    sample_moments is the (MuX, MuY, LambdaBar, OmegaBar) tuple from
     moments.batch_sample_moments. When the per-sample means were estimated
     from debias_n_mc augmentation draws, the O(1/n_mc) bias of Cprime and
     Hprime (outer products of estimated means) is removed.
@@ -66,15 +61,8 @@ def assemble_design(X, Y, feature_map, sample_moments, debias_n_mc=None):
     if Y.shape[1] != n:
         raise InvalidDimensionError("X and Y column counts differ")
     Phi = apply_features(feature_map, X)
-    if isinstance(sample_moments, (list, tuple)) and sample_moments and \
-            isinstance(sample_moments[0], PerSampleMoments):
-        MuX = np.stack([m.mu_x for m in sample_moments], axis=1)
-        MuY = np.stack([np.atleast_1d(m.mu_y) for m in sample_moments], axis=1)
-        LambdaEmp = sum(m.Lambda for m in sample_moments) / n
-        OmegaEmp = sum(np.atleast_2d(m.Omega) for m in sample_moments) / n
-    else:
-        MuX, MuY, LambdaEmp, OmegaEmp = sample_moments
-        MuY = np.atleast_2d(MuY)
+    MuX, MuY, LambdaEmp, OmegaEmp = sample_moments
+    MuY = np.atleast_2d(MuY)
     if MuX.shape[1] != n:
         raise InvalidDimensionError("per-sample moments do not match n")
     C = symmetrize(Phi @ Phi.T / n)
@@ -90,29 +78,39 @@ def assemble_design(X, Y, feature_map, sample_moments, debias_n_mc=None):
     )
 
 
-def _regularized_matrix(design, alpha, lam, zeta=0.0, Sigma=None):
+def _cholesky(M, what=None):
+    """Lower Cholesky factor of the symmetric matrix M (its lower triangle
+    is read). If M is not positive definite: None when `what` is None,
+    else a NumericalFailureError naming `what` and M's smallest
+    eigenvalue. With `what` given, a non-finite M is a ValueError."""
+    if what is not None:
+        np.asarray_chkfinite(M)
+    L, info = lapack.dpotrf(M, lower=1)
+    if info == 0:
+        return L
+    if what is None:
+        return None
+    smallest = float(np.linalg.eigvalsh(M)[0])
+    raise NumericalFailureError(
+        f"{what} not positive definite (smallest eigenvalue {smallest:.3e})"
+    )
+
+
+def _regularized_factor(design, alpha, lam, zeta=0.0, Sigma=None):
+    """cho_solve factor of (1-a)C + aC' + aLambda + lam I (+ zeta Sigma)."""
+    if zeta != 0.0 and Sigma is None:
+        raise InvalidParameterError("Sigma required when zeta != 0")
     M = ((1.0 - alpha) * design.C + alpha * design.Cprime
          + alpha * design.LambdaEmp)
     M = M + lam * np.eye(M.shape[0])
     if zeta != 0.0:
         M = M + zeta * Sigma
-    return symmetrize(M)
+    return _cholesky(symmetrize(M), "regularized matrix"), True
 
 
 def _h_alpha(design, alpha):
     return ((1.0 - alpha) * design.H + alpha * design.Hprime
             + alpha * design.OmegaEmp)
-
-
-def _chol(M):
-    try:
-        return cho_factor(M, lower=True)
-    except np.linalg.LinAlgError as exc:
-        smallest = float(np.linalg.eigvalsh(M)[0])
-        raise NumericalFailureError(
-            f"regularized matrix not positive definite "
-            f"(smallest eigenvalue {smallest:.3e})"
-        ) from exc
 
 
 def fit(design, alpha, lam) -> RidgeFit:
@@ -121,26 +119,22 @@ def fit(design, alpha, lam) -> RidgeFit:
         raise InvalidParameterError(f"lambda must be > 0, got {lam}")
     if not 0.0 <= alpha <= 1.0:
         raise InvalidParameterError(f"alpha must be in [0,1], got {alpha}")
-    M = _regularized_matrix(design, alpha, lam)
-    theta = cho_solve(_chol(M), _h_alpha(design, alpha))
+    theta = cho_solve(_regularized_factor(design, alpha, lam),
+                      _h_alpha(design, alpha))
     return RidgeFit(theta_hat=theta, alpha=float(alpha), lam=float(lam))
 
 
 def resolvent_shifted(design, alpha, lam, zeta, Sigma=None):
     """The matrix ((1-a)C + aC' + aLambda + lam I + zeta Sigma)^{-1}."""
-    if zeta != 0.0 and Sigma is None:
-        raise InvalidParameterError("Sigma required when zeta != 0")
-    M = _regularized_matrix(design, alpha, lam, zeta, Sigma)
-    return cho_solve(_chol(M), np.eye(M.shape[0]))
+    factor = _regularized_factor(design, alpha, lam, zeta, Sigma)
+    return cho_solve(factor, np.eye(design.C.shape[0]))
 
 
 def xi_statistic(design, alpha, lam, zeta, Sigma=None):
     """The q x q quadratic form H_a^T R(zeta) H_a (scalar for q = 1)."""
-    if zeta != 0.0 and Sigma is None:
-        raise InvalidParameterError("Sigma required when zeta != 0")
-    M = _regularized_matrix(design, alpha, lam, zeta, Sigma)
     Ha = _h_alpha(design, alpha)
-    out = Ha.T @ cho_solve(_chol(M), Ha)
+    out = Ha.T @ cho_solve(_regularized_factor(design, alpha, lam, zeta,
+                                               Sigma), Ha)
     return float(out[0, 0]) if out.shape == (1, 1) else out
 
 

@@ -18,16 +18,14 @@ Omega(z) are available in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .features import InvalidDimensionError
+
 
 class InvalidParameterError(ValueError):
-    pass
-
-
-class InvalidDimensionError(ValueError):
     pass
 
 
@@ -120,55 +118,43 @@ def _check_weights(w, k):
         )
 
 
+def _resolved(scheme, z, d):
+    """The scheme with every parameter that is a map of z evaluated at z
+    and checked, the components of a mixture included."""
+    if (scheme.kind in ("additive-noise", "masking", "salt-and-pepper")
+            and _constant_params(scheme)):
+        return scheme  # nothing depends on z; its constructor checked it
+    at = {k: _resolve(getattr(scheme, k), z)
+          for k in ("keep_prob", "replacement", "s_x", "s_y", "weights")}
+    _check_prob(at["keep_prob"])
+    if np.ndim(at["replacement"]) != 0:
+        at["replacement"] = np.asarray(at["replacement"], dtype=float)
+        if at["replacement"].shape != (d, d):
+            raise InvalidDimensionError(f"replacement map must be {d}x{d}, "
+                                        f"got {at['replacement'].shape}")
+    for k in ("s_x", "s_y"):
+        if at[k] is not None:
+            at[k] = np.atleast_2d(np.asarray(at[k], dtype=float))
+    if at["s_x"] is not None and at["s_x"].shape[0] != d:
+        raise InvalidDimensionError(
+            f"s_x must have {d} rows, got {at['s_x'].shape[0]}")
+    if scheme.kind == "mixture":
+        at["weights"] = np.asarray(at["weights"], dtype=float)
+        _check_weights(at["weights"], len(scheme.components))
+    comps = tuple(_resolved(c, z, d) for c in scheme.components)
+    return replace(scheme, components=comps, **at)
+
+
 def sample_augmented(scheme, z, rng):
-    """One draw (x', y') of (tau_x(z, eta), tau_y(z, eta))."""
+    """One draw (x', y') of (tau_x(z, eta), tau_y(z, eta)): a one-column
+    call of the batch kernel on the scheme resolved at z."""
     x, y = z
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = x.shape[0]
-    if scheme.kind == "additive-noise":
-        return x + scheme.sigma_aug * rng.standard_normal(d), y.copy()
-    if scheme.kind == "masking":
-        q = _resolve(scheme.keep_prob, z)
-        _check_prob(q)
-        m = (rng.random(d) <= q).astype(float)
-        return x * m, y.copy()
-    if scheme.kind == "salt-and-pepper":
-        q = _resolve(scheme.keep_prob, z)
-        _check_prob(q)
-        m = (rng.random(d) <= q).astype(float)
-        eta2 = rng.standard_normal(d)
-        repl = _resolve(scheme.replacement, z)
-        masked_noise = eta2 * (1.0 - m)
-        if np.ndim(repl) == 0:
-            xp = x * m + float(repl) * masked_noise
-        else:
-            repl = np.asarray(repl, dtype=float)
-            if repl.shape != (d, d):
-                raise InvalidDimensionError(
-                    f"replacement map must be {d}x{d}, got {repl.shape}"
-                )
-            xp = x * m + repl @ masked_noise
-        return xp, y.copy()
-    if scheme.kind == "heteroskedastic":
-        sx = np.atleast_2d(np.asarray(_resolve(scheme.s_x, z), dtype=float))
-        if sx.shape[0] != d:
-            raise InvalidDimensionError(
-                f"s_x must have {d} rows, got {sx.shape[0]}"
-            )
-        eta = rng.standard_normal(sx.shape[1])
-        xp = x + sx @ eta
-        if scheme.s_y is None:
-            return xp, y.copy()
-        sy = np.atleast_2d(np.asarray(_resolve(scheme.s_y, z), dtype=float))
-        return xp, y + sy @ eta
-    if scheme.kind == "mixture":
-        w = np.asarray(_resolve(scheme.weights, z), dtype=float)
-        _check_weights(w, len(scheme.components))
-        j = int(np.searchsorted(np.cumsum(w), rng.random(), side="right"))
-        j = min(j, len(scheme.components) - 1)
-        return sample_augmented(scheme.components[j], z, rng)
-    raise InvalidParameterError(f"unknown scheme kind {scheme.kind!r}")
+    Yr = y.reshape(-1, 1).copy()
+    Xa = _batch_constant(_resolved(scheme, z, d), x[:, None], Yr, d, rng)
+    return Xa[:, 0], Yr[:, 0].reshape(y.shape)
 
 
 def _constant_params(scheme) -> bool:
@@ -177,7 +163,9 @@ def _constant_params(scheme) -> bool:
     if scheme.kind == "masking":
         return not callable(scheme.keep_prob)
     if scheme.kind == "salt-and-pepper":
-        return not callable(scheme.keep_prob) and np.ndim(scheme.replacement) == 0
+        return (not callable(scheme.keep_prob)
+                and not callable(scheme.replacement)
+                and np.ndim(scheme.replacement) == 0)
     if scheme.kind == "heteroskedastic":
         return not callable(scheme.s_x) and not callable(scheme.s_y)
     if scheme.kind == "mixture":
@@ -227,7 +215,11 @@ def _batch_constant(scheme, Xr, Yr, d, rng):
     elif scheme.kind == "salt-and-pepper":
         M = (rng.random((d, ncols)) <= scheme.keep_prob).astype(float)
         noise = rng.standard_normal((d, ncols)) * (1.0 - M)
-        Xa = Xr * M + float(scheme.replacement) * noise
+        repl = scheme.replacement
+        if np.ndim(repl) == 0:
+            Xa = Xr * M + float(repl) * noise
+        else:
+            Xa = Xr * M + repl @ noise
     elif scheme.kind == "heteroskedastic":
         sx = np.atleast_2d(np.asarray(scheme.s_x, dtype=float))
         eta = rng.standard_normal((sx.shape[1], ncols))
@@ -253,19 +245,25 @@ def _batch_constant(scheme, Xr, Yr, d, rng):
     return Xa
 
 
+def _masking_lambda(v, m, s):
+    """(1-m)[m Diag(v) + s s^T]: the masking / salt-and-pepper Lambda for
+    keep probability m, replacement s (a scale or a matrix) and the vector
+    v of second moments of the coordinates (x * x for one sample)."""
+    if np.ndim(s) == 0:
+        ssT = float(s) ** 2 * np.eye(v.shape[0])
+    else:
+        s = np.asarray(s, dtype=float)
+        ssT = s @ s.T
+    return (1.0 - m) * (m * np.diag(v) + ssT)
+
+
 def salt_pepper_lambda_closed(x, m, s):
     """Closed-form Lambda(z) = (1-m)[m Diag(x x^T) + s s^T] for the
     salt-and-pepper scheme with identity features; Omega(z) = 0."""
     if not 0.0 <= m <= 1.0:
         raise InvalidParameterError(f"keep probability must be in [0,1], got {m}")
     x = np.asarray(x, dtype=float)
-    d = x.shape[0]
-    if np.ndim(s) == 0:
-        ssT = float(s) ** 2 * np.eye(d)
-    else:
-        s = np.asarray(s, dtype=float)
-        ssT = s @ s.T
-    return (1.0 - m) * (m * np.diag(x * x) + ssT)
+    return _masking_lambda(x * x, m, s)
 
 
 def heteroskedastic_moments_closed(z, s_x, s_y):
@@ -315,13 +313,9 @@ def closed_moments(scheme, z):
     if scheme.kind == "additive-noise":
         return (x.copy(), y.copy(), scheme.sigma_aug ** 2 * np.eye(d),
                 np.zeros((d, q)))
-    if scheme.kind == "masking":
+    if scheme.kind in ("masking", "salt-and-pepper"):
         m = _resolve(scheme.keep_prob, z)
-        return (m * x, y.copy(), salt_pepper_lambda_closed(x, m, 0.0),
-                np.zeros((d, q)))
-    if scheme.kind == "salt-and-pepper":
-        m = _resolve(scheme.keep_prob, z)
-        s = _resolve(scheme.replacement, z)
+        s = _resolve(scheme.replacement, z)  # 0.0 for masking
         return (m * x, y.copy(), salt_pepper_lambda_closed(x, m, s),
                 np.zeros((d, q)))
     if scheme.kind == "heteroskedastic":

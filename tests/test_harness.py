@@ -1,11 +1,13 @@
 import functools
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from augridge import detequiv
+from augridge import detequiv, harness
 from augridge.cli import main as cli_main
 from augridge.harness import (
     RESULT_COLUMNS,
@@ -331,3 +333,74 @@ def test_cli_unconverged_fixed_point_exit_4(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert "not converged at lambda=" in err and "residual" in err
     assert not out.exists()
+
+
+def test_cli_zero_dimension_exit_3(tmp_path):
+    cfg = _tiny_cfg()
+    cfg["data"]["d"] = 0
+    path = _write_cfg(tmp_path, cfg)
+    assert cli_main(["sweep-lambda", "--config", path]) == 3
+
+
+def test_cli_fixed_points_fail_before_monte_carlo(tmp_path, monkeypatch):
+    # an unconverged cell exits 4 without drawing a single replicate
+    monkeypatch.setattr(detequiv, "solve_fixed_point", functools.partial(
+        detequiv.solve_fixed_point, max_iter=1))
+
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("Monte-Carlo ran before the fixed points")
+
+    monkeypatch.setattr(harness, "batch_sample_moments", no_monte_carlo)
+    path = _write_cfg(tmp_path, _tiny_cfg(out_dir=str(tmp_path / "out")))
+    assert cli_main(["sweep-lambda", "--config", path]) == 4
+
+
+def _mnist_fixture(tmp_path, **over):
+    """The IDX files and config of test_mnist_pipeline_end_to_end."""
+    rng = np.random.default_rng(0)
+    train = rng.integers(0, 256, size=(80, 28, 28), dtype=np.uint8)
+    test = rng.integers(0, 256, size=(30, 28, 28), dtype=np.uint8)
+    _idx_file(tmp_path / "train-images-idx3-ubyte", train)
+    _idx_file(tmp_path / "t10k-images-idx3-ubyte", test)
+    cfg = {
+        "data": {"kind": "mnist",
+                 "train_images": str(tmp_path / "train-images-idx3-ubyte"),
+                 "test_images": str(tmp_path / "t10k-images-idx3-ubyte")},
+        "scheme": {"kind": "masking", "keep_prob": 0.9},
+        "lambda_grid": [1.0],
+        "alpha_grid": [0.0, 0.5],
+        "n_grid": [40],
+        "replicates": 2,
+        "n_mc_aug": 4,
+        "seed": 3,
+    }
+    cfg.update(over)
+    return ExperimentConfig.from_dict(cfg)
+
+
+def test_mnist_pipeline_worker_invariant(tmp_path):
+    c1 = _mnist_fixture(tmp_path)
+    c2 = _mnist_fixture(tmp_path, workers=2)
+    r1 = mnist_pipeline(c1)
+    r2 = mnist_pipeline(c2)
+    assert len(r1) == len(r2) == 2
+    for a, b in zip(r1, r2):
+        assert a.to_list() == b.to_list()
+
+
+def test_mnist_subsample_larger_than_training_set(tmp_path, monkeypatch):
+    # checked before the moment set is estimated from the training set
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("moment set estimated before the n check")
+
+    monkeypatch.setattr(harness, "estimate_moment_set", no_estimate)
+    with pytest.raises(ConfigError, match="exceeds training set"):
+        mnist_pipeline(_mnist_fixture(tmp_path, n_grid=[40, 81]))
+
+
+def test_readme_library_sketch_runs(capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert "predicted risk:" in capsys.readouterr().out

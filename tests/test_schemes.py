@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from augridge.features import identity_map
 from augridge.schemes import (
+    AugmentationScheme,
     InvalidParameterError,
     additive_noise,
     h4_diagnostic,
@@ -208,3 +209,42 @@ def test_h4_diagnostic_additive_constant_lambda():
     Z = [(rng.standard_normal(3), rng.standard_normal(1)) for _ in range(6)]
     rep = h4_diagnostic(scheme, identity_map(3), Z, 10, rng)
     assert rep["var_lambda"] <= 1e-20
+
+
+_STREAM_D, _STREAM_Q = 4, 2
+_STREAM_R = np.arange(16.0).reshape(4, 4) / 10.0
+_STREAM_CASES = {
+    "additive": lambda: additive_noise(0.3),
+    "masking": lambda: masking(0.6),
+    "masking-callable": lambda: masking(lambda z: 0.4 + 0.1 * (z[0][0] > 0)),
+    "salt-and-pepper": lambda: salt_and_pepper(0.6, 0.7),
+    "salt-and-pepper-matrix": lambda: AugmentationScheme(
+        kind="salt-and-pepper", keep_prob=0.6, replacement=_STREAM_R),
+    # a replacement map of z; the batch sampler failed on it with TypeError
+    "salt-and-pepper-map": lambda: salt_and_pepper(0.6, lambda z: _STREAM_R),
+    "heteroskedastic": lambda: heteroskedastic(
+        np.arange(12.0).reshape(4, 3) / 5.0),
+    "heteroskedastic-sy": lambda: heteroskedastic(
+        np.arange(12.0).reshape(4, 3) / 5.0, np.ones((2, 3))),
+    "mixture": lambda: mixture([additive_noise(0.5), masking(0.7),
+                                salt_and_pepper(0.5, 0.2)], [0.2, 0.5, 0.3]),
+    "mixture-callable": lambda: mixture(
+        [additive_noise(0.5), masking(0.7)],
+        lambda z: [0.25, 0.75] if z[1][0] > 0 else [0.6, 0.4]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STREAM_CASES))
+def test_single_draw_is_one_column_batch_draw(case):
+    # sample_augmented and a one-column, one-draw sample_augmented_batch
+    # consume the same random stream and give the same values bit for bit
+    scheme = _STREAM_CASES[case]()
+    data = np.random.default_rng(2)
+    x = data.standard_normal(_STREAM_D)
+    y = data.standard_normal(_STREAM_Q)
+    r1, r2 = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(200):
+        xp, yp = sample_augmented(scheme, (x, y), r1)
+        Xa, Ya = sample_augmented_batch(scheme, x[:, None], y[:, None], 1, r2)
+        assert np.array_equal(xp, Xa[:, 0]) and np.array_equal(yp, Ya[:, 0])
+    assert r1.random() == r2.random()
