@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: sweep-lambda, sweep-alpha, sweep-aspect, bias-variance,
-validate, mnist. Exit codes: 0 success, 2 config error, 3 data/format
-error, 4 numerical failure.
+validate, mnist. Exit codes: 0 success, else the exit code of the error's
+family (see errors.py): 2 config, 3 data (and any OSError), 4 numerical.
 """
 
 from __future__ import annotations
@@ -12,18 +12,8 @@ import json
 import os
 import sys
 
-from .datasets import FormatError
-from .detequiv import NotConvergedError
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    mnist_pipeline,
-    run_sweep,
-    validate,
-)
-from .features import InvalidDimensionError
-from .moments import EmptyInputError, InsufficientSamplesError
-from .ridge import NumericalFailureError
+from .errors import AugridgeError, DataError
+from .harness import ExperimentConfig, mnist_pipeline, run_sweep, validate
 
 _COMMANDS = (
     "sweep-lambda", "sweep-alpha", "sweep-aspect",
@@ -42,11 +32,11 @@ def _build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, metavar="<path>",
                        help="JSON experiment config")
-        p.add_argument("--out", metavar="<dir>", default=None,
+        p.add_argument("--out", dest="out_dir", metavar="<dir>",
                        help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, metavar="<u64>",
+        p.add_argument("--seed", type=int, metavar="<u64>",
                        help="master seed (overrides config)")
-        p.add_argument("--workers", type=int, default=None, metavar="<int>",
+        p.add_argument("--workers", type=int, metavar="<int>",
                        help="worker processes (overrides config)")
     return parser
 
@@ -68,29 +58,17 @@ def _dispatch(command, config):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    overrides = {k: v for k, v in vars(args).items()
+                 if k in ("out_dir", "seed", "workers") and v is not None}
     try:
-        config = ExperimentConfig.from_json(args.config)
-        if args.out is not None:
-            config.out_dir = args.out
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be a nonnegative integer")
-            config.seed = args.seed
-        if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError("--workers must be >= 1")
-            config.workers = args.workers
-        _dispatch(args.command, config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, InvalidDimensionError, InsufficientSamplesError,
-            EmptyInputError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except (NumericalFailureError, NotConvergedError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
+        _dispatch(args.command,
+                  ExperimentConfig.from_json(args.config, **overrides))
+    except AugridgeError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
+        print(f"{DataError.label}: {exc}", file=sys.stderr)
+        return DataError.exit_code
     return 0
 
 

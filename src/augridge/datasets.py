@@ -9,11 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError, FormatError, InvalidDimensionError
 from .features import FeatureMap, apply_features, identity_map
-
-
-class FormatError(ValueError):
-    pass
 
 
 @functools.lru_cache(maxsize=8)
@@ -22,7 +19,7 @@ def haar_orthogonal(d, seed):
     matrix with the R-diagonal sign correction. Memoized, since every
     sample_synthetic call needs it; the array is shared, so read-only."""
     if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+        raise InvalidDimensionError(f"d must be >= 1, got {d}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     G = rng.standard_normal((d, d))
     Q, R = np.linalg.qr(G)
@@ -57,11 +54,11 @@ class SyntheticSpec:
             elif self.spectrum == "isotropic":
                 vals = np.ones(self.d)
             else:
-                raise ValueError(f"unknown spectrum {self.spectrum!r}")
+                raise ConfigError(f"unknown spectrum {self.spectrum!r}")
         else:
             vals = np.asarray(self.spectrum, dtype=float)
         if vals.shape != (self.d,) or np.any(vals <= 0):
-            raise ValueError("need d positive eigenvalues")
+            raise ConfigError("need d positive eigenvalues")
         return vals
 
     def covariance(self):

@@ -34,16 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, cho_solve, lapack
 
-from .ridge import _cholesky, _star_terms
+from .errors import NotConvergedError, PreconditionViolationError
+from .ridge import _cholesky, quadratic_terms
 from .schemes import InvalidParameterError
-
-
-class NotConvergedError(RuntimeError):
-    pass
-
-
-class PreconditionViolationError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -308,9 +301,8 @@ def equivalents(state, D, moment_set, theta_star, sigma2) -> EquivalentReport:
     cross = np.einsum("ij,ij->j", theta_bar, Gamma_bar_prime)
     chi_bar = quad - 2.0 * cross + gamma_bar
 
-    tSSt, tSs = _star_terms(theta_bar, ms, theta_star, sigma2)
+    theta_sig, tSs, tSSt = quadratic_terms(theta_bar, ms, theta_star, sigma2)
     g_bar = tSSt - 2.0 * tSs + chi_bar + sigma2
-    theta_sig = np.einsum("ij,ik,kj->j", theta_bar, ms.Sigma, theta_bar)
     bias2_bar = theta_sig + tSSt - 2.0 * tSs
     var_bar = g_bar - bias2_bar
 

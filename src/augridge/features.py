@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-class InvalidDimensionError(ValueError):
-    pass
+from .errors import ConfigError, InvalidDimensionError
 
 
 _ACTIVATIONS = {
@@ -62,7 +60,7 @@ def random_mlp_map(d, hidden_sizes, p_out, activation="tanh", seed=0) -> Feature
     if any(s < 1 for s in sizes):
         raise InvalidDimensionError(f"all layer sizes must be >= 1, got {sizes}")
     if activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
+        raise ConfigError(f"unknown activation {activation!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     weights = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -111,7 +109,7 @@ def estimate_lipschitz(fmap: FeatureMap, trials: int, rng_seed=0):
     """Empirical Lipschitz probe: max ||phi(x)-phi(x')|| / ||x-x'|| over
     random pairs. Always <= the analytic lipschitz_bound."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ConfigError("trials must be >= 1")
     rng = np.random.default_rng(rng_seed)
     d = fmap.input_dim
     X = rng.standard_normal((d, trials))

@@ -15,7 +15,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -28,18 +28,14 @@ from .datasets import (
     sample_synthetic,
     synthetic_sampler,
 )
+from .errors import ConfigError, InvalidDimensionError
 from .features import FeatureMap, identity_map, random_mlp_map
 from .moments import (
     _LINEAR_MEAN_KINDS,
-    MomentSet,
     batch_sample_moments,
     closed_population_moment_set,
     estimate_moment_set,
 )
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass
@@ -94,91 +90,179 @@ def write_csv(rows, path):
 
 
 # --- configuration -----------------------------------------------------
+#
+# The config table: per section, key -> (check, default); a section with a
+# kind has one key table per kind. A check takes a value and its path in
+# the config and returns the value the builders use, or raises ConfigError
+# (InvalidDimensionError for a size below 1, as the feature maps do); its
+# `what` says what it accepts. Defaults pass the same checks.
 
-_TOP_KEYS = {
-    "data", "features", "truth_features", "scheme",
-    "lambda_grid", "alpha_grid", "n_grid",
-    "replicates", "n_mc_aug", "n_mc_data", "test_size",
-    "seed", "out_dir", "workers",
-}
-_DATA_KEYS_SYNTH = {"kind", "d", "n", "spectrum", "theta_star",
-                    "noise_sigma2", "q_seed"}
-_DATA_KEYS_MNIST = {"kind", "train_images", "test_images", "noise_sigma2"}
-_FEATURE_KEYS = {"kind", "hidden_sizes", "output_dim", "activation", "seed"}
-_SCHEME_KEYS = {"kind", "sigma_aug", "keep_prob", "replacement_scale",
-                "components", "weights"}
+_REQUIRED = object()  # the default of a key that must be given
 
 
-def _check_keys(d, allowed, ctx):
+def _expected(where, what, v):
+    return ConfigError(f"{where}: expected {what}, got {v!r}")
+
+
+def _check(what, ok, convert=None):
+    def check(v, where):
+        if not ok(v):
+            raise _expected(where, what, v)
+        return v if convert is None else convert(v)
+    check.what = what
+    return check
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _integer(low):
+    return _check(f"an integer >= {low}", lambda v: _is_int(v) and v >= low)
+
+
+def _real(what, ok):
+    return _check(f"a finite number{what}", lambda v: (
+        (isinstance(v, float) or _is_int(v) and abs(v) < 2 ** 1023)
+        and math.isfinite(v) and ok(v)), float)
+
+
+def _size(v, where):
+    if _is_int(v) and v < 1:
+        raise InvalidDimensionError(f"{where}: must be >= 1, got {v}")
+    return _integer(1)(v, where)
+
+
+_size.what = "an integer >= 1"
+
+
+def _choice(*names, items=None, empty_ok=False):
+    """A check for one of the JSON values `names` or, with `items`, a
+    list whose entries pass `items` (returned as a tuple)."""
+    what = [json.dumps(s) for s in names]
+    if items is not None:
+        what.append(f"a {'' if empty_ok else 'nonempty '}list, each entry "
+                    f"{items.what}")
+
+    def check(v, where):
+        if v in names:
+            return v
+        if not (items and isinstance(v, (list, tuple)) and (v or empty_ok)):
+            raise _expected(where, check.what, v)
+        return tuple(items(x, f"{where}[{i}]") for i, x in enumerate(v))
+    check.what = " or ".join(what)
+    return check
+
+
+def _fill(d, table, where):
+    """The object d checked against a key table, every default filled in."""
     if not isinstance(d, dict):
-        raise ConfigError(f"{ctx}: expected an object")
-    unknown = set(d) - allowed
+        raise _expected(where, "an object", d)
+    unknown = set(d) - set(table)
     if unknown:
-        raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+    for key, (_, default) in table.items():
+        if key not in d and default is _REQUIRED:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+    return {key: check(d.get(key, default), f"{where}.{key}")
+            for key, (check, default) in table.items()}
 
 
-@dataclass
+def _kinded(kinds):
+    """A section whose keys depend on its kind: kind -> key table."""
+    def check(v, where):
+        kind = v.get("kind") if isinstance(v, dict) else None
+        if not (isinstance(kind, str) and kind in kinds):
+            raise _expected(where, check.what, v)
+        rest = {k: x for k, x in v.items() if k != "kind"}
+        return {"kind": kind, **_fill(rest, kinds[kind], where)}
+    check.what = "an object of kind " + " or ".join(map(json.dumps, kinds))
+    check.kinds = kinds
+    return check
+
+
+_PATH = _check("a nonempty path",
+               lambda v: isinstance(v, str) and v and "\0" not in v)
+_ANY = _real("", lambda x: True)
+_POSITIVE = _real(" > 0", lambda x: x > 0)
+_NONNEGATIVE = _real(" >= 0", lambda x: x >= 0)
+_UNIT = _real(" in [0, 1]", lambda x: 0 <= x <= 1)
+_SCALE = _real(" >= 0 with a finite square",
+               lambda x: x >= 0 and math.isfinite(x * x))
+_FEATURES = _kinded({
+    "identity": {},
+    "random-mlp": {
+        "hidden_sizes": (_choice(items=_size, empty_ok=True), ()),
+        "output_dim": (_size, _REQUIRED),
+        "activation": (_choice("tanh", "relu"), "tanh"),
+        "seed": (_integer(0), 0),
+    },
+})
+_SCHEME = _kinded({
+    "additive-noise": {"sigma_aug": (_SCALE, _REQUIRED)},
+    "masking": {"keep_prob": (_UNIT, _REQUIRED)},
+    "salt-and-pepper": {"keep_prob": (_UNIT, _REQUIRED),
+                        "replacement_scale": (_SCALE, _REQUIRED)},
+    "mixture": {"weights": (_choice(items=_NONNEGATIVE), _REQUIRED)},
+})
+# a mixture's components are schemes themselves
+_SCHEME.kinds["mixture"]["components"] = (_choice(items=_SCHEME), _REQUIRED)
+
+CONFIG_TABLE = {
+    "data": (_kinded({
+        "synthetic": {
+            "d": (_size, _REQUIRED),
+            "n": (_size, _REQUIRED),
+            "spectrum": (_choice("power-law", "isotropic", items=_POSITIVE),
+                         "power-law"),
+            "theta_star": (_choice("normalized-ones", None, items=_ANY),
+                           "normalized-ones"),
+            "noise_sigma2": (_NONNEGATIVE, 0.0),
+            "q_seed": (_integer(0), 0),
+        },
+        "mnist": {
+            "train_images": (_PATH, _REQUIRED),
+            "test_images": (_PATH, _REQUIRED),
+            "noise_sigma2": (_NONNEGATIVE, 0.0),
+        },
+    }), _REQUIRED),
+    "features": (_FEATURES, {"kind": "identity"}),
+    "truth_features": (_FEATURES, {"kind": "identity"}),
+    "scheme": (_SCHEME, {"kind": "additive-noise", "sigma_aug": 0.0}),
+    "lambda_grid": (_choice(items=_POSITIVE), (0.1,)),
+    "alpha_grid": (_choice(items=_UNIT), (0.0,)),
+    "n_grid": (_choice(items=_size, empty_ok=True), ()),
+    "replicates": (_integer(1), 50),
+    "n_mc_aug": (_integer(2), 200),
+    "n_mc_data": (_integer(2), 20000),
+    "seed": (_integer(0), 0),
+    "out_dir": (_PATH, "."),
+    "workers": (_integer(1), 1),
+}
+
+
 class ExperimentConfig:
-    data: dict
-    features: dict = field(default_factory=lambda: {"kind": "identity"})
-    truth_features: dict | None = None
-    scheme: dict = field(default_factory=lambda: {"kind": "additive-noise",
-                                                  "sigma_aug": 0.0})
-    lambda_grid: tuple = (0.1,)
-    alpha_grid: tuple = (0.0,)
-    n_grid: tuple = ()
-    replicates: int = 50
-    n_mc_aug: int = 200
-    n_mc_data: int = 20000
-    test_size: int = 10000
-    seed: int = 0
-    out_dir: str = "."
-    workers: int = 1
+    """A config that passed CONFIG_TABLE: one attribute per top-level key,
+    each section a dict with every default filled in."""
+
+    def __init__(self, **checked):
+        self.__dict__.update(checked)
 
     @classmethod
     def from_dict(cls, d):
-        _check_keys(d, _TOP_KEYS, "config")
-        if "data" not in d:
-            raise ConfigError("config: missing required key 'data'")
-        data = d["data"]
-        kind = data.get("kind") if isinstance(data, dict) else None
-        if kind == "synthetic":
-            _check_keys(data, _DATA_KEYS_SYNTH, "config.data")
-        elif kind == "mnist":
-            _check_keys(data, _DATA_KEYS_MNIST, "config.data")
-        else:
-            raise ConfigError("config.data.kind must be 'synthetic' or 'mnist'")
-        for key in ("features", "truth_features"):
-            if d.get(key) is not None:
-                _check_keys(d[key], _FEATURE_KEYS, f"config.{key}")
-        if "scheme" in d:
-            _check_scheme_cfg(d["scheme"], "config.scheme")
-        kw = dict(d)
-        for g in ("lambda_grid", "alpha_grid", "n_grid"):
-            if g in kw:
-                kw[g] = tuple(kw[g])
-        cfg = cls(**kw)
-        cfg.validate()
-        return cfg
+        return cls(**_fill(d, CONFIG_TABLE, "config"))
 
     @classmethod
-    def from_json(cls, path):
+    def from_json(cls, path, **overrides):
+        """The config in the JSON file at path, its top-level keys replaced
+        by `overrides` before the checks."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(doc)
-
-    def validate(self):
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
-        if not self.lambda_grid or not self.alpha_grid:
-            raise ConfigError("lambda_grid and alpha_grid must be nonempty")
-        if any(l <= 0 for l in self.lambda_grid):
-            raise ConfigError("lambda values must be > 0")
-        if any(not 0.0 <= a <= 1.0 for a in self.alpha_grid):
-            raise ConfigError("alpha values must be in [0, 1]")
+        return cls.from_dict({**doc, **overrides} if isinstance(doc, dict)
+                             else doc)
 
     # -- builders --
 
@@ -186,9 +270,7 @@ class ExperimentConfig:
         return _build_scheme(self.scheme)
 
     def data_dim(self):
-        if self.data["kind"] == "synthetic":
-            return int(self.data["d"])
-        return 759
+        return self.data["d"] if self.data["kind"] == "synthetic" else 759
 
     def build_feature_map(self):
         return _build_feature_map(self.features, self.data_dim())
@@ -196,92 +278,57 @@ class ExperimentConfig:
     def build_truth_map(self):
         if self.data["kind"] == "mnist":
             return None
-        cfg = self.truth_features or {"kind": "identity"}
-        return _build_feature_map(cfg, self.data_dim())
+        return _build_feature_map(self.truth_features, self.data_dim())
 
     def build_synthetic_spec(self):
         data = self.data
         if data["kind"] != "synthetic":
             raise ConfigError("synthetic data required for this command")
         truth = self.build_truth_map()
-        theta = _resolve_theta_star(data.get("theta_star", "normalized-ones"),
-                                    truth.output_dim)
         return SyntheticSpec(
-            d=int(data["d"]),
-            n=int(data["n"]),
-            theta_star=theta,
+            d=data["d"],
+            n=data["n"],
+            theta_star=_resolve_theta_star(data["theta_star"],
+                                           truth.output_dim),
             truth_map=truth,
-            noise_sigma2=float(data.get("noise_sigma2", 0.0)),
-            spectrum=data.get("spectrum", "power-law"),
-            q_seed=int(data.get("q_seed", 0)),
+            noise_sigma2=data["noise_sigma2"],
+            spectrum=data["spectrum"],
+            q_seed=data["q_seed"],
         )
 
     def sample_sizes(self):
         if self.n_grid:
-            return tuple(int(n) for n in self.n_grid)
+            return self.n_grid
         if self.data["kind"] == "synthetic":
-            return (int(self.data["n"]),)
+            return (self.data["n"],)
         raise ConfigError("n_grid required for mnist sweeps")
 
 
-_SCHEME_KINDS = {"additive-noise", "masking", "salt-and-pepper", "mixture"}
-
-
-def _check_scheme_cfg(d, ctx):
-    _check_keys(d, _SCHEME_KEYS, ctx)
-    if d.get("kind") not in _SCHEME_KINDS:
-        raise ConfigError(
-            f"{ctx}: unknown scheme kind {d.get('kind')!r} "
-            f"(choose from {sorted(_SCHEME_KINDS)})"
-        )
-    if d.get("kind") == "mixture":
-        for i, comp in enumerate(d.get("components", ())):
-            _check_scheme_cfg(comp, f"{ctx}.components[{i}]")
-
-
 def _build_scheme(cfg):
-    kind = cfg.get("kind")
-    try:
-        if kind == "additive-noise":
-            return schemes.additive_noise(cfg["sigma_aug"])
-        if kind == "masking":
-            return schemes.masking(cfg["keep_prob"])
-        if kind == "salt-and-pepper":
-            return schemes.salt_and_pepper(cfg["keep_prob"],
-                                           cfg["replacement_scale"])
-        if kind == "mixture":
-            comps = [_build_scheme(c) for c in cfg["components"]]
-            return schemes.mixture(comps, cfg["weights"])
-    except (KeyError, schemes.InvalidParameterError) as exc:
-        raise ConfigError(f"bad scheme config: {exc}") from exc
-    raise ConfigError(f"unknown scheme kind {kind!r}")
+    kind = cfg["kind"]
+    if kind == "additive-noise":
+        return schemes.additive_noise(cfg["sigma_aug"])
+    if kind == "masking":
+        return schemes.masking(cfg["keep_prob"])
+    if kind == "salt-and-pepper":
+        return schemes.salt_and_pepper(cfg["keep_prob"],
+                                       cfg["replacement_scale"])
+    return schemes.mixture([_build_scheme(c) for c in cfg["components"]],
+                           cfg["weights"])
 
 
 def _build_feature_map(cfg, d):
-    kind = cfg.get("kind")
-    if kind == "identity":
+    if cfg["kind"] == "identity":
         return identity_map(d)
-    if kind == "random-mlp":
-        try:
-            return random_mlp_map(
-                d,
-                cfg.get("hidden_sizes", ()),
-                cfg["output_dim"],
-                activation=cfg.get("activation", "tanh"),
-                seed=cfg.get("seed", 0),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"random-mlp config missing {exc}") from exc
-    raise ConfigError(f"unknown feature kind {kind!r}")
+    return random_mlp_map(d, cfg["hidden_sizes"], cfg["output_dim"],
+                          activation=cfg["activation"], seed=cfg["seed"])
 
 
 def _resolve_theta_star(spec, p_star):
     if spec is None:
         return np.zeros(p_star)
-    if isinstance(spec, str):
-        if spec == "normalized-ones":
-            return np.ones(p_star) / math.sqrt(p_star)
-        raise ConfigError(f"unknown theta_star spec {spec!r}")
+    if spec == "normalized-ones":
+        return np.ones(p_star) / math.sqrt(p_star)
     theta = np.asarray(spec, dtype=float)
     if theta.shape[0] != p_star:
         raise ConfigError("theta_star length does not match truth features")
@@ -299,7 +346,7 @@ def build_moment_set(config, rng=None):
     scheme = config.build_scheme()
     if (
         fmap.kind == "identity"
-        and (config.truth_features or {"kind": "identity"})["kind"] == "identity"
+        and config.truth_features["kind"] == "identity"
         and schemes._constant_params(scheme)
         and scheme.kind in _LINEAR_MEAN_KINDS
     ):
@@ -330,7 +377,6 @@ class _FreshDraws:
     per n, and the risk is the population risk under the moment set."""
 
     spec: SyntheticSpec
-    moment_set: MomentSet
 
     def units(self, seeds, n_list):
         return [(s, n_list) for s in seeds]
@@ -339,9 +385,8 @@ class _FreshDraws:
         ds = sample_synthetic(self.spec, rng, n=n)
         return ds.X, ds.Y
 
-    def risk(self, f):
-        return ridge.population_generalization(
-            f, self.moment_set, self.spec.theta_star, self.spec.noise_sigma2)
+    def risk(self, f, terms):
+        return ridge.population_risk(terms, self.spec.noise_sigma2)
 
 
 @dataclass(frozen=True)
@@ -361,7 +406,7 @@ class _Subsamples:
         cols = rng.choice(self.train.X.shape[1], size=n, replace=False)
         return self.train.X[:, cols], self.train.Y[:, cols]
 
-    def risk(self, f):
+    def risk(self, f, terms):
         return ridge.empirical_generalization(f, self.test.X, self.test.Y,
                                               self.fmap)
 
@@ -388,12 +433,11 @@ def _run_unit(unit, payload=None):
         for lam in lambda_grid:
             for alpha in alpha_grid:
                 f = ridge.fit(design, alpha, lam)
-                out[(n, lam, alpha)] = (
-                    source.risk(f),
-                    ridge.overlap_stat(f, moment_set, theta_star, sigma2),
-                    ridge.chi_stat(f, moment_set),
-                    f.theta_hat,
-                )
+                terms = ridge.quadratic_terms(f.theta_hat, moment_set,
+                                              theta_star, sigma2)
+                out[(n, lam, alpha)] = (source.risk(f, terms),
+                                        float(np.mean(terms[1])),
+                                        float(np.mean(terms[0])), f.theta_hat)
     return out
 
 
@@ -454,8 +498,8 @@ def _sweep(config, source, fmap, scheme, moment_set, theta_star, sigma2,
         vals = [r[cell] for r in results if cell in r]
         gs, ovs, chis = (np.array([v[k] for v in vals]) for k in range(3))
         th = sum(v[3] for v in vals) / len(vals)  # the replicates' mean
-        tSSt, tSs = ridge._star_terms(th, moment_set, theta_star, sigma2)
-        chi = np.einsum("ij,ik,kj->j", th, moment_set.Sigma, th)
+        chi, tSs, tSSt = ridge.quadratic_terms(th, moment_set, theta_star,
+                                               sigma2)
         bias2 = float(np.mean(chi + tSSt - 2.0 * tSs))
         n, lam, alpha = cell
         rows.append(ResultRow(
@@ -487,7 +531,7 @@ def run_sweep(config, bias_variance=False, csv_name=None, moment_set=None):
     scheme = config.build_scheme()
     if moment_set is None:
         moment_set = build_moment_set(config)
-    return _sweep(config, _FreshDraws(spec, moment_set), fmap, scheme,
+    return _sweep(config, _FreshDraws(spec), fmap, scheme,
                   moment_set, spec.theta_star, spec.noise_sigma2, csv_name)
 
 
@@ -524,8 +568,7 @@ def validate(config, factor=4):
     for scale_idx, scale in enumerate((1, factor)):
         d = base.d * scale
         n = base.n * scale
-        theta = _resolve_theta_star(
-            config.data.get("theta_star", "normalized-ones"), d)
+        theta = _resolve_theta_star(config.data["theta_star"], d)
         spec = replace(base, d=d, n=n, theta_star=theta,
                        truth_map=identity_map(d))
         fmap = identity_map(d)
@@ -562,12 +605,14 @@ def validate(config, factor=4):
             res_dev.append(float(np.sum(A * Ri)) - tr_det)
             f = ridge.fit(design, alpha, lam)
             th_dev.append(float(a @ f.theta_hat[:, 0]) - th_det)
-            chi_dev.append(ridge.chi_stat(f, ms) - rep.chi_bar_mean)
-            gs.append(ridge.population_generalization(f, ms, spec.theta_star,
-                                                      sigma2))
+            terms = ridge.quadratic_terms(f.theta_hat, ms, spec.theta_star,
+                                          sigma2)
+            chi = float(np.mean(terms[0]))
+            chi_dev.append(chi - rep.chi_bar_mean)
+            gs.append(ridge.population_risk(terms, sigma2))
             if r < 5:
                 fd = ridge.xi_derivative_fd(design, alpha, lam, ms.Sigma)
-                exact = -ridge.chi_stat(f, ms) * ms.q
+                exact = -chi * ms.q
                 fd_errs.append(abs(fd - exact) / max(abs(exact), 1e-300))
         per_size.append({
             "n": n, "p": d,
@@ -616,5 +661,4 @@ def mnist_pipeline(config, csv_name=None):
         train.X.shape[1], config.n_mc_aug, rng,
     )
     return _sweep(config, _Subsamples(train, test, fmap), fmap, scheme,
-                  moment_set, None, float(data.get("noise_sigma2", 0.0)),
-                  csv_name)
+                  moment_set, None, data["noise_sigma2"], csv_name)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .errors import EmptyInputError, InsufficientSamplesError
 from .features import FeatureMap, apply_features
 from .schemes import (
     AugmentationScheme,
@@ -33,14 +34,6 @@ from .schemes import (
     sample_augmented,
     sample_augmented_batch,
 )
-
-
-class InsufficientSamplesError(ValueError):
-    pass
-
-
-class EmptyInputError(ValueError):
-    pass
 
 
 def symmetrize(M):

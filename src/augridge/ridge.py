@@ -18,13 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, lapack
 
+from .errors import NumericalFailureError
 from .features import InvalidDimensionError, apply_features
 from .moments import EmptyInputError, symmetrize
 from .schemes import InvalidParameterError
-
-
-class NumericalFailureError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -82,9 +79,9 @@ def _cholesky(M, what=None):
     """Lower Cholesky factor of the symmetric matrix M (its lower triangle
     is read). If M is not positive definite: None when `what` is None,
     else a NumericalFailureError naming `what` and M's smallest
-    eigenvalue. With `what` given, a non-finite M is a ValueError."""
-    if what is not None:
-        np.asarray_chkfinite(M)
+    eigenvalue; with `what` given, a non-finite M is one too."""
+    if what is not None and not np.isfinite(M).all():
+        raise NumericalFailureError(f"{what} is not finite")
     L, info = lapack.dpotrf(M, lower=1)
     if info == 0:
         return L
@@ -156,38 +153,44 @@ def empirical_generalization(ridge_fit, test_X, test_Y, feature_map):
     return float(np.mean((pred - test_Y) ** 2))
 
 
-def _star_terms(theta_hat, moment_set, theta_star, sigma2):
-    """Per-output (theta*^T SigmaStarStar theta*, theta*^T SigmaStar
-    theta_hat), with plugin substitutions when truth blocks are absent."""
-    q = theta_hat.shape[1]
+def quadratic_terms(theta, moment_set, theta_star, sigma2):
+    """Per-output (theta^T Sigma theta, theta*^T SigmaStar theta,
+    theta*^T SigmaStarStar theta*), the terms every risk statistic is made
+    of; without truth blocks, G1^T theta and E[Y^2] - sigma2 stand in for
+    the last two."""
+    chi = np.einsum("ij,ik,kj->j", theta, moment_set.Sigma, theta)
     if theta_star is not None and moment_set.SigmaStar is not None:
         th = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
         tSSt = np.einsum("ij,ik,kj->j", th, moment_set.SigmaStarStar, th)
-        tSs = np.einsum("ij,ik,kj->j", th, moment_set.SigmaStar, theta_hat)
+        tSs = np.einsum("ij,ik,kj->j", th, moment_set.SigmaStar, theta)
     else:
         tSSt = moment_set.PsiSecond[:, 0, 0] - sigma2
-        tSs = np.einsum("ij,ij->j", moment_set.G1, theta_hat)
-    assert tSSt.shape == (q,)
-    return tSSt, tSs
+        tSs = np.einsum("ij,ij->j", moment_set.G1, theta)
+    return chi, tSs, tSSt
+
+
+def population_risk(terms, sigma2):
+    """Risk from quadratic_terms: theta^T Sigma theta - 2 theta*^T
+    SigmaStar theta + theta*^T SigmaStarStar theta* + sigma2, averaged
+    over outputs."""
+    chi, tSs, tSSt = terms
+    return float(np.mean(chi - 2.0 * tSs + tSSt + sigma2))
 
 
 def population_generalization(ridge_fit, moment_set, theta_star, sigma2):
-    """Risk via moments: theta^T Sigma theta - 2 theta*^T SigmaStar theta
-    + theta*^T SigmaStarStar theta* + sigma2, averaged over outputs."""
-    th = ridge_fit.theta_hat
-    chi = np.einsum("ij,ik,kj->j", th, moment_set.Sigma, th)
-    tSSt, tSs = _star_terms(th, moment_set, theta_star, sigma2)
-    return float(np.mean(chi - 2.0 * tSs + tSSt + sigma2))
+    """The population risk of a fit (see population_risk)."""
+    return population_risk(quadratic_terms(ridge_fit.theta_hat, moment_set,
+                                           theta_star, sigma2), sigma2)
 
 
 def overlap_stat(ridge_fit, moment_set, theta_star, sigma2=0.0):
     """theta*^T SigmaStar theta_hat per output, averaged (plugin
     substitution G1^T theta_hat when truth blocks are absent)."""
-    _, tSs = _star_terms(ridge_fit.theta_hat, moment_set, theta_star, sigma2)
-    return float(np.mean(tSs))
+    return float(np.mean(quadratic_terms(ridge_fit.theta_hat, moment_set,
+                                         theta_star, sigma2)[1]))
 
 
 def chi_stat(ridge_fit, moment_set):
     """theta_hat^T Sigma theta_hat per output, averaged."""
-    th = ridge_fit.theta_hat
-    return float(np.mean(np.einsum("ij,ik,kj->j", th, moment_set.Sigma, th)))
+    return float(np.mean(quadratic_terms(ridge_fit.theta_hat, moment_set,
+                                         None, 0.0)[0]))

@@ -22,11 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .features import InvalidDimensionError
-
-
-class InvalidParameterError(ValueError):
-    pass
+from .errors import InvalidDimensionError, InvalidParameterError
 
 
 def _resolve(param, z):
