@@ -23,8 +23,12 @@ nearly rank-one A (masking) the fixed point lies on its boundary.
 
 The random resolvent expectation is closed with R_bar itself, the only
 deterministic closure available; its validity is what the Monte-Carlo
-oracle checks confirm. The second-order matrix is D = n^{-1} B C_bar B
-with C_bar the traces of X R_bar Sigma R_bar, read from T.
+oracle checks confirm. The second-order matrix D solves the linear
+system (I - J) d = d0 on the free entries of B: d0 = n^{-1} B C_bar B
+with C_bar the traces of X R_bar Sigma R_bar, and J the Jacobian of F at
+the fixed point, both read from T. This resums the first-order term
+through the fixed point: on isotropic data delta = kappa / (1 - kappa)
+with kappa = n^{-1} p beta^2 / (beta + lam)^2, where d0 alone gives kappa.
 """
 
 from __future__ import annotations
@@ -98,6 +102,26 @@ def _sym2(v):
     return np.array([[v[0], v[1]], [v[1], v[2]]])
 
 
+def _free(alpha):
+    """The free entries of B: b11 at alpha = 0, b22 at alpha = 1, all
+    three otherwise."""
+    return (0,) if alpha == 0.0 else (2,) if alpha == 1.0 else (0, 1, 2)
+
+
+def _solve_linearized(F, T, free, n, rhs):
+    """x on the free entries (0 elsewhere) with (I - J) x = rhs's slots,
+    where J is the Jacobian of F: dF/db_j = n^{-1} weight_j F
+    _sym2(T[:, j]) F."""
+    J = np.empty((len(free), len(free)))
+    for col, j in enumerate(free):
+        dF = F @ _sym2(_WEIGHT[j] * T[:, j]) @ F / n
+        J[:, col] = [dF[_SLOT[k]] for k in free]
+    x = np.zeros(3)
+    x[list(free)] = np.linalg.solve(np.eye(len(free)) - J,
+                                    [rhs[_SLOT[k]] for k in free])
+    return x
+
+
 def _sigma_bar_of(B, ms):
     return (B[0, 0] * ms.Sigma
             + B[0, 1] * (ms.SigmaPrime + ms.SigmaPrime.T)
@@ -144,12 +168,7 @@ class _DilationMap:
     def __init__(self, ms, alpha, lam, n):
         self.ms, self.alpha, self.lam, self.n = ms, alpha, lam, n
         self.W = np.diag([np.sqrt(1.0 - alpha), np.sqrt(alpha)])
-        if alpha == 0.0:
-            self.free = (0,)
-        elif alpha == 1.0:
-            self.free = (2,)
-        else:
-            self.free = (0, 1, 2)
+        self.free = _free(alpha)
         # only the symmetric part of Sigma' enters A
         self.X = (ms.Sigma,
                   0.5 * (ms.SigmaPrime + ms.SigmaPrime.T)
@@ -171,19 +190,6 @@ class _DilationMap:
         F = 0.5 * (F + F.T)
         residual = float(np.linalg.norm(F - _sym2(b)))
         return _Point(b, L, Z, a, T, F, residual)
-
-    def newton_step(self, P):
-        """Solve (I - J_F) step = F(B) - B on the free entries, with
-        dF/db_j = n^{-1} weight_j F _sym2(T[:, j]) F."""
-        free = self.free
-        J = np.empty((len(free), len(free)))
-        for col, j in enumerate(free):
-            dF = P.F @ _sym2(_WEIGHT[j] * P.T[:, j]) @ P.F / self.n
-            J[:, col] = [dF[_SLOT[k]] for k in free]
-        g = [P.F[_SLOT[k]] - P.b[k] for k in free]
-        step = np.zeros(3)
-        step[list(free)] = np.linalg.solve(np.eye(len(free)) - J, g)
-        return step
 
 
 def solve_fixed_point(moment_set, alpha, lam, n, tol=1e-10,
@@ -213,7 +219,8 @@ def solve_fixed_point(moment_set, alpha, lam, n, tol=1e-10,
                 what="Sigma_bar + alpha LambdaBar + lam I")
     converged = False
     for iterations in range(1, max_iter + 1):
-        step = fmap.newton_step(P)
+        # the Newton step: (I - J) step = F(B) - B on the free entries
+        step = _solve_linearized(P.F, P.T, fmap.free, n, P.F - _sym2(P.b))
         bound = tol * min(1.0, float(np.linalg.norm(P.F)))
         if P.residual <= bound and np.linalg.norm(_sym2(step)) <= bound:
             converged = True
@@ -256,9 +263,11 @@ def loewner_gap_eigs(M):
 
 
 def compute_second_order(state, moment_set):
-    """D = n^{-1} B C_bar B with C_bar_ij = tr(X_i R_bar Sigma R_bar), the
-    first row of the converged state's T_traces; symmetrized. Raises
-    NotConvergedError, naming the cell, on an unconverged state."""
+    """D, whose free entries d solve (I - J) d = d0 (see the module
+    docstring): d0 = n^{-1} B C_bar B with C_bar_ij = tr(X_i R_bar Sigma
+    R_bar), the first row of the converged state's T_traces, and J the
+    Jacobian of F at B. Raises NotConvergedError, naming the cell, on an
+    unconverged state."""
     if not state.converged:
         raise NotConvergedError(
             f"fixed point not converged at lambda={state.lam:g}, "
@@ -266,10 +275,9 @@ def compute_second_order(state, moment_set):
             f"(residual {state.residual:.3e} after {state.iterations} "
             f"iterations)"
         )
-    T = state.T_traces
-    C_bar = np.array([[T[0, 0], T[0, 1]], [T[0, 1], T[0, 2]]])
-    D = state.B @ C_bar @ state.B / state.n
-    return 0.5 * (D + D.T)
+    B, T, n = state.B, state.T_traces, state.n
+    return _sym2(_solve_linearized(B, T, _free(state.alpha), n,
+                                   B @ _sym2(T[:, 0]) @ B / n))
 
 
 def equivalents(state, D, moment_set, theta_star, sigma2) -> EquivalentReport:

@@ -121,15 +121,15 @@ def test_second_order_requires_convergence():
 
 
 def test_second_order_golden_value():
-    # p = n, lam = 1, alpha = 0, isotropic:
-    # D11 = beta^2 p / (n (beta + lam)^2)
+    # p = n, lam = 1, alpha = 0, isotropic: D11 = kappa / (1 - kappa),
+    # kappa = beta^2 p / (n (beta + lam)^2)
     p = n = 80
     ms = _iso_ms(p)
     st = solve_fixed_point(ms, 0.0, 1.0, n)
     D = compute_second_order(st, ms)
     beta = float(st.B.sum())
-    expect = beta ** 2 * p / (n * (beta + 1.0) ** 2)
-    assert D[0, 0] == pytest.approx(expect, abs=1e-9)
+    kappa = beta ** 2 * p / (n * (beta + 1.0) ** 2)
+    assert D[0, 0] == pytest.approx(kappa / (1.0 - kappa), abs=1e-9)
     assert np.allclose(D - D.T, 0.0)
     assert float(D.sum()) >= 0.0
 
@@ -274,12 +274,21 @@ def test_second_order_from_stored_traces_matches_direct():
     n = 25
     for alpha in (0.0, 0.5, 1.0):
         st_ = solve_fixed_point(ms, alpha, 0.05, n)
-        R = st_.R_bar
-        RSR = R @ ms.Sigma @ R
-        c11 = np.sum(ms.Sigma * RSR)
-        c12 = np.sum(ms.SigmaPrime * RSR)
-        c22 = np.sum(ms.SigmaDoublePrime * RSR)
-        D_ref = st_.B @ np.array([[c11, c12], [c12, c22]]) @ st_.B / n
-        D_ref = 0.5 * (D_ref + D_ref.T)
+        R, B = st_.R_bar, st_.B
+        # d = (d11, d12, d22) solves (I - J) d = d0: d0 holds the slots of
+        # B C B / n and column j of J those of w_j B C_j B / n, with
+        # C_j = [[t_0j, t_1j], [t_1j, t_2j]], t_ij = tr(X_i R X_j R) over
+        # X = (Sigma, sym Sigma', Sigma'') and w = (1, 2, 1)
+        X = (ms.Sigma, 0.5 * (ms.SigmaPrime + ms.SigmaPrime.T),
+             ms.SigmaDoublePrime)
+        t = np.array([[np.trace(Xi @ R @ Xj @ R) for Xj in X] for Xi in X])
+
+        def slots(j):
+            M = B @ np.array([[t[0, j], t[1, j]], [t[1, j], t[2, j]]]) @ B
+            return np.array([M[0, 0], M[0, 1], M[1, 1]]) / n
+
+        J = np.column_stack([w * slots(j) for j, w in enumerate((1, 2, 1))])
+        d = np.linalg.solve(np.eye(3) - J, slots(0))
+        D_ref = np.array([[d[0], d[1]], [d[1], d[2]]])
         D = compute_second_order(st_, ms)
         assert np.linalg.norm(D - D_ref) <= 1e-12 * np.linalg.norm(D_ref)
