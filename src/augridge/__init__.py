@@ -21,14 +21,12 @@ from .detequiv import (
 from .features import (
     FeatureMap,
     apply_features,
-    estimate_lipschitz,
     identity_map,
     random_mlp_map,
 )
 from .harness import (
     ExperimentConfig,
     ResultRow,
-    bias_variance_sweep,
     mnist_pipeline,
     run_sweep,
     validate,
@@ -36,12 +34,9 @@ from .harness import (
 )
 from .moments import (
     MomentSet,
-    PerSampleMoments,
     batch_sample_moments,
     closed_population_moment_set,
-    empirical_lambda_omega,
     estimate_moment_set,
-    per_sample_moments,
 )
 from .ridge import (
     AugmentedDesign,
@@ -58,7 +53,6 @@ from .ridge import (
 from .schemes import (
     AugmentationScheme,
     additive_noise,
-    h4_diagnostic,
     heteroskedastic,
     heteroskedastic_moments_closed,
     masking,

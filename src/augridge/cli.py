@@ -2,7 +2,8 @@
 
 Subcommands: sweep-lambda, sweep-alpha, sweep-aspect, bias-variance,
 validate, mnist. Exit codes: 0 success, else the exit code of the error's
-family (see errors.py): 2 config, 3 data (and any OSError), 4 numerical.
+family (see errors.py): 2 config, 3 data (and any OSError or MemoryError),
+4 numerical.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ def main(argv=None) -> int:
     except AugridgeError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
-        print(f"{DataError.label}: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(f"{DataError.label}: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return DataError.exit_code
     return 0
 

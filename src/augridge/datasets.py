@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,8 +74,6 @@ class SyntheticSpec:
 class Dataset:
     X: np.ndarray
     Y: np.ndarray
-    theta_star: np.ndarray | None = None
-    noise_sigma2: float | None = None
 
 
 def sample_synthetic(spec, rng, n=None) -> Dataset:
@@ -88,8 +86,7 @@ def sample_synthetic(spec, rng, n=None) -> Dataset:
     Y = theta.T @ apply_features(spec.truth_map, X)
     if spec.noise_sigma2 > 0:
         Y = Y + np.sqrt(spec.noise_sigma2) * rng.standard_normal((q, n))
-    return Dataset(X=X, Y=Y, theta_star=theta,
-                   noise_sigma2=spec.noise_sigma2)
+    return Dataset(X=X, Y=Y)
 
 
 def synthetic_sampler(spec):

@@ -45,15 +45,14 @@ from .schemes import InvalidParameterError
 
 @dataclass(frozen=True)
 class DilationState:
-    """The fixed point B and what it was solved from. A_traces is A and
-    T_traces the 3x3 traces tr(X_i R_bar X_j R_bar) over the blocks
+    """The fixed point B and what it was solved from. T_traces holds the
+    3x3 traces tr(X_i R_bar X_j R_bar) over the blocks
     X = (Sigma, sym Sigma', Sigma''). Traces of a block that does not
     enter the solve are 0: sym Sigma' at alpha in {0, 1}, and Sigma'' at
     alpha = 0."""
 
     W: np.ndarray
     B: np.ndarray
-    A_traces: np.ndarray
     T_traces: np.ndarray
     R_bar: np.ndarray
     residual: float
@@ -66,28 +65,17 @@ class DilationState:
 
 @dataclass(frozen=True)
 class EquivalentReport:
-    B: np.ndarray
-    D: np.ndarray
+    """beta = sum(B), delta = sum(D), theta_bar (p x q) and the
+    output-averaged equivalents."""
+
     beta: float
     delta: float
     theta_bar: np.ndarray
-    Sigma_bar: np.ndarray
-    Sigma_bar_prime: np.ndarray
-    Gamma_bar: np.ndarray
-    Gamma_bar_prime: np.ndarray
-    gamma_bar: np.ndarray
-    chi_bar: np.ndarray
-    g_bar: np.ndarray
-    bias2_bar: np.ndarray
-    var_bar: np.ndarray
     chi_bar_mean: float
     g_bar_mean: float
     bias2_bar_mean: float
     var_bar_mean: float
     overlap_bar_mean: float
-    fp_iterations: int
-    fp_residual: float
-    fp_converged: bool
     plugin_mode: bool
 
 
@@ -248,7 +236,7 @@ def solve_fixed_point(moment_set, alpha, lam, n, tol=1e-10,
     R += np.tril(R, -1).T
     return DilationState(
         W=fmap.W, B=_sym2(P.b + step if converged else P.b),
-        A_traces=_sym2(P.a), T_traces=P.T, R_bar=R, residual=P.residual,
+        T_traces=P.T, R_bar=R, residual=P.residual,
         iterations=iterations, converged=converged,
         alpha=float(alpha), lam=float(lam), n=int(n),
     )
@@ -315,21 +303,13 @@ def equivalents(state, D, moment_set, theta_star, sigma2) -> EquivalentReport:
     var_bar = g_bar - bias2_bar
 
     return EquivalentReport(
-        B=B, D=D,
         beta=float(B.sum()), delta=float(D.sum()),
         theta_bar=theta_bar,
-        Sigma_bar=Sigma_bar, Sigma_bar_prime=Sigma_bar_prime,
-        Gamma_bar=Gamma_bar, Gamma_bar_prime=Gamma_bar_prime,
-        gamma_bar=gamma_bar, chi_bar=chi_bar, g_bar=g_bar,
-        bias2_bar=bias2_bar, var_bar=var_bar,
         chi_bar_mean=float(chi_bar.mean()),
         g_bar_mean=float(g_bar.mean()),
         bias2_bar_mean=float(bias2_bar.mean()),
         var_bar_mean=float(var_bar.mean()),
         overlap_bar_mean=float(tSs.mean()),
-        fp_iterations=state.iterations,
-        fp_residual=state.residual,
-        fp_converged=state.converged,
         plugin_mode=theta_star is None or ms.SigmaStar is None,
     )
 

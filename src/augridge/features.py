@@ -103,19 +103,3 @@ def apply_features(fmap: FeatureMap, M):
             h = act(W @ h)
         out = fmap.weights[-1] @ h
     return out[:, 0] if single else out
-
-
-def estimate_lipschitz(fmap: FeatureMap, trials: int, rng_seed=0):
-    """Empirical Lipschitz probe: max ||phi(x)-phi(x')|| / ||x-x'|| over
-    random pairs. Always <= the analytic lipschitz_bound."""
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    d = fmap.input_dim
-    X = rng.standard_normal((d, trials))
-    Xp = X + 0.5 * rng.standard_normal((d, trials))
-    num = np.linalg.norm(apply_features(fmap, X) - apply_features(fmap, Xp), axis=0)
-    den = np.linalg.norm(X - Xp, axis=0)
-    ok = den > 0
-    probe = float(np.max(num[ok] / den[ok]))
-    return probe

@@ -423,8 +423,7 @@ def _run_unit(unit, payload=None):
      theta_star, sigma2) = payload or _worker_payload
     seed_seq, n_list = unit
     rng = np.random.default_rng(seed_seq)
-    closed = fmap.kind == "identity" and scheme.has_closed_moments
-    debias = None if closed else n_mc_aug
+    debias = None if fmap.kind == "identity" else n_mc_aug
     out = {}
     for n in n_list:
         X, Y = source.draw(rng, n)
@@ -448,7 +447,10 @@ def _init_worker(payload):
 
 def _run_units(payload, units, workers):
     """The units' results in unit order, serially or in a process pool that
-    receives the payload once per worker, not once per chunk."""
+    receives the payload once per worker, not once per chunk. The pool
+    starts all its processes at once, so it has no more than there are
+    units or CPUs."""
+    workers = min(workers, len(units), os.cpu_count() or 1)
     if workers <= 1:
         return [_run_unit(u, payload) for u in units]
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
@@ -535,10 +537,6 @@ def run_sweep(config, bias_variance=False, csv_name=None, moment_set=None):
                   moment_set, spec.theta_star, spec.noise_sigma2, csv_name)
 
 
-def bias_variance_sweep(config, csv_name=None):
-    return run_sweep(config, bias_variance=True, csv_name=csv_name)
-
-
 # --- validation oracles ------------------------------------------------
 
 def validate(config, factor=4):
@@ -568,8 +566,15 @@ def validate(config, factor=4):
     for scale_idx, scale in enumerate((1, factor)):
         d = base.d * scale
         n = base.n * scale
-        theta = _resolve_theta_star(config.data["theta_star"], d)
-        spec = replace(base, d=d, n=n, theta_star=theta,
+        # listed eigenvalues and theta_star entries repeat `scale` times,
+        # keeping the spectral distribution and ||theta_star||
+        spectrum, theta = base.spectrum, config.data["theta_star"]
+        if isinstance(spectrum, tuple):
+            spectrum = np.repeat(spectrum, scale)
+        if isinstance(theta, tuple):
+            theta = tuple(np.repeat(theta, scale) / math.sqrt(scale))
+        spec = replace(base, d=d, n=n, spectrum=spectrum,
+                       theta_star=_resolve_theta_star(theta, d),
                        truth_map=identity_map(d))
         fmap = identity_map(d)
         ms = closed_population_moment_set(spec.covariance(), scheme,

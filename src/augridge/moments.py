@@ -20,18 +20,16 @@ Monte-Carlo estimation notes:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, InsufficientSamplesError
-from .features import FeatureMap, apply_features
+from .errors import InsufficientSamplesError
+from .features import apply_features
 from .schemes import (
-    AugmentationScheme,
     _constant_params,
     _masking_lambda,
     closed_moments,
-    sample_augmented,
     sample_augmented_batch,
 )
 
@@ -59,72 +57,22 @@ def psd_clip(M, rel_tol=1e-8):
     return symmetrize((V * w) @ V.T)
 
 
-@dataclass(frozen=True)
-class PerSampleMoments:
-    mu_x: np.ndarray
-    mu_y: np.ndarray
-    Lambda: np.ndarray
-    Omega: np.ndarray
-
-
-def per_sample_moments(scheme, feature_map, z, n_mc, rng) -> PerSampleMoments:
-    """Moments of one datum, by closed form (identity features + scheme
-    formulas) or Monte-Carlo over n_mc augmentation draws."""
-    x, y = z
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if feature_map.kind == "identity" and scheme.has_closed_moments:
-        mu_x, mu_y, Lam, Om = closed_moments(scheme, (np.asarray(x, float), y))
-        return PerSampleMoments(mu_x, np.atleast_1d(mu_y), symmetrize(Lam),
-                                np.atleast_2d(Om))
-    if n_mc < 2:
-        raise InsufficientSamplesError(
-            "n_mc >= 2 required without a closed form"
-        )
-    q = y.shape[0]
-    draws_x = np.empty((feature_map.output_dim, n_mc))
-    draws_y = np.empty((q, n_mc))
-    for t in range(n_mc):
-        xp, yp = sample_augmented(scheme, z, rng)
-        draws_x[:, t] = apply_features(feature_map, xp)
-        draws_y[:, t] = yp
-    mu_x = draws_x.mean(axis=1)
-    cx = draws_x - mu_x[:, None]
-    Lam = symmetrize(cx @ cx.T / (n_mc - 1))
-    if scheme.label_preserving:
-        mu_y = y.copy()
-        Om = np.zeros((feature_map.output_dim, q))
-    else:
-        mu_y = draws_y.mean(axis=1)
-        cy = draws_y - mu_y[:, None]
-        Om = cx @ cy.T / (n_mc - 1)
-    return PerSampleMoments(mu_x, mu_y, Lam, Om)
-
-
-def empirical_lambda_omega(moments):
-    """Arithmetic means Lambda(Z) and Omega(Z) over per-sample moments."""
-    moments = list(moments)
-    if not moments:
-        raise EmptyInputError("need at least one per-sample moment")
-    Lam = sum(m.Lambda for m in moments) / len(moments)
-    Om = sum(m.Omega for m in moments) / len(moments)
-    return Lam, Om
-
-
 def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
     """Vectorized per-sample moments of all columns of (X, Y).
 
     Returns (MuX: p x n, MuY: q x n, LambdaBar: p x p, OmegaBar: p x q)
     where LambdaBar, OmegaBar are the empirical averages over the n
     samples (unbiased per-sample normalization). Closed forms are used for
-    identity features when available; otherwise n_mc Monte-Carlo draws per
-    sample, pushed through the feature map in one batch.
+    identity features; otherwise n_mc Monte-Carlo draws per sample, pushed
+    through the feature map in one batch. One column gives the moments of
+    one datum.
     """
     X = np.asarray(X, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     d, n = X.shape
     q = Y.shape[0]
     p = feature_map.output_dim
-    if feature_map.kind == "identity" and scheme.has_closed_moments:
+    if feature_map.kind == "identity":
         return _batch_closed_moments(scheme, X, Y)
     if n_mc < 2:
         raise InsufficientSamplesError(
@@ -209,50 +157,8 @@ class MomentSet:
     provenance: str = "closed-form"
 
     @property
-    def p(self):
-        return self.Sigma.shape[0]
-
-    @property
     def q(self):
         return self.G1.shape[1]
-
-    def check(self, rel_tol=1e-8):
-        """Assert symmetry/PSD invariants; returns self for chaining."""
-        for name in ("Sigma", "SigmaDoublePrime", "SigmaStarStar"):
-            M = getattr(self, name)
-            if M is None:
-                continue
-            if not np.allclose(M, M.T, atol=1e-10):
-                raise ValueError(f"{name} not symmetric")
-            w = np.linalg.eigvalsh(symmetrize(M))
-            if w[0] < -rel_tol * max(w[-1], 1e-300):
-                raise ValueError(f"{name} not PSD: min eig {w[0]:.3e}")
-        for j in range(self.PsiSecond.shape[0]):
-            w = np.linalg.eigvalsh(self.PsiSecond[j])
-            if w[0] < -rel_tol * max(w[-1], 1e-300):
-                raise ValueError(f"PsiSecond[{j}] not PSD: {w[0]:.3e}")
-        return self
-
-    def stacked_second_moment(self):
-        """The 2p x 2p block matrix [[Sigma, SigmaPrime],
-        [SigmaPrime^T, SigmaDoublePrime]]; PSD by construction."""
-        return np.block([
-            [self.Sigma, self.SigmaPrime],
-            [self.SigmaPrime.T, self.SigmaDoublePrime],
-        ])
-
-    def save(self, path):
-        """Every field that is not None, one .npz entry each."""
-        blocks = {f.name: getattr(self, f.name) for f in fields(self)}
-        np.savez(path, **{k: v for k, v in blocks.items() if v is not None})
-
-    @classmethod
-    def load(cls, path):
-        with np.load(path, allow_pickle=False) as z:
-            kw = {k: z[k] for k in z.files
-                  if k not in ("n_mc_used", "provenance")}
-            return cls(**kw, n_mc_used=int(z["n_mc_used"]),
-                       provenance=str(z["provenance"]))
 
 
 def estimate_moment_set(
@@ -321,7 +227,7 @@ def estimate_moment_set(
     SigmaStar = np.zeros((ps, p)) if truth_map is not None else None
     SigmaStarStar = np.zeros((ps, ps)) if truth_map is not None else None
 
-    closed = feature_map.kind == "identity" and scheme.has_closed_moments
+    closed = feature_map.kind == "identity"
     done = 0
     while done < total:
         m = min(chunk, total - done)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, lapack
 
-from .errors import NumericalFailureError
+from .errors import EmptyInputError, NumericalFailureError
 from .features import InvalidDimensionError, apply_features
-from .moments import EmptyInputError, symmetrize
+from .moments import symmetrize
 from .schemes import InvalidParameterError
 
 

@@ -11,9 +11,9 @@ z = (x, y). Five kinds are supported:
 - mixture: draws a component index by inverse CDF on the weights, then
   applies that component
 
-Probability parameters and maps may be constants or callables of z. For
-constant parameters the raw-space per-sample moments mu_x, mu_y, Lambda(z),
-Omega(z) are available in closed form.
+Probability parameters and maps may be constants or callables of z. The
+raw-space per-sample moments mu_x, mu_y, Lambda(z), Omega(z) of every
+scheme are available in closed form (closed_moments).
 """
 
 from __future__ import annotations
@@ -50,16 +50,6 @@ class AugmentationScheme:
             return self.s_y is None
         if self.kind == "mixture":
             return all(c.label_preserving for c in self.components)
-        return False
-
-    @property
-    def has_closed_moments(self) -> bool:
-        """True when raw-space per-sample moments are exact formulas."""
-        if self.kind in ("additive-noise", "masking", "salt-and-pepper",
-                         "heteroskedastic"):
-            return True
-        if self.kind == "mixture":
-            return all(c.has_closed_moments for c in self.components)
         return False
 
 
@@ -142,15 +132,12 @@ def _resolved(scheme, z, d):
 
 
 def sample_augmented(scheme, z, rng):
-    """One draw (x', y') of (tau_x(z, eta), tau_y(z, eta)): a one-column
-    call of the batch kernel on the scheme resolved at z."""
-    x, y = z
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = x.shape[0]
-    Yr = y.reshape(-1, 1).copy()
-    Xa = _batch_constant(_resolved(scheme, z, d), x[:, None], Yr, d, rng)
-    return Xa[:, 0], Yr[:, 0].reshape(y.shape)
+    """One draw (x', y') of (tau_x(z, eta), tau_y(z, eta)): a one-column,
+    one-draw call of sample_augmented_batch."""
+    x, y = (np.asarray(v, dtype=float) for v in z)
+    Xa, Ya = sample_augmented_batch(scheme, x[:, None], y.reshape(-1, 1), 1,
+                                    rng)
+    return Xa[:, 0], Ya[:, 0].reshape(y.shape)
 
 
 def _constant_params(scheme) -> bool:
@@ -176,8 +163,9 @@ def sample_augmented_batch(scheme, X, Y, n_draws, rng):
 
     Returns (Xa, Ya) of shapes (d, n*n_draws) and (q, n*n_draws); the draws
     for sample i occupy columns i*n_draws .. (i+1)*n_draws - 1. Constant
-    parameter schemes are fully vectorized; per-sample maps fall back to a
-    column loop with the same draw layout.
+    parameter schemes draw all columns at once; a scheme whose parameters
+    are maps of z is resolved once per sample, which then draws its
+    n_draws columns at once.
     """
     X = np.asarray(X, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -188,17 +176,14 @@ def sample_augmented_batch(scheme, X, Y, n_draws, rng):
     Xr = np.repeat(X, T, axis=1)
     Yr = np.repeat(Y, T, axis=1)
     if _constant_params(scheme):
-        Xa = _batch_constant(scheme, Xr, Yr, d, rng)
-        return Xa, Yr
-    Xa = np.empty((d, n * T))
-    Ya = np.empty_like(Yr)
+        return _batch_constant(scheme, Xr, Yr, d, rng), Yr
+    Xa = np.empty_like(Xr)
     for i in range(n):
-        z = (X[:, i], Y[:, i])
-        for t in range(T):
-            xp, yp = sample_augmented(scheme, z, rng)
-            Xa[:, i * T + t] = xp
-            Ya[:, i * T + t] = yp
-    return Xa, Ya
+        cols = slice(i * T, (i + 1) * T)
+        at = _resolved(scheme, (X[:, i], Y[:, i]), d)
+        # Yr[:, cols] is a view: label noise lands in Yr
+        Xa[:, cols] = _batch_constant(at, Xr[:, cols], Yr[:, cols], d, rng)
+    return Xa, Yr
 
 
 def _batch_constant(scheme, Xr, Yr, d, rng):
@@ -298,10 +283,8 @@ def mixture_moments_closed(component_moments, weights):
 
 
 def closed_moments(scheme, z):
-    """Raw-space per-sample moments (mu_x, mu_y, Lambda, Omega), or None
-    when the scheme has no closed form (identity feature map assumed)."""
-    if not scheme.has_closed_moments:
-        return None
+    """Raw-space per-sample moments (mu_x, mu_y, Lambda, Omega) of the
+    datum z (identity feature map assumed)."""
     x, y = z
     x = np.asarray(x, dtype=float)
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -320,36 +303,4 @@ def closed_moments(scheme, z):
         comp = [closed_moments(c, z) for c in scheme.components]
         w = _resolve(scheme.weights, z)
         return mixture_moments_closed(comp, w)
-    return None
-
-
-def h4_diagnostic(scheme, feature_map, Z, n_mc, rng):
-    """Monte-Carlo variance of Lambda(Z_1), Omega(Z_1) (Frobenius sense)
-    plus a finite-difference Lipschitz probe of z -> (mu_x(z), Lambda(z)).
-
-    Z is a list of (x, y) pairs. Advisory report; never raises on large
-    values.
-    """
-    from .moments import per_sample_moments
-
-    if len(Z) == 0:
-        raise InvalidParameterError("need a nonempty z-sample")
-    mom = [per_sample_moments(scheme, feature_map, z, n_mc, rng) for z in Z]
-    lams = np.array([m.Lambda for m in mom])
-    oms = np.array([m.Omega for m in mom])
-    var_lambda = float(np.mean(np.sum((lams - lams.mean(axis=0)) ** 2,
-                                      axis=(1, 2))))
-    var_omega = float(np.mean(np.sum((oms - oms.mean(axis=0)) ** 2,
-                                     axis=(1, 2))))
-    probe = 0.0
-    for (x, y), m0 in zip(Z, mom):
-        h = 1e-3 * max(1.0, float(np.linalg.norm(x)))
-        dx = rng.standard_normal(len(x))
-        dx *= h / np.linalg.norm(dx)
-        m1 = per_sample_moments(scheme, feature_map, (x + dx, y), n_mc, rng)
-        num = np.sqrt(
-            np.sum((m1.mu_x - m0.mu_x) ** 2) + np.sum((m1.Lambda - m0.Lambda) ** 2)
-        )
-        probe = max(probe, float(num / h))
-    return {"var_lambda": var_lambda, "var_omega": var_omega,
-            "lipschitz_probe": probe}
+    raise InvalidParameterError(f"unknown scheme kind {scheme.kind!r}")

@@ -1,4 +1,5 @@
 import functools
+import importlib.util
 import json
 import re
 import struct
@@ -13,13 +14,14 @@ from augridge.harness import (
     RESULT_COLUMNS,
     ConfigError,
     ExperimentConfig,
-    bias_variance_sweep,
     build_moment_set,
     mnist_pipeline,
     run_sweep,
     validate,
     write_csv,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _tiny_cfg(**over):
@@ -164,12 +166,12 @@ def test_single_replicate_has_zero_std():
 def test_bias_variance_requires_replicates():
     config = ExperimentConfig.from_dict(_tiny_cfg(replicates=3))
     with pytest.raises(ConfigError, match="replicates"):
-        bias_variance_sweep(config)
+        run_sweep(config, bias_variance=True)
 
 
 def test_bias_variance_split_sums():
     config = ExperimentConfig.from_dict(_tiny_cfg(replicates=12))
-    rows = bias_variance_sweep(config)
+    rows = run_sweep(config, bias_variance=True)
     for r in rows:
         assert r.bias2_emp + r.var_emp == pytest.approx(r.g_mean, rel=1e-12)
         assert r.bias2_det + r.var_det == pytest.approx(r.g_det, rel=1e-12)
@@ -264,6 +266,77 @@ def test_cli_validate_writes_json(tmp_path):
     assert cli_main(["validate", "--config", path]) == 0
     report = json.loads((tmp_path / "v" / "validate.json").read_text())
     assert "resolvent_fluct_ratio" in report
+
+
+@pytest.mark.parametrize("key,value", [
+    ("spectrum", [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3]),
+    ("theta_star", [0.5, -0.5, 0.25, 0.0, 0.1, 0.2, 0.3, 0.4]),
+])
+def test_cli_validate_scales_listed_data(tmp_path, key, value):
+    # the scaled instance repeats each listed entry, not the d-entry list
+    cfg = _tiny_cfg(out_dir=str(tmp_path / "v"))
+    cfg["data"][key] = value
+    path = _write_cfg(tmp_path, cfg)
+    assert cli_main(["sweep-lambda", "--config", path]) == 0
+    assert cli_main(["validate", "--config", path]) == 0
+    report = json.loads((tmp_path / "v" / "validate.json").read_text())
+    assert report["scaled"]["p"] == 32
+
+
+def test_cli_memory_error_exit_3(tmp_path, monkeypatch, capsys):
+    def no_memory(config, rng=None):
+        raise MemoryError
+    monkeypatch.setattr(harness, "build_moment_set", no_memory)
+    path = _write_cfg(tmp_path, _tiny_cfg(out_dir=str(tmp_path / "out")))
+    assert cli_main(["sweep-lambda", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: MemoryError")
+    assert "Traceback" not in err
+
+
+def test_worker_pool_capped(monkeypatch):
+    # the pool is never asked for more processes than units or CPUs; the
+    # fake runs the units in this process and starts none
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(harness, "_worker_payload", None)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    for replicates, pool in ((3, 3), (6, 4)):
+        serial = run_sweep(ExperimentConfig.from_dict(
+            _tiny_cfg(replicates=replicates)))
+        pooled = run_sweep(ExperimentConfig.from_dict(
+            _tiny_cfg(replicates=replicates, workers=100_000)))
+        assert sizes[-1] == pool
+        assert [r.to_list() for r in pooled] == [r.to_list() for r in serial]
+    assert len(sizes) == 2
+
+
+def test_benchmark_span_targets_resolve():
+    # perfbench/spans.py wraps these attributes in a traced run; each must
+    # exist on the package
+    import augridge
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod, attr, name in spans._targets(augridge):
+        assert callable(getattr(mod, attr)), f"{mod.__name__}.{attr}"
+        assert name in spans.SELF_TIME_METRIC
 
 
 # --- MNIST pipeline on synthetic fixtures ------------------------------

@@ -4,14 +4,10 @@ import pytest
 from augridge.datasets import SyntheticSpec, synthetic_sampler
 from augridge.features import identity_map, random_mlp_map
 from augridge.moments import (
-    EmptyInputError,
     InsufficientSamplesError,
-    MomentSet,
     batch_sample_moments,
     closed_population_moment_set,
-    empirical_lambda_omega,
     estimate_moment_set,
-    per_sample_moments,
     psd_clip,
 )
 from augridge.schemes import additive_noise, masking, salt_and_pepper
@@ -21,27 +17,35 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def _one_column(scheme, fm, z, n_mc, rng):
+    """The moments of one datum: a one-column batch_sample_moments call."""
+    x, y = z
+    mu_x, mu_y, lam, om = batch_sample_moments(scheme, fm, x[:, None],
+                                               y[:, None], n_mc, rng)
+    return mu_x[:, 0], mu_y[:, 0], lam, om
+
+
 def test_per_sample_closed_zero_noise():
     fm = identity_map(3)
     z = (np.array([1.0, 2.0, 3.0]), np.array([0.5]))
-    m = per_sample_moments(additive_noise(0.0), fm, z, 10, _rng())
-    assert np.array_equal(m.mu_x, z[0])
-    assert np.allclose(m.Lambda, 0.0) and np.allclose(m.Omega, 0.0)
+    mu_x, _, lam, om = _one_column(additive_noise(0.0), fm, z, 10, _rng())
+    assert np.array_equal(mu_x, z[0])
+    assert np.allclose(lam, 0.0) and np.allclose(om, 0.0)
 
 
 def test_per_sample_closed_additive():
     fm = identity_map(2)
     z = (np.array([1.0, -1.0]), np.array([2.0]))
-    m = per_sample_moments(additive_noise(0.5), fm, z, 10, _rng())
-    assert np.allclose(m.Lambda, 0.25 * np.eye(2))
-    assert np.array_equal(m.mu_x, z[0])
+    mu_x, _, lam, _ = _one_column(additive_noise(0.5), fm, z, 10, _rng())
+    assert np.allclose(lam, 0.25 * np.eye(2))
+    assert np.array_equal(mu_x, z[0])
 
 
 def test_per_sample_requires_samples_without_closed_form():
     fm = random_mlp_map(2, [3], 2, seed=0)
     z = (np.zeros(2), np.zeros(1))
     with pytest.raises(InsufficientSamplesError):
-        per_sample_moments(additive_noise(0.1), fm, z, 1, _rng())
+        _one_column(additive_noise(0.1), fm, z, 1, _rng())
 
 
 def test_per_sample_mc_linear_feature_oracle():
@@ -50,30 +54,19 @@ def test_per_sample_mc_linear_feature_oracle():
     W = fm.weights[0]
     sigma = 0.4
     z = (np.array([1.0, 2.0, -1.0]), np.array([0.0]))
-    m = per_sample_moments(additive_noise(sigma), fm, z, 40_000, _rng(1))
-    assert np.allclose(m.mu_x, W @ z[0], atol=0.02)
-    assert np.allclose(m.Lambda, sigma ** 2 * W @ W.T, atol=0.02)
+    mu_x, _, lam, _ = _one_column(additive_noise(sigma), fm, z, 40_000,
+                                  _rng(1))
+    assert np.allclose(mu_x, W @ z[0], atol=0.02)
+    assert np.allclose(lam, sigma ** 2 * W @ W.T, atol=0.02)
 
 
 def test_per_sample_lambda_symmetric_psd():
     fm = random_mlp_map(4, [5], 3, seed=1)
     z = (np.ones(4), np.zeros(1))
-    m = per_sample_moments(salt_and_pepper(0.5, 1.0), fm, z, 500, _rng(2))
-    assert np.allclose(m.Lambda, m.Lambda.T, atol=1e-10)
-    w = np.linalg.eigvalsh(m.Lambda)
+    _, _, lam, _ = _one_column(salt_and_pepper(0.5, 1.0), fm, z, 500, _rng(2))
+    assert np.allclose(lam, lam.T, atol=1e-10)
+    w = np.linalg.eigvalsh(lam)
     assert w[0] >= -1e-8 * max(w[-1], 1.0)
-
-
-def test_empirical_lambda_omega_basics():
-    fm = identity_map(2)
-    z = (np.ones(2), np.zeros(1))
-    m = per_sample_moments(additive_noise(0.3), fm, z, 10, _rng())
-    lam, om = empirical_lambda_omega([m])
-    assert np.allclose(lam, m.Lambda) and np.allclose(om, m.Omega)
-    lam, om = empirical_lambda_omega([m, m, m])
-    assert np.allclose(lam, m.Lambda)
-    with pytest.raises(EmptyInputError):
-        empirical_lambda_omega([])
 
 
 def test_empirical_average_shrinks_like_root_n():
@@ -163,7 +156,7 @@ def test_estimate_debias_second_moment():
     assert err <= 0.25 * bias_scale
 
 
-def test_stacked_second_moment_psd():
+def test_second_moment_block_psd():
     d = 5
     spec = SyntheticSpec(d=d, n=1, theta_star=np.zeros(d),
                          truth_map=identity_map(d), q_seed=4)
@@ -172,22 +165,12 @@ def test_stacked_second_moment_psd():
         synthetic_sampler(spec), 5000, 2, _rng(7),
         theta_star=spec.theta_star, noise_sigma2=0.0,
     )
-    ms.check()
-    w = np.linalg.eigvalsh(ms.stacked_second_moment())
+    # [[Sigma, Sigma'], [Sigma'^T, Sigma'']] = E[(phi, mu_x)(phi, mu_x)^T]
+    w = np.linalg.eigvalsh(np.block([
+        [ms.Sigma, ms.SigmaPrime],
+        [ms.SigmaPrime.T, ms.SigmaDoublePrime],
+    ]))
     assert w[0] >= -1e-8 * w[-1]
-
-
-def test_moment_set_save_load_roundtrip(tmp_path):
-    d = 3
-    ms = closed_population_moment_set(np.eye(d), additive_noise(0.5),
-                                     np.ones(d), 0.25)
-    path = tmp_path / "moments.npz"
-    ms.save(path)
-    back = MomentSet.load(path)
-    assert np.array_equal(back.Sigma, ms.Sigma)
-    assert np.array_equal(back.LambdaBar, ms.LambdaBar)
-    assert np.array_equal(back.PsiSecond, ms.PsiSecond)
-    assert back.provenance == ms.provenance
 
 
 def test_psd_clip_warns_and_clips():

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from augridge.features import identity_map
 from augridge.schemes import (
     AugmentationScheme,
     InvalidParameterError,
     additive_noise,
-    h4_diagnostic,
+    closed_moments,
     heteroskedastic,
     heteroskedastic_moments_closed,
     masking,
@@ -136,7 +135,6 @@ def test_mixture_identical_components():
 def test_mixture_additive_halves():
     # mixing zero-noise and unit-noise additive schemes at x = 0
     z = (np.zeros(3), np.zeros(1))
-    from augridge.schemes import closed_moments
     m0 = closed_moments(additive_noise(0.0), z)
     m1 = closed_moments(additive_noise(1.0), z)
     _, _, lam, _ = mixture_moments_closed([m0, m1], [0.5, 0.5])
@@ -194,23 +192,6 @@ def test_batch_matches_single_draw_layout():
         assert np.allclose(Ya[:, 5 * i:5 * (i + 1)], Y[:, [i]])
 
 
-def test_h4_diagnostic_deterministic_scheme():
-    scheme = additive_noise(0.0)
-    rng = np.random.default_rng(0)
-    Z = [(rng.standard_normal(3), rng.standard_normal(1)) for _ in range(4)]
-    rep = h4_diagnostic(scheme, identity_map(3), Z, 10, rng)
-    assert rep["var_lambda"] == 0.0
-    assert rep["var_omega"] == 0.0
-
-
-def test_h4_diagnostic_additive_constant_lambda():
-    scheme = additive_noise(0.3)
-    rng = np.random.default_rng(0)
-    Z = [(rng.standard_normal(3), rng.standard_normal(1)) for _ in range(6)]
-    rep = h4_diagnostic(scheme, identity_map(3), Z, 10, rng)
-    assert rep["var_lambda"] <= 1e-20
-
-
 _STREAM_D, _STREAM_Q = 4, 2
 _STREAM_R = np.arange(16.0).reshape(4, 4) / 10.0
 _STREAM_CASES = {
@@ -248,3 +229,27 @@ def test_single_draw_is_one_column_batch_draw(case):
         Xa, Ya = sample_augmented_batch(scheme, x[:, None], y[:, None], 1, r2)
         assert np.array_equal(xp, Xa[:, 0]) and np.array_equal(yp, Ya[:, 0])
     assert r1.random() == r2.random()
+
+
+@pytest.mark.parametrize("case", ["masking-callable", "mixture-callable"])
+def test_z_dependent_batch_blocks_match_closed_moments(case):
+    # a scheme resolved once per sample: each sample's block of draws has
+    # the closed-form mean and Lambda of that sample, within 4 standard
+    # errors from 20 groups of draws
+    scheme = _STREAM_CASES[case]()
+    X = np.array([[1.0, -2.0], [2.0, 0.5], [-1.0, 1.5], [0.5, -0.5]])
+    Y = np.array([[0.7, -0.3], [0.1, 0.2]])  # z[1][0] of both signs
+    N = 40_000
+    Xa, Ya = sample_augmented_batch(scheme, X, Y, N,
+                                    np.random.default_rng(4))
+    for i in range(2):
+        block = Xa[:, i * N:(i + 1) * N]
+        assert np.array_equal(Ya[:, i * N:(i + 1) * N],
+                              np.repeat(Y[:, [i]], N, axis=1))
+        mu, _, lam, _ = closed_moments(scheme, (X[:, i], Y[:, i]))
+        mu_se = block.std(axis=1) / np.sqrt(N)
+        assert np.all(np.abs(block.mean(axis=1) - mu) <= 4 * mu_se)
+        groups = block.reshape(_STREAM_D, 20, N // 20)
+        covs = np.stack([np.cov(groups[:, g]) for g in range(20)])
+        se = covs.std(axis=0, ddof=1) / np.sqrt(20)
+        assert np.all(np.abs(np.cov(block) - lam) <= 4 * se + 1e-12)
