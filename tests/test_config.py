@@ -100,7 +100,8 @@ MALFORMED = [
 
 
 @pytest.mark.parametrize("path,value,code", MALFORMED,
-                         ids=[f"{p}={v!r}" for p, v, _ in MALFORMED])
+                         ids=[f"{p}=<deleted>" if v is DELETE else f"{p}={v!r}"
+                              for p, v, _ in MALFORMED])
 def test_malformed_config_exit_code(tmp_path, capsys, path, value, code):
     cfg = _set(dict(TINY, out_dir=str(tmp_path / "out")), path, value)
     assert _run(tmp_path, cfg) == code

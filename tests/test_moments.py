@@ -156,7 +156,7 @@ def test_estimate_debias_second_moment():
     assert err <= 0.25 * bias_scale
 
 
-def test_second_moment_block_psd():
+def test_stacked_second_moment_psd():
     d = 5
     spec = SyntheticSpec(d=d, n=1, theta_star=np.zeros(d),
                          truth_map=identity_map(d), q_seed=4)
