@@ -2,7 +2,6 @@
 deterministic equivalents predicting out-of-sample error."""
 
 from .datasets import (
-    Dataset,
     InpaintingTask,
     SyntheticSpec,
     haar_orthogonal,

@@ -70,14 +70,8 @@ class SyntheticSpec:
         return Q * np.sqrt(self.eigenvalues())[None, :]
 
 
-@dataclass(frozen=True)
-class Dataset:
-    X: np.ndarray
-    Y: np.ndarray
-
-
-def sample_synthetic(spec, rng, n=None) -> Dataset:
-    """Draw n i.i.d. columns from the spec's data law."""
+def sample_synthetic(spec, rng, n=None):
+    """Draw n i.i.d. columns (X, Y) from the spec's data law."""
     n = spec.n if n is None else int(n)
     root = spec.covariance_sqrt()
     X = root @ rng.standard_normal((spec.d, n))
@@ -86,15 +80,7 @@ def sample_synthetic(spec, rng, n=None) -> Dataset:
     Y = theta.T @ apply_features(spec.truth_map, X)
     if spec.noise_sigma2 > 0:
         Y = Y + np.sqrt(spec.noise_sigma2) * rng.standard_normal((q, n))
-    return Dataset(X=X, Y=Y)
-
-
-def synthetic_sampler(spec):
-    """A (n, rng) -> (X, Y) closure for moment estimation."""
-    def draw(n, rng):
-        ds = sample_synthetic(spec, rng, n=n)
-        return ds.X, ds.Y
-    return draw
+    return X, Y
 
 
 _IDX_IMAGE_MAGIC = 0x00000803

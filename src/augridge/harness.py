@@ -26,7 +26,6 @@ from .datasets import (
     inpainting_task,
     mnist_load,
     sample_synthetic,
-    synthetic_sampler,
 )
 from .errors import ConfigError, InvalidDimensionError
 from .features import FeatureMap, identity_map, random_mlp_map
@@ -357,15 +356,10 @@ def build_moment_set(config, rng=None):
         np.random.SeedSequence([config.seed, 0xA0])
     )
     return estimate_moment_set(
-        fmap,
-        config.build_truth_map(),
-        scheme,
-        synthetic_sampler(spec),
-        config.n_mc_data,
-        config.n_mc_aug,
-        rng,
-        theta_star=spec.theta_star,
-        noise_sigma2=spec.noise_sigma2,
+        fmap, config.build_truth_map(), scheme,
+        lambda a, b: sample_synthetic(spec, rng, n=b - a),
+        config.n_mc_data, config.n_mc_aug, rng,
+        theta_star=spec.theta_star, noise_sigma2=spec.noise_sigma2,
     )
 
 
@@ -382,8 +376,7 @@ class _FreshDraws:
         return [(s, n_list) for s in seeds]
 
     def draw(self, rng, n):
-        ds = sample_synthetic(self.spec, rng, n=n)
-        return ds.X, ds.Y
+        return sample_synthetic(self.spec, rng, n=n)
 
     def risk(self, f, terms):
         return ridge.population_risk(terms, self.spec.noise_sigma2)
@@ -552,8 +545,13 @@ def validate(config, factor=4):
     but it mixes a fast-decaying bias with a Monte-Carlo noise floor of
     order std/sqrt(R), so its ratio is not a stable rate probe. std(G)
     and the finite-difference derivative identity error round out the
-    report.
+    report. It runs identity features and truth only.
     """
+    for key in ("features", "truth_features"):
+        kind = getattr(config, key)["kind"]
+        if kind != "identity":
+            raise ConfigError(f"config.{key}: validate runs identity "
+                              f"features only, got {kind!r}")
     base = config.build_synthetic_spec()
     if factor * base.d > 600:
         raise ConfigError("validate instances must stay small (p <= 600/factor)")
@@ -597,15 +595,13 @@ def validate(config, factor=4):
         seeds = np.random.SeedSequence([config.seed, 0xC0 + scale_idx]).spawn(
             config.replicates
         )
-        res_dev, th_dev, chi_dev = [], [], []
-        gs = []
-        fd_errs = []
+        res_dev, th_dev, chi_dev, gs, fd_errs = [], [], [], [], []
         for r, s in enumerate(seeds):
             rng = np.random.default_rng(s)
-            ds = sample_synthetic(spec, rng, n=n)
-            psm = batch_sample_moments(scheme, fmap, ds.X, ds.Y,
-                                       config.n_mc_aug, rng)
-            design = ridge.assemble_design(ds.X, ds.Y, fmap, psm)
+            X, Y = sample_synthetic(spec, rng, n=n)
+            psm = batch_sample_moments(scheme, fmap, X, Y, config.n_mc_aug,
+                                       rng)
+            design = ridge.assemble_design(X, Y, fmap, psm)
             Ri = ridge.resolvent_shifted(design, alpha, lam, 0.0)
             res_dev.append(float(np.sum(A * Ri)) - tr_det)
             f = ridge.fit(design, alpha, lam)
@@ -632,15 +628,13 @@ def validate(config, factor=4):
             "fd_identity_rel_err": float(max(fd_errs)),
             "fp_converged": state.converged,
         })
-    report["base"] = per_size[0]
-    report["scaled"] = per_size[1]
+    report["base"], report["scaled"] = per_size
     for key in ("resolvent_fluct", "theta_fluct", "chi_fluct", "std_g"):
         denom = per_size[1][key]
         report[f"{key}_ratio"] = (per_size[0][key] / denom
                                   if denom > 0 else float("inf"))
-    report["fd_identity_rel_err"] = max(
-        per_size[0]["fd_identity_rel_err"], per_size[1]["fd_identity_rel_err"]
-    )
+    report["fd_identity_rel_err"] = max(s["fd_identity_rel_err"]
+                                        for s in per_size)
     return report
 
 
@@ -662,7 +656,7 @@ def mnist_pipeline(config, csv_name=None):
     scheme = config.build_scheme()
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xD0]))
     moment_set = estimate_moment_set(
-        fmap, None, scheme, (train.X, train.Y),
+        fmap, None, scheme, lambda a, b: (train.X[:, a:b], train.Y[:, a:b]),
         train.X.shape[1], config.n_mc_aug, rng,
     )
     return _sweep(config, _Subsamples(train, test, fmap), fmap, scheme,

@@ -24,7 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSamplesError
+from .errors import (
+    InsufficientSamplesError,
+    InvalidParameterError,
+    NumericalFailureError,
+)
 from .features import apply_features
 from .schemes import (
     _constant_params,
@@ -69,7 +73,7 @@ def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
     """
     X = np.asarray(X, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    d, n = X.shape
+    n = X.shape[1]
     q = Y.shape[0]
     p = feature_map.output_dim
     if feature_map.kind == "identity":
@@ -161,24 +165,25 @@ class MomentSet:
         return self.G1.shape[1]
 
 
-def estimate_moment_set(
-    feature_map,
-    truth_map,
-    scheme,
-    source,
-    n_mc_data,
-    n_mc_aug,
-    rng,
-    theta_star=None,
-    noise_sigma2=None,
-    chunk=512,
-):
-    """Estimate every MomentSet block by Monte-Carlo averaging.
+CHUNK = 512  # data columns per estimation block
 
-    source is either a callable ``(n, rng) -> (X, Y)`` drawing fresh data,
-    or a fixed ``(X, Y)`` dataset (then n_mc_data is ignored and the whole
-    dataset is used). When truth_map is None the SigmaStar blocks are
-    omitted and provenance is "empirical-plugin".
+
+def _check_finite(blocks):
+    """Raise NumericalFailureError naming the first block with a
+    non-finite entry (an overflow near 1e308 in the data or the truth)."""
+    for name, M in blocks.items():
+        if not np.all(np.isfinite(M)):
+            raise NumericalFailureError(
+                f"moment set block {name} has a non-finite entry")
+
+
+def estimate_moment_set(feature_map, truth_map, scheme, take, total,
+                        n_mc_aug, rng, theta_star=None, noise_sigma2=None):
+    """Estimate every MomentSet block by Monte-Carlo averaging over `total`
+    data columns, read in blocks of CHUNK columns: ``take(a, b)`` returns
+    the columns a..b-1 as (X: d x (b-a), Y: q x (b-a)). When truth_map is
+    None the SigmaStar blocks are omitted and provenance is
+    "empirical-plugin".
 
     When theta_star and noise_sigma2 are given (synthetic well-known truth)
     and the scheme is label-preserving with parameters independent of y,
@@ -187,16 +192,8 @@ def estimate_moment_set(
     adds noise_sigma2 exactly. This removes the label-noise Monte-Carlo
     error without changing the estimand.
     """
-    fixed = not callable(source)
-    if fixed:
-        X_all = np.asarray(source[0], dtype=float)
-        Y_all = np.atleast_2d(np.asarray(source[1], dtype=float))
-        total = X_all.shape[1]
-    else:
-        total = int(n_mc_data)
     if total < 2:
         raise InsufficientSamplesError("n_mc_data >= 2 required")
-    p = feature_map.output_dim
     condition_labels = (
         theta_star is not None
         and truth_map is not None
@@ -204,95 +201,55 @@ def estimate_moment_set(
         and scheme.label_preserving
         and _constant_params(scheme)
     )
-    theta_star = None if theta_star is None else np.atleast_2d(
-        np.asarray(theta_star, dtype=float).T
-    ).T
-    # probe q from one sample
-    if fixed:
-        q = Y_all.shape[0]
-    elif theta_star is not None:
-        q = theta_star.shape[1]
-    else:
-        Xp, Yp = source(1, rng)
-        q = np.atleast_2d(np.asarray(Yp)).shape[0]
-    ps = truth_map.output_dim if truth_map is not None else 0
+    if condition_labels:
+        theta_star = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
+    sums = {}  # MomentSet field -> sum over the columns read so far
 
-    Sigma = np.zeros((p, p))
-    SigmaPrime = np.zeros((p, p))
-    SigmaDouble = np.zeros((p, p))
-    G = [np.zeros((p, q)) for _ in range(4)]
-    Psi = np.zeros((q, 2, 2))
-    LambdaBar = np.zeros((p, p))
-    OmegaBar = np.zeros((p, q))
-    SigmaStar = np.zeros((ps, p)) if truth_map is not None else None
-    SigmaStarStar = np.zeros((ps, ps)) if truth_map is not None else None
+    def add(name, block):
+        if name not in sums:
+            sums[name] = np.zeros(block.shape)
+        sums[name] += block
 
-    closed = feature_map.kind == "identity"
-    done = 0
-    while done < total:
-        m = min(chunk, total - done)
-        if fixed:
-            X = X_all[:, done:done + m]
-            Y = Y_all[:, done:done + m]
-        else:
-            X, Y = source(m, rng)
-            Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    for a in range(0, total, CHUNK):
+        X, Y = take(a, min(a + CHUNK, total))
         Phi = apply_features(feature_map, X)
         MuX, MuY, Lam_c, Om_c = batch_sample_moments(
             scheme, feature_map, X, Y, n_mc_aug, rng
         )
-        if condition_labels:
-            Yc = theta_star.T @ apply_features(truth_map, X)
-            MuYc = Yc
-        else:
-            Yc = Y
-            MuYc = MuY
-        Sigma += Phi @ Phi.T
-        SigmaPrime += Phi @ MuX.T
-        SigmaDouble += MuX @ MuX.T
-        G[0] += Phi @ Yc.T
-        G[1] += Phi @ MuYc.T
-        G[2] += MuX @ Yc.T
-        G[3] += MuX @ MuYc.T
-        Psi[:, 0, 0] += np.sum(Yc * Yc, axis=1)
-        Psi[:, 0, 1] += np.sum(Yc * MuYc, axis=1)
-        Psi[:, 1, 1] += np.sum(MuYc * MuYc, axis=1)
-        LambdaBar += m * Lam_c
-        OmegaBar += m * Om_c
         if truth_map is not None:
             PhiStar = apply_features(truth_map, X)
-            SigmaStar += PhiStar @ Phi.T
-            SigmaStarStar += PhiStar @ PhiStar.T
-        done += m
+            add("SigmaStar", PhiStar @ Phi.T)
+            add("SigmaStarStar", PhiStar @ PhiStar.T)
+        if condition_labels:
+            Y = MuY = theta_star.T @ PhiStar
+        for name, (A, B) in (
+            ("Sigma", (Phi, Phi)), ("SigmaPrime", (Phi, MuX)),
+            ("SigmaDoublePrime", (MuX, MuX)), ("G1", (Phi, Y)),
+            ("G2", (Phi, MuY)), ("G3", (MuX, Y)), ("G4", (MuX, MuY)),
+        ):
+            add(name, A @ B.T)
+        # per output [[sum Y^2, sum Y mu_y], [sum Y mu_y, sum mu_y^2]]
+        P = np.stack([Y, MuY])
+        add("PsiSecond", (P[:, None] * P[None]).sum(-1).transpose(2, 0, 1))
+        add("LambdaBar", X.shape[1] * Lam_c)
+        add("OmegaBar", X.shape[1] * Om_c)
 
-    for M in (Sigma, SigmaPrime, SigmaDouble, LambdaBar, OmegaBar, Psi, *G):
+    for M in sums.values():
         M /= total
-    if SigmaStar is not None:
-        SigmaStar /= total
-        SigmaStarStar /= total
-    if not closed:
+    if feature_map.kind != "identity":
         # remove the O(1/n_mc_aug) bias of mu_hat outer products
-        SigmaDouble -= LambdaBar / n_mc_aug
-        G[3] -= OmegaBar / n_mc_aug
+        sums["SigmaDoublePrime"] -= sums["LambdaBar"] / n_mc_aug
+        sums["G4"] -= sums["OmegaBar"] / n_mc_aug
     if condition_labels:
-        Psi[:, 0, 0] += float(noise_sigma2)
-        Psi[:, 0, 1] += float(noise_sigma2)
-        Psi[:, 1, 1] += float(noise_sigma2)
-    Psi[:, 1, 0] = Psi[:, 0, 1]
-
-    provenance = "empirical-plugin" if truth_map is None else "monte-carlo"
+        sums["PsiSecond"] += float(noise_sigma2)
+    _check_finite(sums)
+    for name in ("Sigma", "SigmaDoublePrime", "LambdaBar", "SigmaStarStar"):
+        if name in sums:
+            sums[name] = psd_clip(sums[name])
     return MomentSet(
-        Sigma=psd_clip(Sigma),
-        SigmaPrime=SigmaPrime,
-        SigmaDoublePrime=psd_clip(SigmaDouble),
-        G1=G[0], G2=G[1], G3=G[2], G4=G[3],
-        PsiSecond=Psi,
-        LambdaBar=psd_clip(LambdaBar),
-        OmegaBar=OmegaBar,
-        SigmaStar=SigmaStar,
-        SigmaStarStar=None if SigmaStarStar is None else psd_clip(SigmaStarStar),
+        **sums,
         n_mc_used=total,
-        provenance=provenance,
+        provenance="empirical-plugin" if truth_map is None else "monte-carlo",
     )
 
 
@@ -307,8 +264,9 @@ def closed_population_moment_set(Sigma, scheme, theta_star, sigma2):
     error enters the equivalents.
     """
     if scheme.kind not in _LINEAR_MEAN_KINDS or not _constant_params(scheme):
-        raise ValueError("need a constant-parameter additive-noise, masking "
-                         f"or salt-and-pepper scheme, got {scheme.kind!r}")
+        raise InvalidParameterError(
+            "closed-form moments need a constant-parameter additive-noise, "
+            f"masking or salt-and-pepper scheme, got {scheme.kind!r}")
     Sigma = np.asarray(Sigma, dtype=float)
     p = Sigma.shape[0]
     theta = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
@@ -318,7 +276,7 @@ def closed_population_moment_set(Sigma, scheme, theta_star, sigma2):
     ey2 = np.einsum("ij,ik,kj->j", theta, Sigma, theta) + sigma2
     Psi = np.empty((q, 2, 2))
     Psi[:] = ey2[:, None, None]
-    return MomentSet(
+    blocks = dict(
         Sigma=Sigma,
         SigmaPrime=c * Sigma,
         SigmaDoublePrime=c * c * Sigma,
@@ -328,6 +286,6 @@ def closed_population_moment_set(Sigma, scheme, theta_star, sigma2):
         OmegaBar=np.zeros((p, q)),
         SigmaStar=Sigma.copy(),
         SigmaStarStar=Sigma.copy(),
-        n_mc_used=0,
-        provenance="closed-form",
     )
+    _check_finite(blocks)
+    return MomentSet(**blocks, n_mc_used=0, provenance="closed-form")

@@ -12,7 +12,6 @@ from augridge.datasets import (
     inpainting_task,
     mnist_load,
     sample_synthetic,
-    synthetic_sampler,
 )
 from augridge.features import identity_map
 
@@ -84,9 +83,9 @@ def test_sample_noiseless_labels_exact():
     theta = np.array([1.0, -2.0, 0.5])
     spec = SyntheticSpec(d=3, n=40, theta_star=theta,
                          truth_map=identity_map(3))
-    ds = sample_synthetic(spec, np.random.default_rng(0))
-    assert ds.X.shape == (3, 40) and ds.Y.shape == (1, 40)
-    assert np.allclose(ds.Y, theta @ ds.X)
+    X, Y = sample_synthetic(spec, np.random.default_rng(0))
+    assert X.shape == (3, 40) and Y.shape == (1, 40)
+    assert np.allclose(Y, theta @ X)
 
 
 def test_sample_covariance_matches_spec():
@@ -94,21 +93,13 @@ def test_sample_covariance_matches_spec():
     spec = SyntheticSpec(d=d, n=N, theta_star=np.zeros(d),
                          truth_map=identity_map(d), q_seed=1)
     rng = np.random.default_rng(2)
-    ds = sample_synthetic(spec, rng)
-    emp = ds.X @ ds.X.T / N
+    X, _ = sample_synthetic(spec, rng)
+    emp = X @ X.T / N
     C = spec.covariance()
     # entrywise SE of a Gaussian second moment is about
     # sqrt((C_ii C_jj + C_ij^2) / N)
     se = np.sqrt((np.outer(np.diag(C), np.diag(C)) + C ** 2) / N)
     assert np.all(np.abs(emp - C) <= 4 * se)
-
-
-def test_sampler_closure_respects_n():
-    spec = SyntheticSpec(d=3, n=5, theta_star=np.zeros(3),
-                         truth_map=identity_map(3))
-    draw = synthetic_sampler(spec)
-    X, Y = draw(17, np.random.default_rng(0))
-    assert X.shape == (3, 17) and Y.shape == (1, 17)
 
 
 def _idx_bytes(images):

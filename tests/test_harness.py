@@ -283,6 +283,49 @@ def test_cli_validate_scales_listed_data(tmp_path, key, value):
     assert report["scaled"]["p"] == 32
 
 
+_MLP = {"kind": "random-mlp", "hidden_sizes": [4], "output_dim": 5}
+
+
+@pytest.mark.parametrize("key,value,named", [
+    pytest.param("scheme", {"kind": "mixture", "weights": [0.5, 0.5],
+                            "components": [
+                                {"kind": "masking", "keep_prob": 0.8},
+                                {"kind": "additive-noise", "sigma_aug": 0.2}]},
+                 "'mixture'", id="mixture-scheme"),
+    pytest.param("features", _MLP, "config.features", id="mlp-features"),
+    pytest.param("truth_features", _MLP, "config.truth_features",
+                 id="mlp-truth"),
+])
+def test_cli_validate_unsupported_config_exit_2(tmp_path, capsys, key, value,
+                                                named):
+    # validate runs closed-form moments of identity maps only; anything
+    # else is refused, not run as identity or ended in a traceback
+    path = _write_cfg(tmp_path, _tiny_cfg(**{key: value},
+                                          out_dir=str(tmp_path / "v")))
+    assert cli_main(["validate", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("key,value,over", [
+    pytest.param("theta_star", [1e308] + [0.0] * 7, {}, id="theta-closed"),
+    pytest.param("spectrum", [1.7e308] + [1.0] * 7,
+                 {"features": _MLP, "n_mc_data": 64}, id="spectrum-mlp"),
+])
+def test_cli_overflowed_moment_set_exit_4(tmp_path, capsys, key, value, over):
+    # entries near 1e308 overflow inside the moment set; the run stops
+    # there with a numerical failure naming the block
+    cfg = _tiny_cfg(out_dir=str(tmp_path / "out"), **over)
+    cfg["data"][key] = value
+    path = _write_cfg(tmp_path, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli_main(["sweep-lambda", "--config", path]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: moment set block")
+    assert "non-finite" in err and "Traceback" not in err
+
+
 def test_cli_memory_error_exit_3(tmp_path, monkeypatch, capsys):
     def no_memory(config, rng=None):
         raise MemoryError
@@ -326,17 +369,60 @@ def test_worker_pool_capped(monkeypatch):
     assert len(sizes) == 2
 
 
-def test_benchmark_span_targets_resolve():
-    # perfbench/spans.py wraps these attributes in a traced run; each must
-    # exist on the package
-    import augridge
+def _spans_module():
     spec = importlib.util.spec_from_file_location(
         "perfbench_spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_span_targets_resolve():
+    # perfbench/spans.py wraps these attributes in a traced run; each must
+    # exist on the package
+    import augridge
+    spans = _spans_module()
     for mod, attr, name in spans._targets(augridge):
         assert callable(getattr(mod, attr)), f"{mod.__name__}.{attr}"
         assert name in spans.SELF_TIME_METRIC
+
+
+# the layer spans each kind of round reaches
+_ROUND_SPANS = ("harness", "features.apply", "moments.batch", "detequiv.fp",
+                "detequiv.second_order", "detequiv.equivalents",
+                "ridge.assemble", "ridge.fit")
+_REACHED = {
+    "random-mlp": ("datasets.sample", "schemes.augment", "moments.estimate"),
+    "closed-form": ("datasets.sample", "moments.closed"),
+    "mnist": ("datasets.idx", "moments.estimate", "ridge.risk"),
+}
+
+
+@pytest.mark.parametrize("round_kind", _REACHED)
+def test_benchmark_spans_fire(tmp_path, round_kind):
+    # a traced round attributes time to every layer it reaches: a call
+    # moved off a wrapped module attribute would zero that layer's metric
+    import augridge
+    if round_kind == "mnist":
+        config = _mnist_fixture(tmp_path, n_grid=[20], replicates=1,
+                                alpha_grid=[0.5])
+    else:
+        over = dict(replicates=1, alpha_grid=[0.5], n_mc_data=40)
+        if round_kind == "random-mlp":
+            over.update(features={"kind": "random-mlp", "hidden_sizes": [5],
+                                  "output_dim": 4},
+                        scheme={"kind": "masking", "keep_prob": 0.8})
+        config = ExperimentConfig.from_dict(_tiny_cfg(**over))
+    tracer = _spans_module().Tracer()
+    with tracer.span("round"), tracer.installed(augridge):
+        # looked up on the module, as the benchmark's rounds do
+        if round_kind == "mnist":
+            harness.mnist_pipeline(config)
+        else:
+            harness.run_sweep(config)
+    fired = {name for name, *_ in tracer.spans}
+    missing = set(_ROUND_SPANS + _REACHED[round_kind]) - fired
+    assert not missing, f"spans that never fired: {sorted(missing)}"
 
 
 # --- MNIST pipeline on synthetic fixtures ------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from augridge.datasets import SyntheticSpec, synthetic_sampler
+from augridge.datasets import SyntheticSpec, sample_synthetic
 from augridge.features import identity_map, random_mlp_map
 from augridge.moments import (
     InsufficientSamplesError,
@@ -15,6 +15,11 @@ from augridge.schemes import additive_noise, masking, salt_and_pepper
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _draws(spec, rng):
+    """A take(a, b) that draws b - a fresh columns from the spec."""
+    return lambda a, b: sample_synthetic(spec, rng, n=b - a)
 
 
 def _one_column(scheme, fm, z, n_mc, rng):
@@ -97,9 +102,10 @@ def test_estimate_identity_augmentation_blocks_collapse():
     spec = SyntheticSpec(d=d, n=1, theta_star=np.ones(d) / np.sqrt(d),
                          truth_map=identity_map(d), noise_sigma2=0.1,
                          q_seed=1)
+    rng = _rng(3)
     ms = estimate_moment_set(
         identity_map(d), identity_map(d), additive_noise(0.0),
-        synthetic_sampler(spec), 4000, 2, _rng(3),
+        _draws(spec, rng), 4000, 2, rng,
         theta_star=spec.theta_star, noise_sigma2=0.1,
     )
     assert np.allclose(ms.SigmaPrime, ms.Sigma)
@@ -114,9 +120,10 @@ def test_estimate_sigma_consistency():
     spec = SyntheticSpec(d=d, n=1, theta_star=np.zeros(d),
                          truth_map=identity_map(d), q_seed=2)
     C = spec.covariance()
+    rng = _rng(4)
     ms = estimate_moment_set(
         identity_map(d), identity_map(d), additive_noise(0.0),
-        synthetic_sampler(spec), 60_000, 2, _rng(4),
+        _draws(spec, rng), 60_000, 2, rng,
         theta_star=spec.theta_star, noise_sigma2=0.0,
     )
     assert np.linalg.norm(ms.Sigma - C) <= 0.05 * np.linalg.norm(C)
@@ -128,9 +135,10 @@ def test_estimate_pure_noise_labels():
                          truth_map=identity_map(d), noise_sigma2=1.0,
                          q_seed=0)
     # raw labels (no conditioning): G1 should vanish within MC error
+    rng = _rng(5)
     ms = estimate_moment_set(
         identity_map(d), identity_map(d), additive_noise(0.2),
-        synthetic_sampler(spec), 30_000, 2, _rng(5),
+        _draws(spec, rng), 30_000, 2, rng,
     )
     assert np.all(np.abs(ms.G1) <= 3 * 1.0 / np.sqrt(30_000) * 3)
 
@@ -145,9 +153,10 @@ def test_estimate_debias_second_moment():
                          spectrum="isotropic")
     fm = random_mlp_map(d, [], d, seed=7)
     W = fm.weights[0]
+    rng = _rng(6)
     ms = estimate_moment_set(
         fm, identity_map(d), additive_noise(sigma),
-        synthetic_sampler(spec), 40_000, 4, _rng(6),
+        _draws(spec, rng), 40_000, 4, rng,
         theta_star=spec.theta_star, noise_sigma2=0.0,
     )
     truth = W @ W.T  # E[mu_x mu_x^T] = W Sigma W^T with Sigma = I
@@ -160,9 +169,10 @@ def test_stacked_second_moment_psd():
     d = 5
     spec = SyntheticSpec(d=d, n=1, theta_star=np.zeros(d),
                          truth_map=identity_map(d), q_seed=4)
+    rng = _rng(7)
     ms = estimate_moment_set(
         identity_map(d), identity_map(d), masking(0.6),
-        synthetic_sampler(spec), 5000, 2, _rng(7),
+        _draws(spec, rng), 5000, 2, rng,
         theta_star=spec.theta_star, noise_sigma2=0.0,
     )
     # [[Sigma, Sigma'], [Sigma'^T, Sigma'']] = E[(phi, mu_x)(phi, mu_x)^T]
@@ -171,6 +181,62 @@ def test_stacked_second_moment_psd():
         [ms.SigmaPrime.T, ms.SigmaDoublePrime],
     ]))
     assert w[0] >= -1e-8 * w[-1]
+
+
+def test_estimate_reads_fixed_data_in_chunks():
+    # 1100 columns arrive in blocks of CHUNK = 512 and sum to the
+    # one-shot statistics of the whole dataset
+    d, n = 4, 1100
+    rng = _rng(8)
+    X = rng.standard_normal((d, n))
+    Y = rng.standard_normal((2, n))
+    seen = []
+
+    def take(a, b):
+        seen.append((a, b))
+        return X[:, a:b], Y[:, a:b]
+
+    fm = identity_map(d)
+    ms = estimate_moment_set(fm, None, masking(0.7), take, n, 2, rng)
+    assert seen == [(0, 512), (512, 1024), (1024, 1100)]
+    assert ms.provenance == "empirical-plugin" and ms.n_mc_used == n
+    assert ms.SigmaStar is None and ms.SigmaStarStar is None
+    MuX, MuY, Lam, Om = batch_sample_moments(masking(0.7), fm, X, Y, 2, rng)
+    expected = {
+        "Sigma": X @ X.T / n, "SigmaPrime": X @ MuX.T / n,
+        "SigmaDoublePrime": MuX @ MuX.T / n, "G1": X @ Y.T / n,
+        "G2": X @ MuY.T / n, "G3": MuX @ Y.T / n, "G4": MuX @ MuY.T / n,
+        "LambdaBar": Lam, "OmegaBar": Om,
+    }
+    for name, M in expected.items():
+        assert np.allclose(getattr(ms, name), M, rtol=0, atol=1e-12), name
+    psi = [[np.sum(Y * Y, 1), np.sum(Y * MuY, 1)],
+           [np.sum(MuY * Y, 1), np.sum(MuY * MuY, 1)]]
+    assert np.allclose(ms.PsiSecond, np.moveaxis(np.array(psi), 2, 0) / n,
+                       rtol=0, atol=1e-12)
+
+
+def test_estimate_needs_two_columns_before_reading():
+    def take(a, b):
+        raise AssertionError("take called")
+
+    with pytest.raises(InsufficientSamplesError):
+        estimate_moment_set(identity_map(2), None, masking(0.5), take, 1, 2,
+                            _rng())
+
+
+def test_estimate_psi_second_shape():
+    # q outputs give a symmetric, C-contiguous (q, 2, 2) PsiSecond
+    d, q, n = 3, 5, 600
+    rng = _rng(9)
+    X = rng.standard_normal((d, n))
+    Y = rng.standard_normal((q, n))
+    fm = random_mlp_map(d, [4], 3, seed=1)
+    ms = estimate_moment_set(fm, None, additive_noise(0.3),
+                             lambda a, b: (X[:, a:b], Y[:, a:b]), n, 3, rng)
+    psi = ms.PsiSecond
+    assert psi.shape == (q, 2, 2) and psi.flags.c_contiguous
+    assert np.array_equal(psi, psi.transpose(0, 2, 1))
 
 
 def test_psd_clip_warns_and_clips():
