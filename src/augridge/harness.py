@@ -135,20 +135,25 @@ def _size(v, where):
 _size.what = "an integer >= 1"
 
 
-def _choice(*names, items=None, empty_ok=False):
+def _choice(*names, items=None, empty_ok=False, distinct=False):
     """A check for one of the JSON values `names` or, with `items`, a
-    list whose entries pass `items` (returned as a tuple)."""
+    list whose entries pass `items` (returned as a tuple); with
+    `distinct`, no two checked entries are equal."""
     what = [json.dumps(s) for s in names]
     if items is not None:
-        what.append(f"a {'' if empty_ok else 'nonempty '}list, each entry "
-                    f"{items.what}")
+        what.append(f"a {'' if empty_ok else 'nonempty '}list"
+                    f"{' of distinct entries' if distinct else ''}, each "
+                    f"entry {items.what}")
 
     def check(v, where):
         if v in names:
             return v
         if not (items and isinstance(v, (list, tuple)) and (v or empty_ok)):
             raise _expected(where, check.what, v)
-        return tuple(items(x, f"{where}[{i}]") for i, x in enumerate(v))
+        out = tuple(items(x, f"{where}[{i}]") for i, x in enumerate(v))
+        if distinct and len(set(out)) < len(out):
+            raise _expected(where, check.what, v)
+        return out
     check.what = " or ".join(what)
     return check
 
@@ -228,9 +233,9 @@ CONFIG_TABLE = {
     "features": (_FEATURES, {"kind": "identity"}),
     "truth_features": (_FEATURES, {"kind": "identity"}),
     "scheme": (_SCHEME, {"kind": "additive-noise", "sigma_aug": 0.0}),
-    "lambda_grid": (_choice(items=_POSITIVE), (0.1,)),
-    "alpha_grid": (_choice(items=_UNIT), (0.0,)),
-    "n_grid": (_choice(items=_size, empty_ok=True), ()),
+    "lambda_grid": (_choice(items=_POSITIVE, distinct=True), (0.1,)),
+    "alpha_grid": (_choice(items=_UNIT, distinct=True), (0.0,)),
+    "n_grid": (_choice(items=_size, empty_ok=True, distinct=True), ()),
     "replicates": (_integer(1), 50),
     "n_mc_aug": (_integer(2), 200),
     "n_mc_data": (_integer(2), 20000),
@@ -346,7 +351,6 @@ def build_moment_set(config, rng=None):
     if (
         fmap.kind == "identity"
         and config.truth_features["kind"] == "identity"
-        and schemes._constant_params(scheme)
         and scheme.kind in _LINEAR_MEAN_KINDS
     ):
         return closed_population_moment_set(

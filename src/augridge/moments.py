@@ -30,12 +30,7 @@ from .errors import (
     NumericalFailureError,
 )
 from .features import apply_features
-from .schemes import (
-    _constant_params,
-    _masking_lambda,
-    closed_moments,
-    sample_augmented_batch,
-)
+from .schemes import _masking_lambda, closed_moments, sample_augmented_batch
 
 
 def symmetrize(M):
@@ -107,19 +102,18 @@ _LINEAR_MEAN_KINDS = ("additive-noise", "masking", "salt-and-pepper")
 
 
 def _linear_mean_lambda(scheme, d, v):
-    """(c, Lambda) of a constant-parameter scheme of _LINEAR_MEAN_KINDS on
-    R^d: mu_x = c x, and Lambda from the coordinate second moments v()."""
+    """(c, Lambda) of a scheme of _LINEAR_MEAN_KINDS on R^d: mu_x = c x,
+    and Lambda from the coordinate second moments v()."""
     if scheme.kind == "additive-noise":
         return 1.0, scheme.sigma_aug ** 2 * np.eye(d)
-    c = float(scheme.keep_prob)
-    s = scheme.replacement if scheme.kind == "salt-and-pepper" else 0.0
-    return c, _masking_lambda(v(), c, s)
+    c = scheme.keep_prob  # a masking scheme's replacement is 0
+    return c, _masking_lambda(v(), c, scheme.replacement)
 
 
 def _batch_closed_moments(scheme, X, Y):
     d, n = X.shape
     q = Y.shape[0]
-    if _constant_params(scheme) and scheme.kind in _LINEAR_MEAN_KINDS:
+    if scheme.kind in _LINEAR_MEAN_KINDS:
         c, LambdaBar = _linear_mean_lambda(scheme, d, lambda: (X * X).mean(1))
         return c * X, Y.copy(), LambdaBar, np.zeros((d, q))
     MuX = np.empty((d, n))
@@ -186,11 +180,11 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total,
     "empirical-plugin".
 
     When theta_star and noise_sigma2 are given (synthetic well-known truth)
-    and the scheme is label-preserving with parameters independent of y,
-    label noise is integrated out analytically: the G blocks use the
-    conditional mean theta_star^T phi_star(X) in place of Y, and PsiSecond
-    adds noise_sigma2 exactly. This removes the label-noise Monte-Carlo
-    error without changing the estimand.
+    and the scheme is label-preserving (its parameters are constants, so
+    none depends on y), label noise is integrated out analytically: the G
+    blocks use the conditional mean theta_star^T phi_star(X) in place of Y,
+    and PsiSecond adds noise_sigma2 exactly. This removes the label-noise
+    Monte-Carlo error without changing the estimand.
     """
     if total < 2:
         raise InsufficientSamplesError("n_mc_data >= 2 required")
@@ -199,7 +193,6 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total,
         and truth_map is not None
         and noise_sigma2 is not None
         and scheme.label_preserving
-        and _constant_params(scheme)
     )
     if condition_labels:
         theta_star = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
@@ -255,18 +248,17 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total,
 
 def closed_population_moment_set(Sigma, scheme, theta_star, sigma2):
     """Exact population MomentSet for identity features, identity truth
-    map, centered data with covariance Sigma, and a constant-parameter
-    label-preserving scheme whose mean map is mu_x = c x.
+    map, centered data with covariance Sigma, and a label-preserving scheme
+    whose mean map is mu_x = c x.
 
     Supported kinds: additive-noise (c = 1, exactly well specified),
-    masking and salt-and-pepper with constant keep probability
-    (c = keep_prob). Every block is an exact formula, so no Monte-Carlo
-    error enters the equivalents.
+    masking and salt-and-pepper (c = keep_prob). Every block is an exact
+    formula, so no Monte-Carlo error enters the equivalents.
     """
-    if scheme.kind not in _LINEAR_MEAN_KINDS or not _constant_params(scheme):
+    if scheme.kind not in _LINEAR_MEAN_KINDS:
         raise InvalidParameterError(
-            "closed-form moments need a constant-parameter additive-noise, "
-            f"masking or salt-and-pepper scheme, got {scheme.kind!r}")
+            "closed-form moments need an additive-noise, masking or "
+            f"salt-and-pepper scheme, got {scheme.kind!r}")
     Sigma = np.asarray(Sigma, dtype=float)
     p = Sigma.shape[0]
     theta = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T

@@ -5,28 +5,27 @@ z = (x, y). Five kinds are supported:
 
 - additive-noise: tau_x = x + sigma_aug * eta, tau_y = y
 - masking: tau_x = x (*) m with i.i.d. Bernoulli(keep_prob) mask m, tau_y = y
-- salt-and-pepper: tau_x = x (*) m + s(z)(eta2 - eta2 (*) m), tau_y = y,
+- salt-and-pepper: tau_x = x (*) m + s (eta2 - eta2 (*) m), tau_y = y,
   where eta2 is centered with identity second moment
-- heteroskedastic: tau_x = x + s_x(z) eta, tau_y = y + s_y(z) eta
+- heteroskedastic: tau_x = x + s_x eta, tau_y = y + s_y eta
 - mixture: draws a component index by inverse CDF on the weights, then
   applies that component
 
-Probability parameters and maps may be constants or callables of z. The
-raw-space per-sample moments mu_x, mu_y, Lambda(z), Omega(z) of every
-scheme are available in closed form (closed_moments).
+Every parameter is a constant: a finite number, or a constant array for the
+heteroskedastic factors; none depends on z. The raw-space per-sample
+moments mu_x, mu_y, Lambda(z), Omega(z) of every scheme are available in
+closed form (closed_moments).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidParameterError
-
-
-def _resolve(param, z):
-    return param(z) if callable(param) else param
+from .errors import InvalidParameterError
 
 
 @dataclass(frozen=True)
@@ -35,12 +34,12 @@ class AugmentationScheme:
 
     kind: str
     sigma_aug: float = 0.0
-    keep_prob: object = 1.0
-    replacement: object = 0.0
-    s_x: object = None
-    s_y: object = None
+    keep_prob: float = 1.0
+    replacement: float = 0.0
+    s_x: np.ndarray | None = None
+    s_y: np.ndarray | None = None
     components: tuple = ()
-    weights: object = ()
+    weights: tuple = ()
 
     @property
     def label_preserving(self) -> bool:
@@ -53,46 +52,65 @@ class AugmentationScheme:
         return False
 
 
-def additive_noise(sigma_aug: float) -> AugmentationScheme:
+def _number(name, v):
+    """v as a float; InvalidParameterError unless it is a finite real."""
+    if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+        raise InvalidParameterError(f"{name} must be a finite number, "
+                                    f"got {v!r}")
+    return float(v)
+
+
+def additive_noise(sigma_aug) -> AugmentationScheme:
+    sigma_aug = _number("sigma_aug", sigma_aug)
     if sigma_aug < 0:
         raise InvalidParameterError(f"sigma_aug must be >= 0, got {sigma_aug}")
-    return AugmentationScheme(kind="additive-noise", sigma_aug=float(sigma_aug))
+    return AugmentationScheme(kind="additive-noise", sigma_aug=sigma_aug)
 
 
 def masking(keep_prob) -> AugmentationScheme:
-    _check_prob(keep_prob)
-    return AugmentationScheme(kind="masking", keep_prob=keep_prob)
+    return AugmentationScheme(kind="masking", keep_prob=_prob(keep_prob))
 
 
 def salt_and_pepper(keep_prob, replacement) -> AugmentationScheme:
-    """replacement is an isotropic scale (float) or a map z -> d x d matrix."""
-    _check_prob(keep_prob)
-    if not callable(replacement) and replacement < 0:
+    """replacement is the isotropic scale s of the replacement noise."""
+    keep_prob, s = _prob(keep_prob), _number("replacement", replacement)
+    if s < 0:
         raise InvalidParameterError("replacement scale must be >= 0")
-    return AugmentationScheme(
-        kind="salt-and-pepper", keep_prob=keep_prob, replacement=replacement
-    )
+    return AugmentationScheme(kind="salt-and-pepper", keep_prob=keep_prob,
+                              replacement=s)
 
 
 def heteroskedastic(s_x, s_y=None) -> AugmentationScheme:
-    """s_x, s_y map z to d x k and q x k factors (or are constant arrays)."""
-    return AugmentationScheme(kind="heteroskedastic", s_x=s_x, s_y=s_y)
+    """s_x, s_y are constant d x k and q x k factors."""
+    return AugmentationScheme(kind="heteroskedastic", s_x=_factor("s_x", s_x),
+                              s_y=None if s_y is None else _factor("s_y", s_y))
 
 
 def mixture(components, weights) -> AugmentationScheme:
     components = tuple(components)
     if not components:
         raise InvalidParameterError("mixture needs at least one component")
-    if not callable(weights):
-        weights = tuple(float(w) for w in weights)
-        _check_weights(np.array(weights), len(components))
+    weights = tuple(_number("weight", w) for w in weights)
+    _check_weights(np.array(weights), len(components))
     return AugmentationScheme(kind="mixture", components=components,
                               weights=weights)
 
 
-def _check_prob(p):
-    if not callable(p) and not 0.0 <= p <= 1.0:
+def _prob(p):
+    p = _number("probability", p)
+    if not 0.0 <= p <= 1.0:
         raise InvalidParameterError(f"probability must be in [0,1], got {p}")
+    return p
+
+
+def _factor(name, s):
+    try:
+        s = np.atleast_2d(np.asarray(s, dtype=float))
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{name} must be numeric") from None
+    if s.ndim != 2 or not np.all(np.isfinite(s)):
+        raise InvalidParameterError(f"{name} must be a finite 2-D array")
+    return s
 
 
 def _check_weights(w, k):
@@ -104,33 +122,6 @@ def _check_weights(w, k):
         )
 
 
-def _resolved(scheme, z, d):
-    """The scheme with every parameter that is a map of z evaluated at z
-    and checked, the components of a mixture included."""
-    if (scheme.kind in ("additive-noise", "masking", "salt-and-pepper")
-            and _constant_params(scheme)):
-        return scheme  # nothing depends on z; its constructor checked it
-    at = {k: _resolve(getattr(scheme, k), z)
-          for k in ("keep_prob", "replacement", "s_x", "s_y", "weights")}
-    _check_prob(at["keep_prob"])
-    if np.ndim(at["replacement"]) != 0:
-        at["replacement"] = np.asarray(at["replacement"], dtype=float)
-        if at["replacement"].shape != (d, d):
-            raise InvalidDimensionError(f"replacement map must be {d}x{d}, "
-                                        f"got {at['replacement'].shape}")
-    for k in ("s_x", "s_y"):
-        if at[k] is not None:
-            at[k] = np.atleast_2d(np.asarray(at[k], dtype=float))
-    if at["s_x"] is not None and at["s_x"].shape[0] != d:
-        raise InvalidDimensionError(
-            f"s_x must have {d} rows, got {at['s_x'].shape[0]}")
-    if scheme.kind == "mixture":
-        at["weights"] = np.asarray(at["weights"], dtype=float)
-        _check_weights(at["weights"], len(scheme.components))
-    comps = tuple(_resolved(c, z, d) for c in scheme.components)
-    return replace(scheme, components=comps, **at)
-
-
 def sample_augmented(scheme, z, rng):
     """One draw (x', y') of (tau_x(z, eta), tau_y(z, eta)): a one-column,
     one-draw call of sample_augmented_batch."""
@@ -140,77 +131,41 @@ def sample_augmented(scheme, z, rng):
     return Xa[:, 0], Ya[:, 0].reshape(y.shape)
 
 
-def _constant_params(scheme) -> bool:
-    if scheme.kind == "additive-noise":
-        return True
-    if scheme.kind == "masking":
-        return not callable(scheme.keep_prob)
-    if scheme.kind == "salt-and-pepper":
-        return (not callable(scheme.keep_prob)
-                and not callable(scheme.replacement)
-                and np.ndim(scheme.replacement) == 0)
-    if scheme.kind == "heteroskedastic":
-        return not callable(scheme.s_x) and not callable(scheme.s_y)
-    if scheme.kind == "mixture":
-        return not callable(scheme.weights) and all(
-            _constant_params(c) for c in scheme.components
-        )
-    return False
-
-
 def sample_augmented_batch(scheme, X, Y, n_draws, rng):
     """n_draws augmentations of every column of (X, Y) in one call.
 
     Returns (Xa, Ya) of shapes (d, n*n_draws) and (q, n*n_draws); the draws
-    for sample i occupy columns i*n_draws .. (i+1)*n_draws - 1. Constant
-    parameter schemes draw all columns at once; a scheme whose parameters
-    are maps of z is resolved once per sample, which then draws its
-    n_draws columns at once.
+    for sample i occupy columns i*n_draws .. (i+1)*n_draws - 1.
     """
     X = np.asarray(X, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    d, n = X.shape
     T = int(n_draws)
     if T < 1:
         raise InvalidParameterError("n_draws must be >= 1")
-    Xr = np.repeat(X, T, axis=1)
     Yr = np.repeat(Y, T, axis=1)
-    if _constant_params(scheme):
-        return _batch_constant(scheme, Xr, Yr, d, rng), Yr
-    Xa = np.empty_like(Xr)
-    for i in range(n):
-        cols = slice(i * T, (i + 1) * T)
-        at = _resolved(scheme, (X[:, i], Y[:, i]), d)
-        # Yr[:, cols] is a view: label noise lands in Yr
-        Xa[:, cols] = _batch_constant(at, Xr[:, cols], Yr[:, cols], d, rng)
-    return Xa, Yr
+    return _batch_constant(scheme, np.repeat(X, T, axis=1), Yr, rng), Yr
 
 
-def _batch_constant(scheme, Xr, Yr, d, rng):
-    ncols = Xr.shape[1]
+def _batch_constant(scheme, Xr, Yr, rng):
+    """One draw for every column of (Xr, Yr); label noise lands in Yr."""
+    shape = Xr.shape
     if scheme.kind == "additive-noise":
-        Xa = Xr + scheme.sigma_aug * rng.standard_normal((d, ncols))
+        Xa = Xr + scheme.sigma_aug * rng.standard_normal(shape)
     elif scheme.kind == "masking":
-        M = (rng.random((d, ncols)) <= scheme.keep_prob).astype(float)
+        M = (rng.random(shape) <= scheme.keep_prob).astype(float)
         Xa = Xr * M
     elif scheme.kind == "salt-and-pepper":
-        M = (rng.random((d, ncols)) <= scheme.keep_prob).astype(float)
-        noise = rng.standard_normal((d, ncols)) * (1.0 - M)
-        repl = scheme.replacement
-        if np.ndim(repl) == 0:
-            Xa = Xr * M + float(repl) * noise
-        else:
-            Xa = Xr * M + repl @ noise
+        M = (rng.random(shape) <= scheme.keep_prob).astype(float)
+        noise = rng.standard_normal(shape) * (1.0 - M)
+        Xa = Xr * M + scheme.replacement * noise
     elif scheme.kind == "heteroskedastic":
-        sx = np.atleast_2d(np.asarray(scheme.s_x, dtype=float))
-        eta = rng.standard_normal((sx.shape[1], ncols))
-        Xa = Xr + sx @ eta
+        eta = rng.standard_normal((scheme.s_x.shape[1], shape[1]))
+        Xa = Xr + scheme.s_x @ eta
         if scheme.s_y is not None:
-            sy = np.atleast_2d(np.asarray(scheme.s_y, dtype=float))
-            Yr += sy @ eta
+            Yr += scheme.s_y @ eta
     elif scheme.kind == "mixture":
-        w = np.asarray(scheme.weights, dtype=float)
-        idx = np.searchsorted(np.cumsum(w), rng.random(ncols), side="right")
+        idx = np.searchsorted(np.cumsum(scheme.weights), rng.random(shape[1]),
+                              side="right")
         idx = np.minimum(idx, len(scheme.components) - 1)
         Xa = np.empty_like(Xr)
         for j, comp in enumerate(scheme.components):
@@ -219,7 +174,7 @@ def _batch_constant(scheme, Xr, Yr, d, rng):
                 continue
             Xsub = np.ascontiguousarray(Xr[:, cols])
             Ysub = np.ascontiguousarray(Yr[:, cols])
-            Xa[:, cols] = _batch_constant(comp, Xsub, Ysub, d, rng)
+            Xa[:, cols] = _batch_constant(comp, Xsub, Ysub, rng)
             Yr[:, cols] = Ysub
     else:
         raise InvalidParameterError(f"unknown scheme kind {scheme.kind!r}")
@@ -227,19 +182,14 @@ def _batch_constant(scheme, Xr, Yr, d, rng):
 
 
 def _masking_lambda(v, m, s):
-    """(1-m)[m Diag(v) + s s^T]: the masking / salt-and-pepper Lambda for
-    keep probability m, replacement s (a scale or a matrix) and the vector
-    v of second moments of the coordinates (x * x for one sample)."""
-    if np.ndim(s) == 0:
-        ssT = float(s) ** 2 * np.eye(v.shape[0])
-    else:
-        s = np.asarray(s, dtype=float)
-        ssT = s @ s.T
-    return (1.0 - m) * (m * np.diag(v) + ssT)
+    """(1-m)[m Diag(v) + s^2 I]: the masking / salt-and-pepper Lambda for
+    keep probability m, replacement scale s and the vector v of second
+    moments of the coordinates (x * x for one sample)."""
+    return (1.0 - m) * (m * np.diag(v) + float(s) ** 2 * np.eye(v.shape[0]))
 
 
 def salt_pepper_lambda_closed(x, m, s):
-    """Closed-form Lambda(z) = (1-m)[m Diag(x x^T) + s s^T] for the
+    """Closed-form Lambda(z) = (1-m)[m Diag(x x^T) + s^2 I] for the
     salt-and-pepper scheme with identity features; Omega(z) = 0."""
     if not 0.0 <= m <= 1.0:
         raise InvalidParameterError(f"keep probability must be in [0,1], got {m}")
@@ -249,17 +199,13 @@ def salt_pepper_lambda_closed(x, m, s):
 
 def heteroskedastic_moments_closed(z, s_x, s_y):
     """Closed moments for tau_x = x + s_x eta, tau_y = y + s_y eta with
-    E[eta eta^T] = I: mu_x = x, mu_y = y, Lambda = s_x s_x^T,
-    Omega = s_x s_y^T."""
+    2-D factors s_x, s_y and E[eta eta^T] = I: mu_x = x, mu_y = y,
+    Lambda = s_x s_x^T, Omega = s_x s_y^T."""
     x, y = z
     x = np.asarray(x, dtype=float)
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    sx = np.atleast_2d(np.asarray(_resolve(s_x, z), dtype=float))
-    if s_y is None:
-        sy = np.zeros((y.shape[0], sx.shape[1]))
-    else:
-        sy = np.atleast_2d(np.asarray(_resolve(s_y, z), dtype=float))
-    return x.copy(), y.copy(), sx @ sx.T, sx @ sy.T
+    sy = np.zeros((y.shape[0], s_x.shape[1])) if s_y is None else s_y
+    return x.copy(), y.copy(), s_x @ s_x.T, s_x @ sy.T
 
 
 def mixture_moments_closed(component_moments, weights):
@@ -293,14 +239,12 @@ def closed_moments(scheme, z):
         return (x.copy(), y.copy(), scheme.sigma_aug ** 2 * np.eye(d),
                 np.zeros((d, q)))
     if scheme.kind in ("masking", "salt-and-pepper"):
-        m = _resolve(scheme.keep_prob, z)
-        s = _resolve(scheme.replacement, z)  # 0.0 for masking
+        m, s = scheme.keep_prob, scheme.replacement  # s = 0 for masking
         return (m * x, y.copy(), salt_pepper_lambda_closed(x, m, s),
                 np.zeros((d, q)))
     if scheme.kind == "heteroskedastic":
         return heteroskedastic_moments_closed(z, scheme.s_x, scheme.s_y)
     if scheme.kind == "mixture":
         comp = [closed_moments(c, z) for c in scheme.components]
-        w = _resolve(scheme.weights, z)
-        return mixture_moments_closed(comp, w)
+        return mixture_moments_closed(comp, scheme.weights)
     raise InvalidParameterError(f"unknown scheme kind {scheme.kind!r}")

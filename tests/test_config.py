@@ -60,8 +60,9 @@ def _run(tmp_path, cfg, *args, command="sweep-lambda"):
     return cli_main([command, "--config", str(path), *args])
 
 
-# Each case ended in a traceback (the first 19 below and the last seven)
-# or was run as if valid (the 5 after them) before the config table.
+# Each case ended in a traceback (the first 19 below and the seven under
+# "more tracebacks") or was run as if valid (the 5 after the first 19 and
+# the last four) before the config table.
 MALFORMED = [
     ("replicates", "3", 2),
     ("seed", -1, 2),
@@ -96,6 +97,11 @@ MALFORMED = [
     ("scheme.sigma_aug", 1e200, 2),
     ("out_dir", "a\0b", 2),
     ("n_grid", [-3], 3),
+    # a repeated grid entry: duplicate rows, or for n one wasted draw
+    ("lambda_grid", [0.1, 0.1], 2),
+    ("lambda_grid", [1, 1.0], 2),
+    ("alpha_grid", [0.5, 0.0, 0.5], 2),
+    ("n_grid", [16, 16], 2),
 ]
 
 

@@ -185,6 +185,31 @@ def test_moment_set_closed_path_for_identity_features():
     assert np.allclose(ms.Sigma, spec.covariance())
 
 
+_MLP_MAP = {"kind": "random-mlp", "hidden_sizes": [6], "output_dim": 5}
+_MIXTURE = {"kind": "mixture", "weights": [0.4, 0.6], "components": [
+    {"kind": "additive-noise", "sigma_aug": 0.3},
+    {"kind": "masking", "keep_prob": 0.7}]}
+
+
+@pytest.mark.parametrize("over,provenance", [
+    ({}, "closed-form"),
+    ({"scheme": {"kind": "masking", "keep_prob": 0.7}}, "closed-form"),
+    ({"scheme": {"kind": "salt-and-pepper", "keep_prob": 0.5,
+                 "replacement_scale": 0.7}}, "closed-form"),
+    ({"scheme": _MIXTURE}, "monte-carlo"),
+    ({"features": _MLP_MAP}, "monte-carlo"),
+    ({"truth_features": _MLP_MAP}, "monte-carlo"),
+], ids=["additive-noise", "masking", "salt-and-pepper", "mixture",
+        "mlp-features", "mlp-truth"])
+def test_moment_set_path_choice(over, provenance):
+    # closed forms exactly where the maps are the identity and the scheme
+    # has a linear mean map; Monte-Carlo over all n_mc_data columns else
+    config = ExperimentConfig.from_dict(_tiny_cfg(n_mc_data=64, **over))
+    ms = build_moment_set(config)
+    assert ms.provenance == provenance
+    assert ms.n_mc_used == (0 if provenance == "closed-form" else 64)
+
+
 def test_validate_report_shape():
     config = ExperimentConfig.from_dict(_tiny_cfg(
         data={"kind": "synthetic", "d": 10, "n": 20,
