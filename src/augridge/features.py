@@ -16,9 +16,9 @@ import numpy as np
 from .errors import ConfigError, InvalidDimensionError
 
 
-_ACTIVATIONS = {
+_ACTIVATIONS = {  # each takes out= and may work in place
     "tanh": np.tanh,
-    "relu": lambda x: np.maximum(x, 0.0),
+    "relu": lambda x, out=None: np.maximum(x, 0.0, out=out),
 }
 
 
@@ -83,9 +83,14 @@ def random_mlp_map(d, hidden_sizes, p_out, activation="tanh", seed=0) -> Feature
     )
 
 
+COLS = 4096  # columns per block of the MLP's hidden activations
+
+
 def apply_features(fmap: FeatureMap, M):
     """Apply fmap to every column of the d x n matrix M (a vector is a
-    single column); returns p x n (or a length-p vector)."""
+    single column); returns p x n (or a length-p vector). The MLP runs in
+    blocks of COLS columns, written into one p x n output, so no hidden
+    activation exists at full width."""
     M = np.asarray(M, dtype=float)
     single = M.ndim == 1
     if single:
@@ -98,8 +103,22 @@ def apply_features(fmap: FeatureMap, M):
         out = M.copy()
     else:
         act = _ACTIVATIONS[fmap.activation]
-        h = M
-        for W in fmap.weights[:-1]:
-            h = act(W @ h)
-        out = fmap.weights[-1] @ h
+        *hidden, readout = fmap.weights
+        n = M.shape[1]
+        # A block gives the bits of the full-width product only where BLAS
+        # multiplies both alike. Block edges fall on whole register tiles
+        # (multiples of COLS), and each block has at least 2**20
+        # multiply-adds in its smallest layer: OpenBLAS multiplies products
+        # of up to 1e6 with a small-matrix kernel that rounds the odd last
+        # columns otherwise. The last block takes the remainder.
+        smallest = min(W.size for W in fmap.weights)
+        cols = COLS * -(-2 ** 20 // (COLS * smallest))
+        edges = [i * cols for i in range(max(1, n // cols))] + [n]
+        out = np.empty((fmap.output_dim, n))
+        for a, b in zip(edges, edges[1:]):
+            h = M[:, a:b]
+            for W in hidden:
+                h = W @ h
+                act(h, out=h)
+            np.matmul(readout, h, out=out[:, a:b])
     return out[:, 0] if single else out

@@ -27,10 +27,11 @@ from .datasets import (
     mnist_load,
     sample_synthetic,
 )
-from .errors import ConfigError, InvalidDimensionError
+from .errors import ConfigError, DataError, InvalidDimensionError
 from .features import FeatureMap, identity_map, random_mlp_map
 from .moments import (
     _LINEAR_MEAN_KINDS,
+    CHUNK,
     batch_sample_moments,
     closed_population_moment_set,
     estimate_moment_set,
@@ -339,6 +340,65 @@ def _resolve_theta_star(spec, p_star):
     return theta
 
 
+# --- pre-flight size check ---------------------------------------------
+
+def _layers(config, section):
+    """(size, config key) of each layer of a feature map, input first."""
+    fmap = getattr(config, section)
+    layers = [(config.data_dim(), "data.d")]
+    if fmap["kind"] == "random-mlp":
+        layers += [(h, f"{section}.hidden_sizes")
+                   for h in fmap["hidden_sizes"]]
+        layers.append((fmap["output_dim"], f"{section}.output_dim"))
+    return layers
+
+
+def _peak_terms(config):
+    """The large allocations of a run of config, each as (bytes, sizes):
+    sizes maps the config keys the term grows with to their sizes. Python
+    integers, so no estimate overflows."""
+    d = config.data_dim()
+    p, p_key = _layers(config, "features")[-1]
+    n = max(config.n_grid or (config.data.get("n", 1),))
+    n_key = "n_grid" if config.n_grid else "data.n"
+    # identity features draw nothing: their moments are closed forms
+    T = config.n_mc_aug if config.features["kind"] == "random-mlp" else 1
+    workers = min(config.workers, os.cpu_count() or 1)
+    col = 9 * d + 8 * p  # one augmented column: x', its mask and phi(x')
+    cells = (len(config.n_grid or (n,)) * len(config.lambda_grid)
+             * len(config.alpha_grid))
+    q = 1 if config.data["kind"] == "synthetic" else 25  # 5 x 5 patch
+    terms = [
+        (col * max(n, CHUNK) * T * workers,
+         {"data.d" if 9 * d >= 8 * p else p_key: col, n_key: max(n, CHUNK),
+          "n_mc_aug": T, "workers": workers}),
+        (8 * d * d, {"data.d": d}),
+        (6 * 8 * p * p, {p_key: p}),  # the moment set's p x p blocks
+        (8 * config.replicates * cells * p * q,  # the kept theta_hat
+         {"replicates": config.replicates, p_key: p}),
+    ]
+    for section in ("features", "truth_features"):
+        layers = _layers(config, section)
+        terms += [(8 * a * b, {ka: a, kb: b})
+                  for (a, ka), (b, kb) in zip(layers, layers[1:])]
+    return terms
+
+
+def _preflight(config):
+    """Raise DataError, naming the key that drives the largest term, when a
+    run of config would need more bytes than the machine's physical
+    memory. It runs before any allocation, fork or moment set."""
+    terms = _peak_terms(config)
+    total = sum(b for b, _ in terms)
+    phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if total > phys:
+        sizes = max(terms, key=lambda t: t[0])[1]
+        raise DataError(
+            f"config.{max(sizes, key=sizes.get)}: a run needs about "
+            f"{total / 2 ** 30:.3g} GiB, more than the "
+            f"{phys / 2 ** 30:.3g} GiB of physical memory")
+
+
 # --- moment sets -------------------------------------------------------
 
 def build_moment_set(config, rng=None):
@@ -525,6 +585,7 @@ def run_sweep(config, bias_variance=False, csv_name=None, moment_set=None):
             "bias-variance estimation needs replicates >= 10 "
             f"(got {config.replicates})"
         )
+    _preflight(config)
     spec = config.build_synthetic_spec()
     fmap = config.build_feature_map()
     scheme = config.build_scheme()
@@ -556,6 +617,7 @@ def validate(config, factor=4):
         if kind != "identity":
             raise ConfigError(f"config.{key}: validate runs identity "
                               f"features only, got {kind!r}")
+    _preflight(config)
     base = config.build_synthetic_spec()
     if factor * base.d > 600:
         raise ConfigError("validate instances must stay small (p <= 600/factor)")
@@ -651,6 +713,7 @@ def mnist_pipeline(config, csv_name=None):
     data = config.data
     if data["kind"] != "mnist":
         raise ConfigError("mnist pipeline requires data.kind = 'mnist'")
+    _preflight(config)
     train = inpainting_task(mnist_load(data["train_images"]))
     test = inpainting_task(mnist_load(data["test_images"]))
     for n in config.sample_sizes():

@@ -79,6 +79,7 @@ def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
         )
     Xa, Ya = sample_augmented_batch(scheme, X, Y, n_mc, rng)
     Pa = apply_features(feature_map, Xa)
+    del Xa  # freed before the Gram products
     MuX = Pa.reshape(p, n, n_mc).mean(axis=2)
     # mean of per-sample unbiased covariances, via one GEMM:
     # (n_mc/(n_mc-1)) [ (1/(n n_mc)) sum phi phi^T - (1/n) sum mu mu^T ]

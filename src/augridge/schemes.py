@@ -21,16 +21,17 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import InvalidParameterError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentationScheme:
-    """One augmentation scheme; immutable, sampling takes a caller RNG."""
+    """One augmentation scheme; immutable, sampling takes a caller RNG.
+    Two schemes are equal when every field is, arrays entry by entry."""
 
     kind: str
     sigma_aug: float = 0.0
@@ -40,6 +41,15 @@ class AugmentationScheme:
     s_y: np.ndarray | None = None
     components: tuple = ()
     weights: tuple = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, AugmentationScheme):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name))
+                 for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray)
+                   or isinstance(b, np.ndarray) else a == b
+                   for a, b in pairs)
 
     @property
     def label_preserving(self) -> bool:
@@ -143,38 +153,52 @@ def sample_augmented_batch(scheme, X, Y, n_draws, rng):
     if T < 1:
         raise InvalidParameterError("n_draws must be >= 1")
     Yr = np.repeat(Y, T, axis=1)
-    return _batch_constant(scheme, np.repeat(X, T, axis=1), Yr, rng), Yr
+    return _batch_constant(scheme, X, T, Yr, rng), Yr
 
 
-def _batch_constant(scheme, Xr, Yr, rng):
-    """One draw for every column of (Xr, Yr); label noise lands in Yr."""
-    shape = Xr.shape
+def _batch_constant(scheme, X, T, Yr, rng):
+    """T draws for every column of X, without repeating X: the result's
+    columns i*T .. (i+1)*T - 1 are the draws of column i, against the
+    broadcast view X[:, :, None]. Label noise lands in Yr (already
+    repeated). Masks stay boolean, and every draw has the shape and order
+    of one draw per column of X repeated T times."""
+    d, n = X.shape
+    shape = (d, n * T)
+    X3 = X[:, :, None]
+
+    def draws(A):  # the (d, n, T) view of a (d, n*T) array
+        return A.reshape(d, n, T)
+
     if scheme.kind == "additive-noise":
-        Xa = Xr + scheme.sigma_aug * rng.standard_normal(shape)
+        Xa = rng.standard_normal(shape)
+        Xa *= scheme.sigma_aug
+        np.add(draws(Xa), X3, out=draws(Xa))
     elif scheme.kind == "masking":
-        M = (rng.random(shape) <= scheme.keep_prob).astype(float)
-        Xa = Xr * M
+        M = rng.random(shape) <= scheme.keep_prob
+        Xa = np.empty(shape)
+        np.multiply(X3, draws(M), out=draws(Xa))
     elif scheme.kind == "salt-and-pepper":
-        M = (rng.random(shape) <= scheme.keep_prob).astype(float)
-        noise = rng.standard_normal(shape) * (1.0 - M)
-        Xa = Xr * M + scheme.replacement * noise
+        M = rng.random(shape) <= scheme.keep_prob
+        Xa = rng.standard_normal(shape)
+        Xa *= scheme.replacement
+        np.copyto(draws(Xa), X3, where=draws(M))
     elif scheme.kind == "heteroskedastic":
         eta = rng.standard_normal((scheme.s_x.shape[1], shape[1]))
-        Xa = Xr + scheme.s_x @ eta
+        Xa = scheme.s_x @ eta
+        np.add(draws(Xa), X3, out=draws(Xa))
         if scheme.s_y is not None:
             Yr += scheme.s_y @ eta
     elif scheme.kind == "mixture":
         idx = np.searchsorted(np.cumsum(scheme.weights), rng.random(shape[1]),
                               side="right")
         idx = np.minimum(idx, len(scheme.components) - 1)
-        Xa = np.empty_like(Xr)
+        Xa = np.empty(shape)
         for j, comp in enumerate(scheme.components):
             cols = np.flatnonzero(idx == j)
             if cols.size == 0:
                 continue
-            Xsub = np.ascontiguousarray(Xr[:, cols])
             Ysub = np.ascontiguousarray(Yr[:, cols])
-            Xa[:, cols] = _batch_constant(comp, Xsub, Ysub, rng)
+            Xa[:, cols] = _batch_constant(comp, X[:, cols // T], 1, Ysub, rng)
             Yr[:, cols] = Ysub
     else:
         raise InvalidParameterError(f"unknown scheme kind {scheme.kind!r}")

@@ -105,15 +105,39 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("path,value,code", MALFORMED,
+# sizes whose run cannot fit in physical memory (a traceback at the first
+# allocation before the pre-flight check), set on the random-MLP config:
+# refused by the estimate, naming the key
+TOO_BIG = [
+    ("n_mc_aug", 10 ** 17, 3),
+    ("n_mc_aug", 10 ** 19, 3),
+    ("data.n", 10 ** 19, 3),
+    ("data.d", 10 ** 19, 3),
+    ("n_grid", [10 ** 19], 3),
+    ("features.output_dim", 10 ** 19, 3),
+]
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a malformed config reached the Monte-Carlo engine")
+
+
+@pytest.mark.parametrize("path,value,code", MALFORMED + TOO_BIG,
                          ids=[f"{p}=<deleted>" if v is DELETE else f"{p}={v!r}"
-                              for p, v, _ in MALFORMED])
-def test_malformed_config_exit_code(tmp_path, capsys, path, value, code):
-    cfg = _set(dict(TINY, out_dir=str(tmp_path / "out")), path, value)
+                              for p, v, _ in MALFORMED + TOO_BIG])
+def test_malformed_config_exit_code(tmp_path, monkeypatch, capsys, path,
+                                    value, code):
+    for name in ("build_moment_set", "estimate_moment_set", "_run_units"):
+        monkeypatch.setattr(harness, name, _unreachable)
+    too_big = (path, value, code) in TOO_BIG
+    cfg = _set(dict(TINY_MLP if too_big else TINY,
+                    out_dir=str(tmp_path / "out")), path, value)
     assert _run(tmp_path, cfg) == code
     err = capsys.readouterr().err
     label = {2: "config error", 3: "data error"}[code]
     assert err.startswith(f"{label}: config")
+    if too_big:
+        assert err.startswith(f"{label}: config.{path}: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

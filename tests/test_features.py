@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from augridge.features import (
+    COLS,
     InvalidDimensionError,
     apply_features,
     identity_map,
@@ -121,3 +122,20 @@ def test_lipschitz_probe_large_sample():
     fm = random_mlp_map(10, [15], 8, seed=9)
     probe = _lipschitz_ratio(fm, 10_000, rng_seed=0)
     assert probe <= fm.lipschitz_bound + 1e-12
+
+
+@pytest.mark.parametrize("activation,act", [
+    ("tanh", np.tanh), ("relu", lambda h: np.maximum(h, 0.0))])
+@pytest.mark.parametrize("d,hidden,p,n", [
+    (50, 60, 40, 2 * COLS + 37),
+    # layers of 192 and 160 weights: blocks of COLS columns would take
+    # OpenBLAS's small-matrix kernel where the full product does not
+    (12, 16, 10, 3 * COLS + 100),
+])
+def test_blocked_mlp_equals_one_shot(activation, act, d, hidden, p, n):
+    # the MLP runs in column blocks and must give the one-shot product bit
+    # for bit, the last block's odd columns included
+    fm = random_mlp_map(d, [hidden], p, activation=activation, seed=3)
+    M = np.random.default_rng(4).standard_normal((d, n))
+    W1, W2 = fm.weights
+    assert np.array_equal(apply_features(fm, M), W2 @ act(W1 @ M))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -259,3 +261,20 @@ def test_closed_population_masking_blocks():
     assert np.allclose(ms.G3, 0.8 * ms.G1)
     ey2 = theta @ Sigma @ theta + 0.1
     assert np.allclose(ms.PsiSecond[0], ey2)
+
+
+def test_batch_kernel_peak_memory():
+    # the augmented draws, their bool mask and their features at once,
+    # with 2 MB for the hidden block and the rest: no repeated copy of X
+    # and no float mask (the kernel with both peaked above this bound)
+    d, hidden, p, n, T = 50, 60, 40, 64, 64
+    fm = random_mlp_map(d, [hidden], p, seed=1)
+    X = _rng(1).standard_normal((d, n))
+    Y = _rng(2).standard_normal((1, n))
+    tracemalloc.start()
+    try:
+        batch_sample_moments(salt_and_pepper(0.5, 0.7), fm, X, Y, T, _rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * (8 * (d + p) + d) * n * T + 2 * 2 ** 20

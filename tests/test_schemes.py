@@ -241,3 +241,66 @@ def test_single_draw_is_one_column_batch_draw(case):
         Xa, Ya = sample_augmented_batch(scheme, x[:, None], y[:, None], 1, r2)
         assert np.array_equal(xp, Xa[:, 0]) and np.array_equal(yp, Ya[:, 0])
     assert r1.random() == r2.random()
+
+
+def _repeated_batch(scheme, Xr, Yr, rng):
+    """The kernel as it was before it streamed: the columns repeated by
+    np.repeat and float masks. The oracle of the stream-pinning test."""
+    shape = Xr.shape
+    if scheme.kind == "additive-noise":
+        Xa = Xr + scheme.sigma_aug * rng.standard_normal(shape)
+    elif scheme.kind == "masking":
+        M = (rng.random(shape) <= scheme.keep_prob).astype(float)
+        Xa = Xr * M
+    elif scheme.kind == "salt-and-pepper":
+        M = (rng.random(shape) <= scheme.keep_prob).astype(float)
+        noise = rng.standard_normal(shape) * (1.0 - M)
+        Xa = Xr * M + scheme.replacement * noise
+    elif scheme.kind == "heteroskedastic":
+        eta = rng.standard_normal((scheme.s_x.shape[1], shape[1]))
+        Xa = Xr + scheme.s_x @ eta
+        if scheme.s_y is not None:
+            Yr += scheme.s_y @ eta
+    else:  # mixture
+        idx = np.searchsorted(np.cumsum(scheme.weights), rng.random(shape[1]),
+                              side="right")
+        idx = np.minimum(idx, len(scheme.components) - 1)
+        Xa = np.empty_like(Xr)
+        for j, comp in enumerate(scheme.components):
+            cols = np.flatnonzero(idx == j)
+            if cols.size == 0:
+                continue
+            Xsub = np.ascontiguousarray(Xr[:, cols])
+            Ysub = np.ascontiguousarray(Yr[:, cols])
+            Xa[:, cols] = _repeated_batch(comp, Xsub, Ysub, rng)
+            Yr[:, cols] = Ysub
+    return Xa
+
+
+@pytest.mark.parametrize("n_draws", [1, 7])
+@pytest.mark.parametrize("case", sorted(_STREAM_CASES))
+def test_streamed_batch_keeps_the_random_stream(case, n_draws):
+    # same RNG state in, same values and sign bits out, same state after
+    scheme = _STREAM_CASES[case]()
+    data = np.random.default_rng(4)
+    X = data.standard_normal((_STREAM_D, 9))
+    Y = data.standard_normal((_STREAM_Q, 9))
+    r1, r2 = np.random.default_rng(13), np.random.default_rng(13)
+    Xa, Ya = sample_augmented_batch(scheme, X, Y, n_draws, r1)
+    Yr = np.repeat(Y, n_draws, axis=1)
+    Xr = _repeated_batch(scheme, np.repeat(X, n_draws, axis=1), Yr, r2)
+    for new, old in ((Xa, Xr), (Ya, Yr)):
+        assert np.array_equal(new, old)
+        assert np.array_equal(np.signbit(new), np.signbit(old))
+    assert r1.random() == r2.random()
+
+
+def test_schemes_compare_field_by_field():
+    sx = np.arange(6.0).reshape(3, 2)
+    assert heteroskedastic(sx) == heteroskedastic(sx.copy())
+    assert heteroskedastic(sx) != heteroskedastic(sx + 1.0)
+    assert heteroskedastic(sx) != heteroskedastic(sx, np.ones((1, 2)))
+    assert (mixture([heteroskedastic(sx), masking(0.5)], [0.5, 0.5])
+            == mixture([heteroskedastic(sx), masking(0.5)], [0.5, 0.5]))
+    assert masking(0.5) == masking(0.5) != salt_and_pepper(0.5, 0.0)
+    assert masking(0.5) != "masking"
