@@ -47,18 +47,14 @@ from .ridge import (
     overlap_stat,
     population_generalization,
     resolvent_shifted,
-    xi_statistic,
 )
 from .schemes import (
     AugmentationScheme,
     additive_noise,
     heteroskedastic,
-    heteroskedastic_moments_closed,
     masking,
     mixture,
-    mixture_moments_closed,
     salt_and_pepper,
-    salt_pepper_lambda_closed,
     sample_augmented,
 )
 

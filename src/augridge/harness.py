@@ -5,7 +5,7 @@ emission.
 A sweep runs R independent replicates per grid cell. Replicate seeds are
 spawned from the master seed, and results are reduced in replicate-index
 order, so a fixed config produces bit-identical CSVs regardless of worker
-count.
+count (at a fixed BLAS thread count).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .datasets import (
 from .errors import ConfigError, DataError, InvalidDimensionError
 from .features import FeatureMap, identity_map, random_mlp_map
 from .moments import (
-    _LINEAR_MEAN_KINDS,
     CHUNK,
     batch_sample_moments,
     closed_population_moment_set,
@@ -402,17 +401,13 @@ def _preflight(config):
 # --- moment sets -------------------------------------------------------
 
 def build_moment_set(config, rng=None):
-    """Population MomentSet for a synthetic config: exact closed forms
-    when the features are the identity and the scheme admits them,
-    Monte-Carlo estimation otherwise."""
+    """Population MomentSet for a synthetic config: the exact closed form
+    when the feature and truth maps are both the identity (every scheme
+    has one), Monte-Carlo estimation otherwise."""
     spec = config.build_synthetic_spec()
     fmap = config.build_feature_map()
     scheme = config.build_scheme()
-    if (
-        fmap.kind == "identity"
-        and config.truth_features["kind"] == "identity"
-        and scheme.kind in _LINEAR_MEAN_KINDS
-    ):
+    if fmap.kind == "identity" and config.truth_features["kind"] == "identity":
         return closed_population_moment_set(
             spec.covariance(), scheme, spec.theta_star, spec.noise_sigma2
         )

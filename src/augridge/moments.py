@@ -24,13 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InsufficientSamplesError,
-    InvalidParameterError,
-    NumericalFailureError,
-)
+from .errors import InsufficientSamplesError, NumericalFailureError
 from .features import apply_features
-from .schemes import _masking_lambda, closed_moments, sample_augmented_batch
+from .schemes import closed_moments, sample_augmented_batch
 
 
 def symmetrize(M):
@@ -61,10 +57,11 @@ def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
 
     Returns (MuX: p x n, MuY: q x n, LambdaBar: p x p, OmegaBar: p x q)
     where LambdaBar, OmegaBar are the empirical averages over the n
-    samples (unbiased per-sample normalization). Closed forms are used for
-    identity features; otherwise n_mc Monte-Carlo draws per sample, pushed
-    through the feature map in one batch. One column gives the moments of
-    one datum.
+    samples (unbiased per-sample normalization). Identity features take
+    the closed form of schemes.closed_moments, with the batch's coordinate
+    second moments and second-moment matrix; otherwise n_mc Monte-Carlo
+    draws per sample, pushed through the feature map in one batch. One
+    column gives the moments of one datum.
     """
     X = np.asarray(X, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -72,7 +69,9 @@ def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
     q = Y.shape[0]
     p = feature_map.output_dim
     if feature_map.kind == "identity":
-        return _batch_closed_moments(scheme, X, Y)
+        c, LambdaBar, OmegaBar = closed_moments(
+            scheme, (X * X).mean(1), lambda: X @ X.T / n, q)
+        return c * X, Y.copy(), LambdaBar, OmegaBar
     if n_mc < 2:
         raise InsufficientSamplesError(
             "n_mc >= 2 required without a closed form"
@@ -95,39 +94,6 @@ def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
         Mxy = MuX @ MuY.T / n
         OmegaBar = n_mc / (n_mc - 1) * (Sxy - Mxy)
     return MuX, MuY, LambdaBar, OmegaBar
-
-
-# scheme kinds whose mean map is mu_x = c x, with Lambda from the
-# coordinate second moments alone
-_LINEAR_MEAN_KINDS = ("additive-noise", "masking", "salt-and-pepper")
-
-
-def _linear_mean_lambda(scheme, d, v):
-    """(c, Lambda) of a scheme of _LINEAR_MEAN_KINDS on R^d: mu_x = c x,
-    and Lambda from the coordinate second moments v()."""
-    if scheme.kind == "additive-noise":
-        return 1.0, scheme.sigma_aug ** 2 * np.eye(d)
-    c = scheme.keep_prob  # a masking scheme's replacement is 0
-    return c, _masking_lambda(v(), c, scheme.replacement)
-
-
-def _batch_closed_moments(scheme, X, Y):
-    d, n = X.shape
-    q = Y.shape[0]
-    if scheme.kind in _LINEAR_MEAN_KINDS:
-        c, LambdaBar = _linear_mean_lambda(scheme, d, lambda: (X * X).mean(1))
-        return c * X, Y.copy(), LambdaBar, np.zeros((d, q))
-    MuX = np.empty((d, n))
-    MuY = np.empty((q, n))
-    LambdaBar = np.zeros((d, d))
-    OmegaBar = np.zeros((d, q))
-    for i in range(n):
-        mu_x, mu_y, Lam, Om = closed_moments(scheme, (X[:, i], Y[:, i]))
-        MuX[:, i] = mu_x
-        MuY[:, i] = np.atleast_1d(mu_y)
-        LambdaBar += symmetrize(Lam)
-        OmegaBar += np.atleast_2d(Om)
-    return MuX, MuY, LambdaBar / n, OmegaBar / n
 
 
 @dataclass
@@ -249,22 +215,19 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total,
 
 def closed_population_moment_set(Sigma, scheme, theta_star, sigma2):
     """Exact population MomentSet for identity features, identity truth
-    map, centered data with covariance Sigma, and a label-preserving scheme
-    whose mean map is mu_x = c x.
+    map and centered data with covariance Sigma, for any scheme.
 
-    Supported kinds: additive-noise (c = 1, exactly well specified),
-    masking and salt-and-pepper (c = keep_prob). Every block is an exact
-    formula, so no Monte-Carlo error enters the equivalents.
+    schemes.closed_moments gives (c, LambdaBar, OmegaBar) with
+    v = diag Sigma and S = Sigma; then Sigma' = c Sigma, Sigma'' = c^2 Sigma,
+    G1 = G2 = Sigma theta*, G3 = G4 = c G1, and PsiSecond is E[Y^2] in
+    every entry (mu_y = y). Every block is an exact formula, so no
+    Monte-Carlo error enters the equivalents.
     """
-    if scheme.kind not in _LINEAR_MEAN_KINDS:
-        raise InvalidParameterError(
-            "closed-form moments need an additive-noise, masking or "
-            f"salt-and-pepper scheme, got {scheme.kind!r}")
     Sigma = np.asarray(Sigma, dtype=float)
-    p = Sigma.shape[0]
     theta = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
     q = theta.shape[1]
-    c, LambdaBar = _linear_mean_lambda(scheme, p, lambda: np.diag(Sigma))
+    c, LambdaBar, OmegaBar = closed_moments(scheme, np.diag(Sigma),
+                                            lambda: Sigma, q)
     G1 = Sigma @ theta
     ey2 = np.einsum("ij,ik,kj->j", theta, Sigma, theta) + sigma2
     Psi = np.empty((q, 2, 2))
@@ -276,7 +239,7 @@ def closed_population_moment_set(Sigma, scheme, theta_star, sigma2):
         G1=G1, G2=G1, G3=c * G1, G4=c * G1,
         PsiSecond=Psi,
         LambdaBar=LambdaBar,
-        OmegaBar=np.zeros((p, q)),
+        OmegaBar=OmegaBar,
         SigmaStar=Sigma.copy(),
         SigmaStarStar=Sigma.copy(),
     )

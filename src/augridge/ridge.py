@@ -127,20 +127,17 @@ def resolvent_shifted(design, alpha, lam, zeta, Sigma=None):
     return cho_solve(factor, np.eye(design.C.shape[0]))
 
 
-def xi_statistic(design, alpha, lam, zeta, Sigma=None):
-    """The q x q quadratic form H_a^T R(zeta) H_a (scalar for q = 1)."""
-    Ha = _h_alpha(design, alpha)
-    out = Ha.T @ cho_solve(_regularized_factor(design, alpha, lam, zeta,
-                                               Sigma), Ha)
-    return float(out[0, 0]) if out.shape == (1, 1) else out
-
-
 def xi_derivative_fd(design, alpha, lam, Sigma, h=1e-4):
-    """Central finite difference of zeta -> xi(zeta) at zero; by the
-    resolvent identity this equals -theta_hat^T Sigma theta_hat."""
-    xp = xi_statistic(design, alpha, lam, h, Sigma)
-    xm = xi_statistic(design, alpha, lam, -h, Sigma)
-    return (xp - xm) / (2.0 * h)
+    """Central finite difference at zeta = 0 of the q x q quadratic form
+    xi(zeta) = H_a^T R(zeta) H_a (scalar for q = 1), R(zeta) the resolvent
+    shifted by zeta Sigma; by the resolvent identity this equals
+    -theta_hat^T Sigma theta_hat."""
+    Ha = _h_alpha(design, alpha)
+    xp, xm = (Ha.T @ cho_solve(_regularized_factor(design, alpha, lam, z,
+                                                   Sigma), Ha)
+              for z in (h, -h))
+    out = (xp - xm) / (2.0 * h)
+    return float(out[0, 0]) if out.shape == (1, 1) else out
 
 
 def empirical_generalization(ridge_fit, test_X, test_Y, feature_map):

@@ -12,9 +12,9 @@ z = (x, y). Five kinds are supported:
   applies that component
 
 Every parameter is a constant: a finite number, or a constant array for the
-heteroskedastic factors; none depends on z. The raw-space per-sample
-moments mu_x, mu_y, Lambda(z), Omega(z) of every scheme are available in
-closed form (closed_moments).
+heteroskedastic factors; none depends on z. With identity features every
+scheme's moments have one closed form (closed_moments): mu_x = c x,
+mu_y = y, Lambda affine in the data's second moments, Omega a constant.
 """
 
 from __future__ import annotations
@@ -101,7 +101,12 @@ def mixture(components, weights) -> AugmentationScheme:
     if not components:
         raise InvalidParameterError("mixture needs at least one component")
     weights = tuple(_number("weight", w) for w in weights)
-    _check_weights(np.array(weights), len(components))
+    w = np.array(weights)
+    if len(w) != len(components):
+        raise InvalidParameterError("one weight per component required")
+    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+        raise InvalidParameterError(
+            f"weights must be nonnegative and sum to 1, got sum {w.sum()}")
     return AugmentationScheme(kind="mixture", components=components,
                               weights=weights)
 
@@ -121,15 +126,6 @@ def _factor(name, s):
     if s.ndim != 2 or not np.all(np.isfinite(s)):
         raise InvalidParameterError(f"{name} must be a finite 2-D array")
     return s
-
-
-def _check_weights(w, k):
-    if len(w) != k:
-        raise InvalidParameterError("one weight per component required")
-    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-        raise InvalidParameterError(
-            f"weights must be nonnegative and sum to 1, got sum {w.sum()}"
-        )
 
 
 def sample_augmented(scheme, z, rng):
@@ -205,70 +201,37 @@ def _batch_constant(scheme, X, T, Yr, rng):
     return Xa
 
 
-def _masking_lambda(v, m, s):
-    """(1-m)[m Diag(v) + s^2 I]: the masking / salt-and-pepper Lambda for
-    keep probability m, replacement scale s and the vector v of second
-    moments of the coordinates (x * x for one sample)."""
-    return (1.0 - m) * (m * np.diag(v) + float(s) ** 2 * np.eye(v.shape[0]))
+def closed_moments(scheme, v, S, q):
+    """(c, LambdaBar, OmegaBar) of a scheme with identity features: every
+    kind has mu_x = c x and mu_y = y, LambdaBar is affine in the data's
+    second moments and OmegaBar is a constant. v holds the coordinate
+    second moments of the data, S() returns its second-moment matrix (read
+    by mixtures only) and q is the number of outputs. One datum is
+    v = x * x, S = x x^T; a population, v = diag Sigma, S = Sigma.
 
-
-def salt_pepper_lambda_closed(x, m, s):
-    """Closed-form Lambda(z) = (1-m)[m Diag(x x^T) + s^2 I] for the
-    salt-and-pepper scheme with identity features; Omega(z) = 0."""
-    if not 0.0 <= m <= 1.0:
-        raise InvalidParameterError(f"keep probability must be in [0,1], got {m}")
-    x = np.asarray(x, dtype=float)
-    return _masking_lambda(x * x, m, s)
-
-
-def heteroskedastic_moments_closed(z, s_x, s_y):
-    """Closed moments for tau_x = x + s_x eta, tau_y = y + s_y eta with
-    2-D factors s_x, s_y and E[eta eta^T] = I: mu_x = x, mu_y = y,
-    Lambda = s_x s_x^T, Omega = s_x s_y^T."""
-    x, y = z
-    x = np.asarray(x, dtype=float)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    sy = np.zeros((y.shape[0], s_x.shape[1])) if s_y is None else s_y
-    return x.copy(), y.copy(), s_x @ s_x.T, s_x @ sy.T
-
-
-def mixture_moments_closed(component_moments, weights):
-    """Combine component (mu_x, mu_y, Lambda, Omega) tuples.
-
-    mu = sum_j pi_j mu_j and the law-of-total-covariance corrections
-    Lambda = sum_j pi_j {Lambda_j + mu_xj mu_xj^T} - mu_x mu_x^T,
-    Omega = sum_j pi_j {Omega_j + mu_xj mu_yj^T} - mu_x mu_y^T.
+    - additive noise: (1, sigma^2 I, 0);
+    - masking and salt-and-pepper: (m, (1-m)(m Diag v + s^2 I), 0);
+    - heteroskedastic: (1, s_x s_x^T, s_x s_y^T);
+    - mixture, by the law of total covariance: (sum_j w_j c_j,
+      sum_j w_j Lambda_j + (sum_j w_j c_j^2 - c^2) S, sum_j w_j Omega_j).
     """
-    w = np.asarray(weights, dtype=float)
-    _check_weights(w, len(component_moments))
-    mu_x = sum(wj * mj[0] for wj, mj in zip(w, component_moments))
-    mu_y = sum(wj * mj[1] for wj, mj in zip(w, component_moments))
-    Lam = sum(
-        wj * (mj[2] + np.outer(mj[0], mj[0])) for wj, mj in zip(w, component_moments)
-    ) - np.outer(mu_x, mu_x)
-    Om = sum(
-        wj * (mj[3] + np.outer(mj[0], mj[1])) for wj, mj in zip(w, component_moments)
-    ) - np.outer(mu_x, mu_y)
-    return mu_x, mu_y, Lam, Om
-
-
-def closed_moments(scheme, z):
-    """Raw-space per-sample moments (mu_x, mu_y, Lambda, Omega) of the
-    datum z (identity feature map assumed)."""
-    x, y = z
-    x = np.asarray(x, dtype=float)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    d, q = x.shape[0], y.shape[0]
+    d = v.shape[0]
     if scheme.kind == "additive-noise":
-        return (x.copy(), y.copy(), scheme.sigma_aug ** 2 * np.eye(d),
-                np.zeros((d, q)))
+        return 1.0, scheme.sigma_aug ** 2 * np.eye(d), np.zeros((d, q))
     if scheme.kind in ("masking", "salt-and-pepper"):
         m, s = scheme.keep_prob, scheme.replacement  # s = 0 for masking
-        return (m * x, y.copy(), salt_pepper_lambda_closed(x, m, s),
+        return (m, (1.0 - m) * (m * np.diag(v) + float(s) ** 2 * np.eye(d)),
                 np.zeros((d, q)))
     if scheme.kind == "heteroskedastic":
-        return heteroskedastic_moments_closed(z, scheme.s_x, scheme.s_y)
+        s_x, s_y = scheme.s_x, scheme.s_y
+        return (1.0, s_x @ s_x.T, np.zeros((d, q)) if s_y is None
+                else s_x @ s_y.T)
     if scheme.kind == "mixture":
-        comp = [closed_moments(c, z) for c in scheme.components]
-        return mixture_moments_closed(comp, scheme.weights)
+        w = scheme.weights
+        cs, lams, oms = zip(*(closed_moments(comp, v, S, q)
+                              for comp in scheme.components))
+        c = sum(wj * cj for wj, cj in zip(w, cs))
+        spread = max(sum(wj * cj * cj for wj, cj in zip(w, cs)) - c * c, 0.0)
+        return (c, sum(wj * L for wj, L in zip(w, lams)) + spread * S(),
+                sum(wj * O for wj, O in zip(w, oms)))
     raise InvalidParameterError(f"unknown scheme kind {scheme.kind!r}")

@@ -8,12 +8,13 @@ bias-variance and hygiene criteria.
 import os
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from augridge import detequiv, ridge
+from augridge import detequiv, harness, ridge
 from augridge.datasets import SyntheticSpec, sample_synthetic
 from augridge.features import identity_map
 from augridge.harness import (
@@ -33,7 +34,6 @@ from augridge.schemes import (
     heteroskedastic,
     masking,
     mixture,
-    mixture_moments_closed,
     salt_and_pepper,
     sample_augmented,
     sample_augmented_batch,
@@ -229,7 +229,8 @@ def test_criterion_07_moment_closed_forms():
     x = np.array([1.0, -2.0, 0.5])
     sp = salt_and_pepper(0.5, SQRT_HALF)
     Xa, _ = sample_augmented_batch(sp, x[:, None], np.zeros((1, 1)), N, rng)
-    mu, _, lam_c, _ = closed_moments(sp, (x, np.zeros(1)))
+    c, lam_c, _ = closed_moments(sp, x * x, lambda: np.outer(x, x), 1)
+    mu = c * x
     emp = np.cov(Xa)
     se = _grouped_se(Xa)
     assert np.all(np.abs(emp - lam_c) <= 4 * se + 1e-12)
@@ -241,7 +242,8 @@ def test_criterion_07_moment_closed_forms():
     sy = np.array([[0.8, -0.3]])
     het = heteroskedastic(sx, sy)
     z = (np.array([0.2, -0.1]), np.array([1.0]))
-    _, _, lam_c, om_c = closed_moments(het, z)
+    _, lam_c, om_c = closed_moments(het, z[0] ** 2,
+                                    lambda: np.outer(z[0], z[0]), 1)
     dx = np.empty((2, N))
     dy = np.empty((1, N))
     rng = np.random.default_rng(2)
@@ -258,8 +260,8 @@ def test_criterion_07_moment_closed_forms():
     comps = [additive_noise(0.2), additive_noise(0.8)]
     mix = mixture(comps, [0.3, 0.7])
     z = (np.array([1.0, 2.0]), np.array([0.0]))
-    closed = [closed_moments(c, z) for c in comps]
-    _, _, lam_mix, _ = mixture_moments_closed(closed, [0.3, 0.7])
+    _, lam_mix, _ = closed_moments(mix, z[0] ** 2,
+                                   lambda: np.outer(z[0], z[0]), 1)
     rng = np.random.default_rng(3)
     Xa, _ = sample_augmented_batch(mix, z[0][:, None], z[1][:, None], N, rng)
     emp = np.cov(Xa)
@@ -319,6 +321,50 @@ def test_criterion_10_fixed_point_hygiene(accuracy_run, bias_variance_run):
         assert r.fp_converged and r.fp_iterations <= 500
         assert r.fp_residual <= 1e-10
         assert r.delta >= 0.0
+
+
+def _in_band(mean, std, det, R):
+    """The criterion-1 band: |det - mean| within 5% or 3 standard errors;
+    returns the distance as a fraction of the band."""
+    return abs(det - mean) / max(0.05 * abs(mean), 3.0 * std / np.sqrt(R))
+
+
+def test_criterion_12_label_changing_augmentation():
+    # tau_x = x + s_x eta, tau_y = y + s_y eta: the augmentation changes
+    # the labels, so OmegaBar = s_x s_y^T != 0 enters both the fits and the
+    # prediction; exact population moments, identity maps, R = 400
+    d, n, R = 40, 80, 400
+    config = ExperimentConfig.from_dict({
+        "data": {"kind": "synthetic", "d": d, "n": n,
+                 "spectrum": "power-law", "theta_star": "normalized-ones",
+                 "noise_sigma2": 0.5, "q_seed": 0},
+        "lambda_grid": [0.01, 0.1, 1.0], "alpha_grid": [0.0, 0.5, 1.0],
+        "replicates": R, "seed": 12,
+    })
+    s_x = np.random.default_rng(4).standard_normal((d, 3)) / np.sqrt(d)
+    het = heteroskedastic(s_x, 3.0 * np.array([[0.5, -0.2, 0.3]]))
+    spec = config.build_synthetic_spec()
+    theta, sigma2 = spec.theta_star, spec.noise_sigma2
+    ms = closed_population_moment_set(spec.covariance(), het, theta, sigma2)
+    assert np.abs(ms.OmegaBar).max() > 0.1
+    rows = harness._sweep(config, harness._FreshDraws(spec), identity_map(d),
+                          het, ms, theta, sigma2, None)
+    assert len(rows) == 9
+    no_omega = replace(ms, OmegaBar=np.zeros_like(ms.OmegaBar))
+    worst, worst_no_omega = 0.0, 0.0
+    for r in rows:
+        det0 = harness._det_columns(no_omega, r.n, r.lam, r.alpha, theta,
+                                    sigma2)
+        for mean, std, det, wrong in (
+            (r.g_mean, r.g_std, r.g_det, det0[0]),
+            (r.overlap_mean, r.overlap_std, r.overlap_det, det0[1]),
+            (r.chi_mean, r.chi_std, r.chi_det, det0[2]),
+        ):
+            worst = max(worst, _in_band(mean, std, det, R))
+            worst_no_omega = max(worst_no_omega, _in_band(mean, std, wrong, R))
+    assert worst <= 1.0, f"worst |det - mean| / tol = {worst:.3f}"
+    # negative control: the prediction without OmegaBar leaves the band
+    assert worst_no_omega > 1.0
 
 
 def _find_mnist_files():

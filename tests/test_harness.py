@@ -196,14 +196,14 @@ _MIXTURE = {"kind": "mixture", "weights": [0.4, 0.6], "components": [
     ({"scheme": {"kind": "masking", "keep_prob": 0.7}}, "closed-form"),
     ({"scheme": {"kind": "salt-and-pepper", "keep_prob": 0.5,
                  "replacement_scale": 0.7}}, "closed-form"),
-    ({"scheme": _MIXTURE}, "monte-carlo"),
+    ({"scheme": _MIXTURE}, "closed-form"),
     ({"features": _MLP_MAP}, "monte-carlo"),
     ({"truth_features": _MLP_MAP}, "monte-carlo"),
 ], ids=["additive-noise", "masking", "salt-and-pepper", "mixture",
         "mlp-features", "mlp-truth"])
 def test_moment_set_path_choice(over, provenance):
-    # closed forms exactly where the maps are the identity and the scheme
-    # has a linear mean map; Monte-Carlo over all n_mc_data columns else
+    # closed forms exactly where both maps are the identity, for every
+    # scheme; Monte-Carlo over all n_mc_data columns else
     config = ExperimentConfig.from_dict(_tiny_cfg(n_mc_data=64, **over))
     ms = build_moment_set(config)
     assert ms.provenance == provenance
@@ -311,20 +311,27 @@ def test_cli_validate_scales_listed_data(tmp_path, key, value):
 _MLP = {"kind": "random-mlp", "hidden_sizes": [4], "output_dim": 5}
 
 
+def test_cli_validate_runs_mixture_scheme(tmp_path):
+    # a mixture has exact population moments, so validate runs it
+    scheme = {"kind": "mixture", "weights": [0.5, 0.5], "components": [
+        {"kind": "masking", "keep_prob": 0.8},
+        {"kind": "additive-noise", "sigma_aug": 0.2}]}
+    path = _write_cfg(tmp_path, _tiny_cfg(scheme=scheme,
+                                          out_dir=str(tmp_path / "v")))
+    assert cli_main(["validate", "--config", path]) == 0
+    report = json.loads((tmp_path / "v" / "validate.json").read_text())
+    assert report["base"]["fp_converged"] and report["scaled"]["fp_converged"]
+
+
 @pytest.mark.parametrize("key,value,named", [
-    pytest.param("scheme", {"kind": "mixture", "weights": [0.5, 0.5],
-                            "components": [
-                                {"kind": "masking", "keep_prob": 0.8},
-                                {"kind": "additive-noise", "sigma_aug": 0.2}]},
-                 "'mixture'", id="mixture-scheme"),
     pytest.param("features", _MLP, "config.features", id="mlp-features"),
     pytest.param("truth_features", _MLP, "config.truth_features",
                  id="mlp-truth"),
 ])
 def test_cli_validate_unsupported_config_exit_2(tmp_path, capsys, key, value,
                                                 named):
-    # validate runs closed-form moments of identity maps only; anything
-    # else is refused, not run as identity or ended in a traceback
+    # validate runs closed-form moments of identity maps only; other maps
+    # are refused, not run as identity or ended in a traceback
     path = _write_cfg(tmp_path, _tiny_cfg(**{key: value},
                                           out_dir=str(tmp_path / "v")))
     assert cli_main(["validate", "--config", path]) == 2

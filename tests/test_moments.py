@@ -12,7 +12,13 @@ from augridge.moments import (
     estimate_moment_set,
     psd_clip,
 )
-from augridge.schemes import additive_noise, masking, salt_and_pepper
+from augridge.schemes import (
+    additive_noise,
+    heteroskedastic,
+    masking,
+    mixture,
+    salt_and_pepper,
+)
 
 
 def _rng(seed=0):
@@ -261,6 +267,60 @@ def test_closed_population_masking_blocks():
     assert np.allclose(ms.G3, 0.8 * ms.G1)
     ey2 = theta @ Sigma @ theta + 0.1
     assert np.allclose(ms.PsiSecond[0], ey2)
+
+
+_S_X = np.array([[1.0, 0.0], [0.5, -1.0], [0.0, 2.0]])
+_S_Y = np.array([[0.8, -0.3]])
+_DIAG = np.diag([1.0, 2.0, 3.0])
+_SPREAD = 0.4 + 0.6 * 0.7 ** 2 - (0.4 + 0.6 * 0.7) ** 2  # Var of c_j
+
+
+@pytest.mark.parametrize("scheme,c,lam,om", [
+    (heteroskedastic(_S_X, _S_Y), 1.0, _S_X @ _S_X.T, _S_X @ _S_Y.T),
+    (mixture([additive_noise(0.3), masking(0.7)], [0.4, 0.6]),
+     0.4 + 0.6 * 0.7,
+     0.4 * 0.09 * np.eye(3) + 0.6 * 0.3 * 0.7 * _DIAG + _SPREAD * _DIAG,
+     np.zeros((3, 1))),
+], ids=["heteroskedastic", "mixture"])
+def test_closed_population_blocks(scheme, c, lam, om):
+    # the blocks of test_closed_population_masking_blocks for the kinds
+    # with a label term (Omega = s_x s_y^T) and a mean spread (mixture)
+    Sigma = _DIAG
+    theta = np.array([1.0, 0.0, -1.0])
+    ms = closed_population_moment_set(Sigma, scheme, theta, 0.1)
+    assert np.allclose(ms.SigmaPrime, c * Sigma)
+    assert np.allclose(ms.SigmaDoublePrime, c * c * Sigma)
+    assert np.allclose(ms.LambdaBar, lam)
+    assert np.allclose(ms.OmegaBar, om)
+    assert np.allclose(ms.G1, (Sigma @ theta)[:, None])
+    assert np.allclose(ms.G2, ms.G1) and np.allclose(ms.G3, c * ms.G1)
+    ey2 = theta @ Sigma @ theta + 0.1
+    assert np.allclose(ms.PsiSecond[0], ey2)
+
+
+def test_closed_population_mixture_matches_estimate():
+    # identity maps: the exact set against estimate_moment_set over
+    # 20 groups of 5000 columns, every block within 4 grouped SEs
+    d = 4
+    spec = SyntheticSpec(d=d, n=1, theta_star=np.ones(d) / 2.0,
+                         truth_map=identity_map(d), noise_sigma2=0.3,
+                         q_seed=5)
+    mix = mixture([masking(0.6), salt_and_pepper(0.8, 0.5),
+                   heteroskedastic(_S_X[[0, 1, 2, 0]], _S_Y)],
+                  [0.5, 0.3, 0.2])
+    exact = closed_population_moment_set(spec.covariance(), mix,
+                                         spec.theta_star, 0.3)
+    rng = _rng(10)
+    groups = [estimate_moment_set(identity_map(d), identity_map(d), mix,
+                                  _draws(spec, rng), 5000, 2, rng)
+              for _ in range(20)]
+    for name in ("Sigma", "SigmaPrime", "SigmaDoublePrime", "G1", "G2", "G3",
+                 "G4", "PsiSecond", "LambdaBar", "OmegaBar", "SigmaStar",
+                 "SigmaStarStar"):
+        est = np.stack([getattr(ms, name) for ms in groups])
+        se = est.std(axis=0, ddof=1) / np.sqrt(len(groups))
+        gap = np.abs(est.mean(axis=0) - getattr(exact, name))
+        assert np.all(gap <= 4 * se + 1e-12), name
 
 
 def test_batch_kernel_peak_memory():

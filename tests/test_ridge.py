@@ -17,7 +17,6 @@ from augridge.ridge import (
     population_generalization,
     resolvent_shifted,
     xi_derivative_fd,
-    xi_statistic,
 )
 from augridge.schemes import (
     InvalidParameterError,
@@ -162,24 +161,6 @@ def test_resolvent_scalar_closed_form():
     R = resolvent_shifted(d, 0.5, 0.25, 2.0, Sigma)
     denom = 0.5 * d.C[0, 0] + 0.5 * d.Cprime[0, 0] + 0.5 * 1.0 + 0.25 + 6.0
     assert R[0, 0] == pytest.approx(1.0 / denom)
-
-
-def test_xi_zero_h():
-    fm = identity_map(2)
-    d = _design(np.eye(2), np.zeros((1, 2)), fm, additive_noise(0.0))
-    assert xi_statistic(d, 0.0, 1.0, 0.0) == pytest.approx(0.0)
-
-
-def test_xi_at_zero_equals_h_dot_theta():
-    fm = identity_map(4)
-    rng = np.random.default_rng(6)
-    X = rng.standard_normal((4, 20))
-    Y = rng.standard_normal((1, 20))
-    d = _design(X, Y, fm, additive_noise(0.2))
-    f = fit(d, 0.3, 0.4)
-    Ha = 0.7 * d.H + 0.3 * d.Hprime + 0.3 * d.OmegaEmp
-    assert xi_statistic(d, 0.3, 0.4, 0.0) == pytest.approx(
-        float(Ha[:, 0] @ f.theta_hat[:, 0]))
 
 
 def test_xi_derivative_identity():

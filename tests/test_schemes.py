@@ -8,15 +8,17 @@ from augridge.schemes import (
     additive_noise,
     closed_moments,
     heteroskedastic,
-    heteroskedastic_moments_closed,
     masking,
     mixture,
-    mixture_moments_closed,
     salt_and_pepper,
-    salt_pepper_lambda_closed,
     sample_augmented,
     sample_augmented_batch,
 )
+
+
+def _datum(scheme, x, q=1):
+    """(c, Lambda, Omega) of one datum: v = x * x, S = x x^T."""
+    return closed_moments(scheme, x * x, lambda: np.outer(x, x), q)
 
 
 def test_masking_full_keep_is_noop():
@@ -49,15 +51,10 @@ def test_salt_pepper_mean_is_qx():
 
 def test_salt_pepper_lambda_closed_trivials():
     x = np.array([1.0, 2.0])
-    assert np.allclose(salt_pepper_lambda_closed(x, 1.0, 1.0), 0.0)
-    assert np.allclose(salt_pepper_lambda_closed(x, 0.0, 1.0), np.eye(2))
-    lam = salt_pepper_lambda_closed(x, 0.5, 1.0)
+    assert np.allclose(_datum(salt_and_pepper(1.0, 1.0), x)[1], 0.0)
+    assert np.allclose(_datum(salt_and_pepper(0.0, 1.0), x)[1], np.eye(2))
+    lam = _datum(salt_and_pepper(0.5, 1.0), x)[1]
     assert np.allclose(lam, np.diag([0.75, 1.5]))
-
-
-def test_salt_pepper_lambda_closed_bad_prob():
-    with pytest.raises(InvalidParameterError):
-        salt_pepper_lambda_closed(np.ones(2), 1.5, 1.0)
 
 
 def test_salt_pepper_lambda_monte_carlo_oracle():
@@ -67,7 +64,7 @@ def test_salt_pepper_lambda_monte_carlo_oracle():
     N = 100_000
     Xa, _ = sample_augmented_batch(scheme, x[:, None], np.zeros((1, 1)), N, rng)
     emp = np.cov(Xa)
-    closed = salt_pepper_lambda_closed(x, 0.5, 1.0)
+    closed = _datum(scheme, x)[1]
     # entrywise SE from 20 independent groups
     groups = Xa.reshape(2, 20, N // 20)
     covs = np.stack([np.cov(groups[:, g]) for g in range(20)])
@@ -77,22 +74,17 @@ def test_salt_pepper_lambda_monte_carlo_oracle():
 
 def test_heteroskedastic_closed_trivials():
     x = np.array([1.0, -1.0])
-    y = np.array([2.0])
-    mu_x, mu_y, lam, om = heteroskedastic_moments_closed(
-        (x, y), np.zeros((2, 1)), None)
+    c, lam, om = _datum(heteroskedastic(np.zeros((2, 1))), x)
     assert np.allclose(lam, 0.0) and np.allclose(om, 0.0)
-    assert np.array_equal(mu_x, x)
-    mu_x, mu_y, lam, om = heteroskedastic_moments_closed(
-        (x, y), 0.5 * np.eye(2), None)
+    assert np.array_equal(c * x, x)
+    c, lam, om = _datum(heteroskedastic(0.5 * np.eye(2)), x)
     assert np.allclose(lam, 0.25 * np.eye(2)) and np.allclose(om, 0.0)
 
 
 def test_heteroskedastic_closed_example():
-    x = np.zeros(2)
-    y = np.zeros(1)
     sx = np.array([[1.0], [2.0]])
     sy = np.array([[3.0]])
-    _, _, lam, om = heteroskedastic_moments_closed((x, y), sx, sy)
+    _, lam, om = _datum(heteroskedastic(sx, sy), np.zeros(2))
     assert np.allclose(lam, [[1, 2], [2, 4]])
     assert np.allclose(om, [[3], [6]])
 
@@ -117,27 +109,56 @@ def test_heteroskedastic_monte_carlo_oracle():
 
 
 def test_mixture_single_component_identity():
-    comp = (np.ones(2), np.ones(1), np.eye(2), np.zeros((2, 1)))
-    out = mixture_moments_closed([comp], [1.0])
-    for a, b in zip(out, comp):
+    comp = heteroskedastic(np.eye(2), np.ones((1, 2)))
+    x = np.ones(2)
+    out = _datum(mixture([comp], [1.0]), x)
+    for a, b in zip(out, _datum(comp, x)):
         assert np.allclose(a, b)
 
 
 def test_mixture_identical_components():
-    comp = (np.array([1.0, 2.0]), np.array([3.0]), 2 * np.eye(2),
-            np.ones((2, 1)))
-    out = mixture_moments_closed([comp, comp], [0.3, 0.7])
-    for a, b in zip(out, comp):
+    comp = heteroskedastic(np.array([[1.0], [2.0]]), np.ones((1, 1)))
+    x = np.array([1.0, 2.0])
+    out = _datum(mixture([comp, comp], [0.3, 0.7]), x)
+    for a, b in zip(out, _datum(comp, x)):
         assert np.allclose(a, b)
 
 
 def test_mixture_additive_halves():
     # mixing zero-noise and unit-noise additive schemes at x = 0
-    z = (np.zeros(3), np.zeros(1))
-    m0 = closed_moments(additive_noise(0.0), z)
-    m1 = closed_moments(additive_noise(1.0), z)
-    _, _, lam, _ = mixture_moments_closed([m0, m1], [0.5, 0.5])
+    mix = mixture([additive_noise(0.0), additive_noise(1.0)], [0.5, 0.5])
+    _, lam, _ = _datum(mix, np.zeros(3))
     assert np.allclose(lam, 0.5 * np.eye(3))
+
+
+def test_mixture_mean_spread():
+    # keep x or zero it with probability 1/2 each: mu_x = x / 2 and
+    # Lambda = x x^T / 4, all of it from the spread of the component means
+    x = np.array([1.0, -2.0])
+    c, lam, om = _datum(mixture([masking(1.0), masking(0.0)], [0.5, 0.5]), x)
+    assert c == 0.5 and np.allclose(om, 0.0)
+    assert np.allclose(lam, 0.25 * np.outer(x, x))
+
+
+def test_mixture_monte_carlo_oracle():
+    # components with different mean maps and label noise: the closed
+    # (c, Lambda, Omega) against 100 000 draws, within grouped SEs
+    mix = mixture([masking(0.3), heteroskedastic(np.array([[0.5], [1.0]]),
+                                                  np.array([[0.8]]))],
+                  [0.6, 0.4])
+    x, y = np.array([1.0, -2.0]), np.array([0.5])
+    c, lam, om = _datum(mix, x)
+    N, groups = 100_000, 20
+    Xa, Ya = sample_augmented_batch(mix, x[:, None], y[:, None], N,
+                                    np.random.default_rng(12))
+    D = np.vstack([Xa, Ya])
+    emp = np.cov(D)
+    covs = np.stack([np.cov(g) for g in np.split(D, groups, axis=1)])
+    se = covs.std(axis=0, ddof=1) / np.sqrt(groups)
+    assert np.all(np.abs(emp[:2, :2] - lam) <= 4 * se[:2, :2])
+    assert np.all(np.abs(emp[:2, 2:] - om) <= 4 * se[:2, 2:])
+    mean_se = D.std(axis=1) / np.sqrt(N)
+    assert np.all(np.abs(D.mean(axis=1) - np.r_[c * x, y]) <= 4 * mean_se)
 
 
 def test_mixture_bad_weights():
@@ -149,6 +170,8 @@ def test_mixture_bad_weights():
     lambda: additive_noise(float("nan")),
     lambda: additive_noise(float("inf")),
     lambda: masking(float("nan")),
+    lambda: masking(1.5),
+    lambda: salt_and_pepper(-0.1, 1.0),
     lambda: salt_and_pepper(0.5, float("nan")),
     lambda: salt_and_pepper(0.5, np.eye(3)),
     lambda: salt_and_pepper(0.5, "0.5"),
@@ -157,7 +180,8 @@ def test_mixture_bad_weights():
                     [0.5, float("nan")]),
     lambda: heteroskedastic(np.full((2, 1), np.nan)),
     lambda: heteroskedastic(lambda z: np.eye(2)),
-], ids=["sigma-nan", "sigma-inf", "keep-nan", "replacement-nan",
+], ids=["sigma-nan", "sigma-inf", "keep-nan", "keep-above-one",
+        "keep-below-zero", "replacement-nan",
         "replacement-matrix", "replacement-str", "weight-nan",
         "weights-nan-pair", "factor-nan", "factor-callable"])
 def test_constructors_reject_bad_parameters(build):
