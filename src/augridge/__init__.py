@@ -39,11 +39,11 @@ from .moments import (
 )
 from .ridge import (
     AugmentedDesign,
-    RidgeFit,
     assemble_design,
     chi_stat,
     empirical_generalization,
     fit,
+    normal_equations,
     overlap_stat,
     population_generalization,
     resolvent_shifted,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError, InvalidDimensionError
-from .features import FeatureMap, apply_features, identity_map
+from .features import FeatureMap, apply_features
 
 
 @functools.lru_cache(maxsize=8)
@@ -112,8 +112,13 @@ def mnist_load(images_path):
     return pixels.reshape(count, rows, cols).astype(float) / 255.0
 
 
-def _patch_indices(side=28, patch=5):
-    start = (side - patch) // 2  # rows/cols 11..15 for 28 and 5
+IMAGE_SIDE = 28  # MNIST images are IMAGE_SIDE x IMAGE_SIDE pixels
+PATCH_SIDE = 5  # the centered square patch removed from each image
+
+
+def _patch_indices():
+    side, patch = IMAGE_SIDE, PATCH_SIDE
+    start = (side - patch) // 2  # rows/cols 11..15
     flat = np.arange(side * side).reshape(side, side)
     patch_idx = flat[start:start + patch, start:start + patch].ravel()
     mask = np.ones(side * side, dtype=bool)
@@ -131,37 +136,35 @@ class InpaintingTask:
     Y: np.ndarray
     visible_idx: np.ndarray
     patch_idx: np.ndarray
-    side: int = 28
-    patch: int = 5
 
     def reassemble(self, i=None):
         """Rebuild the original image(s) from X and Y columns."""
+        side = IMAGE_SIDE
         if i is not None:
-            img = np.empty(self.side * self.side)
+            img = np.empty(side * side)
             img[self.visible_idx] = self.X[:, i]
             img[self.patch_idx] = self.Y[:, i]
-            return img.reshape(self.side, self.side)
+            return img.reshape(side, side)
         n = self.X.shape[1]
-        out = np.empty((n, self.side, self.side))
+        out = np.empty((n, side, side))
         for c in range(n):
             out[c] = self.reassemble(c)
         return out
 
 
-def inpainting_task(images, patch_size=5) -> InpaintingTask:
+def inpainting_task(images) -> InpaintingTask:
     """Split 28 x 28 images into visible covariates and the centered
-    patch targets, both in fixed raster order."""
+    5 x 5 patch targets, both in fixed raster order."""
     images = np.asarray(images, dtype=float)
     if images.ndim == 2:
         images = images[None]
-    if images.shape[1:] != (28, 28):
+    if images.shape[1:] != (IMAGE_SIDE, IMAGE_SIDE):
         raise FormatError(f"expected 28x28 images, got {images.shape[1:]}")
-    visible_idx, patch_idx = _patch_indices(28, patch_size)
+    visible_idx, patch_idx = _patch_indices()
     flat = images.reshape(images.shape[0], -1).T
     return InpaintingTask(
         X=np.ascontiguousarray(flat[visible_idx]),
         Y=np.ascontiguousarray(flat[patch_idx]),
         visible_idx=visible_idx,
         patch_idx=patch_idx,
-        patch=patch_size,
     )

@@ -36,10 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, cho_solve, lapack
+from scipy.linalg import blas, lapack
 
 from .errors import NotConvergedError, PreconditionViolationError
-from .ridge import _cholesky, quadratic_terms
+from .ridge import _cholesky, _solve, quadratic_terms
 from .schemes import InvalidParameterError
 
 
@@ -84,6 +84,7 @@ class EquivalentReport:
 _SLOT = ((0, 0), (0, 1), (1, 1))
 _WEIGHT = (1.0, 2.0, 1.0)
 _MAX_HALVINGS = 30
+_TOL = 1e-10
 
 
 def _sym2(v):
@@ -180,14 +181,14 @@ class _DilationMap:
         return _Point(b, L, Z, a, T, F, residual)
 
 
-def solve_fixed_point(moment_set, alpha, lam, n, tol=1e-10,
+def solve_fixed_point(moment_set, alpha, lam, n,
                       max_iter=500) -> DilationState:
     """Safeguarded Newton iteration for B from the infinite-data limit
     B0 = W^2 (see the module docstring). `iterations` counts the Newton
     iterates, B0 included. The solve stops at the first iterate where both
     the residual ||F(B) - B||_F and the Newton correction are at most
-    tol * min(1, ||F(B)||_F): relative where B is small, never looser than
-    an absolute tol. It also stops, unconverged, after max_iter iterates or
+    _TOL * min(1, ||F(B)||_F): relative where B is small, never looser than
+    an absolute _TOL. It also stops, unconverged, after max_iter iterates or
     when 30 halvings of a step find no point that is positive definite
     with a residual no larger. Never raises on non-convergence; the state
     carries an honest converged flag.
@@ -200,8 +201,8 @@ def solve_fixed_point(moment_set, alpha, lam, n, tol=1e-10,
         raise InvalidParameterError(f"lambda must be > 0, got {lam}")
     if not 0.0 <= alpha <= 1.0:
         raise InvalidParameterError(f"alpha must be in [0,1], got {alpha}")
-    if n < 1 or tol <= 0 or max_iter < 1:
-        raise InvalidParameterError("need n >= 1, tol > 0 and max_iter >= 1")
+    if n < 1 or max_iter < 1:
+        raise InvalidParameterError("need n >= 1 and max_iter >= 1")
     fmap = _DilationMap(moment_set, alpha, lam, n)
     P = fmap.at(np.array([1.0 - alpha, 0.0, alpha]),
                 what="Sigma_bar + alpha LambdaBar + lam I")
@@ -209,7 +210,7 @@ def solve_fixed_point(moment_set, alpha, lam, n, tol=1e-10,
     for iterations in range(1, max_iter + 1):
         # the Newton step: (I - J) step = F(B) - B on the free entries
         step = _solve_linearized(P.F, P.T, fmap.free, n, P.F - _sym2(P.b))
-        bound = tol * min(1.0, float(np.linalg.norm(P.F)))
+        bound = _TOL * min(1.0, float(np.linalg.norm(P.F)))
         if P.residual <= bound and np.linalg.norm(_sym2(step)) <= bound:
             converged = True
             break
@@ -277,16 +278,12 @@ def equivalents(state, D, moment_set, theta_star, sigma2) -> EquivalentReport:
     and theta*^T SigmaStar theta_bar -> G1^T theta_bar are applied and
     flagged via plugin_mode.
     """
-    alpha, lam = state.alpha, state.lam
+    alpha = state.alpha
     ms = moment_set
     B = state.B
-    p = ms.Sigma.shape[0]
-    Sigma_bar = _sigma_bar_of(B, ms)
-    Gamma_bar = _gamma_bar_of(B, ms)
-    M = Sigma_bar + alpha * ms.LambdaBar + lam * np.eye(p)
-    M = 0.5 * (M + M.T)
-    L = _cholesky(M, "equivalents: Sigma_bar + alpha LambdaBar + lam I")
-    theta_bar = cho_solve((L, True), Gamma_bar + alpha * ms.OmegaBar)
+    theta_bar = _solve(_sigma_bar_of(B, ms) + alpha * ms.LambdaBar,
+                       state.lam, _gamma_bar_of(B, ms) + alpha * ms.OmegaBar,
+                       "equivalents: Sigma_bar + alpha LambdaBar + lam I")
 
     Sigma_bar_prime = _sigma_bar_of(D, ms)
     Gamma_bar_prime = _gamma_bar_of(D, ms)
@@ -314,14 +311,14 @@ def equivalents(state, D, moment_set, theta_star, sigma2) -> EquivalentReport:
     )
 
 
-def wellspecified_reduction(state, D, moment_set, theta_star, sigma2,
-                            block_tol=1e-6):
+def wellspecified_reduction(state, D, moment_set, theta_star, sigma2):
     """Scalar beta/delta form valid when phi = phi_star and the scheme is
     unbiased and label-preserving, i.e. every Sigma block equals Sigma and
     every G block equals G1. Returns beta, delta, theta_bar and the
     simplified risk (1 + delta)[(theta_bar - theta*)^T Sigma
-    (theta_bar - theta*) + sigma2]."""
-    alpha, lam = state.alpha, state.lam
+    (theta_bar - theta*) + sigma2]. A block is equal when it is within
+    1e-6 of its reference, relative to ||Sigma||_F."""
+    alpha = state.alpha
     ms = moment_set
     scale = max(float(np.linalg.norm(ms.Sigma)), 1e-300)
     for name, M, ref in (
@@ -333,16 +330,15 @@ def wellspecified_reduction(state, D, moment_set, theta_star, sigma2,
         ("G3", ms.G3, ms.G1),
         ("G4", ms.G4, ms.G1),
     ):
-        if M is None or np.linalg.norm(M - ref) > block_tol * scale:
+        if M is None or np.linalg.norm(M - ref) > 1e-6 * scale:
             raise PreconditionViolationError(
                 f"moment set is not well specified: block {name} deviates"
             )
     beta = float(state.B.sum())
     delta = float(D.sum())
-    p = ms.Sigma.shape[0]
-    M = beta * ms.Sigma + alpha * ms.LambdaBar + lam * np.eye(p)
-    theta_bar = np.linalg.solve(0.5 * (M + M.T),
-                                beta * ms.G1 + alpha * ms.OmegaBar)
+    theta_bar = _solve(beta * ms.Sigma + alpha * ms.LambdaBar, state.lam,
+                       beta * ms.G1 + alpha * ms.OmegaBar,
+                       "beta Sigma + alpha LambdaBar + lam I")
     th = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
     diff = theta_bar - th
     g_simple = (1.0 + delta) * (

@@ -3,8 +3,7 @@
 Maps are immutable after construction and applied columnwise to d x n
 matrices. The random MLP draws Gaussian weights with variance 1/fan_in
 (zero biases), applies the activation after every hidden layer, and keeps
-the final readout linear, so the analytic Lipschitz bound is the product
-of the layer spectral norms.
+the final readout linear.
 """
 
 from __future__ import annotations
@@ -37,17 +36,16 @@ class FeatureMap:
     seed: int = 0
     hidden_sizes: tuple = ()
     weights: tuple = field(default=(), repr=False)
-    lipschitz_bound: float = 1.0
 
     def __call__(self, M):
         return apply_features(self, M)
 
 
 def identity_map(d: int) -> FeatureMap:
-    """Identity feature map on R^d; Lipschitz bound exactly 1."""
+    """Identity feature map on R^d."""
     if d < 1:
         raise InvalidDimensionError(f"input dimension must be >= 1, got {d}")
-    return FeatureMap(input_dim=d, output_dim=d, kind="identity", lipschitz_bound=1.0)
+    return FeatureMap(input_dim=d, output_dim=d, kind="identity")
 
 
 def random_mlp_map(d, hidden_sizes, p_out, activation="tanh", seed=0) -> FeatureMap:
@@ -66,11 +64,6 @@ def random_mlp_map(d, hidden_sizes, p_out, activation="tanh", seed=0) -> Feature
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         W = rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in)
         weights.append(W)
-    # tanh/relu are 1-Lipschitz, so the product of spectral norms bounds
-    # the Lipschitz constant of the whole network.
-    bound = 1.0
-    for W in weights:
-        bound *= np.linalg.norm(W, 2)
     return FeatureMap(
         input_dim=int(d),
         output_dim=int(p_out),
@@ -79,7 +72,6 @@ def random_mlp_map(d, hidden_sizes, p_out, activation="tanh", seed=0) -> Feature
         seed=int(seed),
         hidden_sizes=tuple(int(h) for h in hidden_sizes),
         weights=tuple(weights),
-        lipschitz_bound=float(bound),
     )
 
 

@@ -21,6 +21,8 @@ import numpy as np
 
 from . import detequiv, ridge, schemes
 from .datasets import (
+    IMAGE_SIDE,
+    PATCH_SIDE,
     InpaintingTask,
     SyntheticSpec,
     inpainting_task,
@@ -274,7 +276,9 @@ class ExperimentConfig:
         return _build_scheme(self.scheme)
 
     def data_dim(self):
-        return self.data["d"] if self.data["kind"] == "synthetic" else 759
+        if self.data["kind"] == "synthetic":
+            return self.data["d"]
+        return IMAGE_SIDE * IMAGE_SIDE - PATCH_SIDE * PATCH_SIDE
 
     def build_feature_map(self):
         return _build_feature_map(self.features, self.data_dim())
@@ -366,7 +370,7 @@ def _peak_terms(config):
     col = 9 * d + 8 * p  # one augmented column: x', its mask and phi(x')
     cells = (len(config.n_grid or (n,)) * len(config.lambda_grid)
              * len(config.alpha_grid))
-    q = 1 if config.data["kind"] == "synthetic" else 25  # 5 x 5 patch
+    q = 1 if config.data["kind"] == "synthetic" else PATCH_SIDE * PATCH_SIDE
     terms = [
         (col * max(n, CHUNK) * T * workers,
          {"data.d" if 9 * d >= 8 * p else p_key: col, n_key: max(n, CHUNK),
@@ -400,7 +404,7 @@ def _preflight(config):
 
 # --- moment sets -------------------------------------------------------
 
-def build_moment_set(config, rng=None):
+def build_moment_set(config):
     """Population MomentSet for a synthetic config: the exact closed form
     when the feature and truth maps are both the identity (every scheme
     has one), Monte-Carlo estimation otherwise."""
@@ -411,9 +415,7 @@ def build_moment_set(config, rng=None):
         return closed_population_moment_set(
             spec.covariance(), scheme, spec.theta_star, spec.noise_sigma2
         )
-    rng = rng or np.random.default_rng(
-        np.random.SeedSequence([config.seed, 0xA0])
-    )
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xA0]))
     return estimate_moment_set(
         fmap, config.build_truth_map(), scheme,
         lambda a, b: sample_synthetic(spec, rng, n=b - a),
@@ -437,7 +439,7 @@ class _FreshDraws:
     def draw(self, rng, n):
         return sample_synthetic(self.spec, rng, n=n)
 
-    def risk(self, f, terms):
+    def risk(self, theta, terms):
         return ridge.population_risk(terms, self.spec.noise_sigma2)
 
 
@@ -458,9 +460,9 @@ class _Subsamples:
         cols = rng.choice(self.train.X.shape[1], size=n, replace=False)
         return self.train.X[:, cols], self.train.Y[:, cols]
 
-    def risk(self, f, terms):
-        return ridge.empirical_generalization(f, self.test.X, self.test.Y,
-                                              self.fmap)
+    def risk(self, theta, terms):
+        return ridge.empirical_generalization(theta, self.test.X,
+                                              self.test.Y, self.fmap)
 
 
 _worker_payload = None  # set once in each pool worker by _init_worker
@@ -468,9 +470,10 @@ _worker_payload = None  # set once in each pool worker by _init_worker
 
 def _run_unit(unit, payload=None):
     """One work unit (seed, n_list): per n, draw data from the source,
-    assemble one design and fit every (lambda, alpha) cell. Returns
-    (risk, overlap, chi, theta_hat) by cell (n, lambda, alpha). Without a
-    payload, the one the pool worker was started with."""
+    assemble one design, build one system per alpha and fit every lambda
+    from it. Returns (risk, overlap, chi, theta_hat) by cell
+    (n, lambda, alpha). Without a payload, the one the pool worker was
+    started with."""
     (source, fmap, scheme, lambda_grid, alpha_grid, n_mc_aug, moment_set,
      theta_star, sigma2) = payload or _worker_payload
     seed_seq, n_list = unit
@@ -481,14 +484,15 @@ def _run_unit(unit, payload=None):
         X, Y = source.draw(rng, n)
         psm = batch_sample_moments(scheme, fmap, X, Y, n_mc_aug, rng)
         design = ridge.assemble_design(X, Y, fmap, psm, debias_n_mc=debias)
-        for lam in lambda_grid:
-            for alpha in alpha_grid:
-                f = ridge.fit(design, alpha, lam)
-                terms = ridge.quadratic_terms(f.theta_hat, moment_set,
-                                              theta_star, sigma2)
-                out[(n, lam, alpha)] = (source.risk(f, terms),
+        for alpha in alpha_grid:
+            system = ridge.normal_equations(design, alpha)
+            for lam in lambda_grid:
+                theta = ridge.fit(system, lam)
+                terms = ridge.quadratic_terms(theta, moment_set, theta_star,
+                                              sigma2)
+                out[(n, lam, alpha)] = (source.risk(theta, terms),
                                         float(np.mean(terms[1])),
-                                        float(np.mean(terms[0])), f.theta_hat)
+                                        float(np.mean(terms[0])), theta)
     return out
 
 
@@ -662,18 +666,18 @@ def validate(config, factor=4):
             X, Y = sample_synthetic(spec, rng, n=n)
             psm = batch_sample_moments(scheme, fmap, X, Y, config.n_mc_aug,
                                        rng)
-            design = ridge.assemble_design(X, Y, fmap, psm)
-            Ri = ridge.resolvent_shifted(design, alpha, lam, 0.0)
+            system = ridge.normal_equations(
+                ridge.assemble_design(X, Y, fmap, psm), alpha)
+            Ri = ridge.resolvent_shifted(system, lam)
             res_dev.append(float(np.sum(A * Ri)) - tr_det)
-            f = ridge.fit(design, alpha, lam)
-            th_dev.append(float(a @ f.theta_hat[:, 0]) - th_det)
-            terms = ridge.quadratic_terms(f.theta_hat, ms, spec.theta_star,
-                                          sigma2)
+            theta = ridge.fit(system, lam)
+            th_dev.append(float(a @ theta[:, 0]) - th_det)
+            terms = ridge.quadratic_terms(theta, ms, spec.theta_star, sigma2)
             chi = float(np.mean(terms[0]))
             chi_dev.append(chi - rep.chi_bar_mean)
             gs.append(ridge.population_risk(terms, sigma2))
             if r < 5:
-                fd = ridge.xi_derivative_fd(design, alpha, lam, ms.Sigma)
+                fd = ridge.xi_derivative_fd(system, lam, ms.Sigma)
                 exact = -chi * ms.q
                 fd_errs.append(abs(fd - exact) / max(abs(exact), 1e-300))
         per_size.append({

@@ -33,16 +33,17 @@ def symmetrize(M):
     return 0.5 * (M + M.T)
 
 
-def psd_clip(M, rel_tol=1e-8):
-    """Symmetrize and clip small negative eigenvalues to zero.
+def psd_clip(M, scale=0.0):
+    """Symmetrize and clip negative eigenvalues to zero.
 
-    Eigenvalues below -rel_tol times the largest eigenvalue trigger a
-    warning; the clipped matrix is returned either way.
+    An eigenvalue below -1e-8 times the larger of M's largest eigenvalue
+    and `scale` (the size of M's moment set) is more than rounding and
+    triggers a warning; the clipped matrix is returned either way.
     """
     M = symmetrize(np.asarray(M, dtype=float))
     w, V = np.linalg.eigh(M)
     top = max(w[-1], 0.0)
-    if w[0] < -rel_tol * max(top, 1e-300):
+    if w[0] < -1e-8 * max(top, scale, 1e-300):
         warnings.warn(
             f"clipping eigenvalue {w[0]:.3e} (largest {top:.3e}) to zero"
         )
@@ -203,9 +204,12 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total,
     if condition_labels:
         sums["PsiSecond"] += float(noise_sigma2)
     _check_finite(sums)
-    for name in ("Sigma", "SigmaDoublePrime", "LambdaBar", "SigmaStarStar"):
+    sums["Sigma"] = psd_clip(sums["Sigma"])
+    # the other blocks' rounding is relative to the size of Sigma
+    scale = float(np.linalg.eigvalsh(sums["Sigma"])[-1])
+    for name in ("SigmaDoublePrime", "LambdaBar", "SigmaStarStar"):
         if name in sums:
-            sums[name] = psd_clip(sums[name])
+            sums[name] = psd_clip(sums[name], scale)
     return MomentSet(
         **sums,
         n_mc_used=total,

@@ -7,8 +7,9 @@ The estimator solves
     H_a = (1-a) H + a H' + a Omega(Z),
 
 with C = phi(X) phi(X)^T / n, C' = mu_x(Z) mu_x(Z)^T / n, H = phi(X) Y^T / n,
-H' = mu_x(Z) mu_y(Z)^T / n. One symmetric positive-definite factorization is
-reused across all q output columns.
+H' = mu_x(Z) mu_y(Z)^T / n. normal_equations builds (M_a, H_a) once per
+(design, alpha); _solve, the one regularized solve (the equivalents' too),
+factors M_a + lam I once for all q output columns.
 """
 
 from __future__ import annotations
@@ -33,13 +34,6 @@ class AugmentedDesign:
     LambdaEmp: np.ndarray
     OmegaEmp: np.ndarray
     n: int
-
-
-@dataclass(frozen=True)
-class RidgeFit:
-    theta_hat: np.ndarray
-    alpha: float
-    lam: float
 
 
 def assemble_design(X, Y, feature_map, sample_moments, debias_n_mc=None):
@@ -93,60 +87,63 @@ def _cholesky(M, what=None):
     )
 
 
-def _regularized_factor(design, alpha, lam, zeta=0.0, Sigma=None):
-    """cho_solve factor of (1-a)C + aC' + aLambda + lam I (+ zeta Sigma)."""
-    if zeta != 0.0 and Sigma is None:
-        raise InvalidParameterError("Sigma required when zeta != 0")
-    M = ((1.0 - alpha) * design.C + alpha * design.Cprime
-         + alpha * design.LambdaEmp)
-    M = M + lam * np.eye(M.shape[0])
-    if zeta != 0.0:
-        M = M + zeta * Sigma
-    return _cholesky(symmetrize(M), "regularized matrix"), True
-
-
-def _h_alpha(design, alpha):
-    return ((1.0 - alpha) * design.H + alpha * design.Hprime
-            + alpha * design.OmegaEmp)
-
-
-def fit(design, alpha, lam) -> RidgeFit:
-    """Solve the normal equations; one factorization for all q outputs."""
-    if lam <= 0:
-        raise InvalidParameterError(f"lambda must be > 0, got {lam}")
+def normal_equations(design, alpha):
+    """The system (M_a, H_a) = ((1-a)C + aC' + aLambda, (1-a)H + aH' +
+    aOmega) of one (design, alpha), which every lambda shares."""
     if not 0.0 <= alpha <= 1.0:
         raise InvalidParameterError(f"alpha must be in [0,1], got {alpha}")
-    theta = cho_solve(_regularized_factor(design, alpha, lam),
-                      _h_alpha(design, alpha))
-    return RidgeFit(theta_hat=theta, alpha=float(alpha), lam=float(lam))
+    M = ((1.0 - alpha) * design.C + alpha * design.Cprime
+         + alpha * design.LambdaEmp)
+    H = ((1.0 - alpha) * design.H + alpha * design.Hprime
+         + alpha * design.OmegaEmp)
+    return M, H
 
 
-def resolvent_shifted(design, alpha, lam, zeta, Sigma=None):
-    """The matrix ((1-a)C + aC' + aLambda + lam I + zeta Sigma)^{-1}."""
-    factor = _regularized_factor(design, alpha, lam, zeta, Sigma)
-    return cho_solve(factor, np.eye(design.C.shape[0]))
+def _solve(M, lam, rhs, what, shift=None):
+    """(M + lam I + shift)^{-1} rhs from one Cholesky factorization of
+    the symmetrized matrix, `what` naming it in a failure. M itself is
+    left as it is, so every lambda can reuse it."""
+    A = M + lam * np.eye(M.shape[0])
+    if shift is not None:
+        A = A + shift
+    return cho_solve((_cholesky(symmetrize(A), what), True), rhs)
 
 
-def xi_derivative_fd(design, alpha, lam, Sigma, h=1e-4):
-    """Central finite difference at zeta = 0 of the q x q quadratic form
-    xi(zeta) = H_a^T R(zeta) H_a (scalar for q = 1), R(zeta) the resolvent
-    shifted by zeta Sigma; by the resolvent identity this equals
+def fit(system, lam):
+    """theta_hat (p x q) of a normal_equations system at penalty lam; one
+    factorization for all q outputs."""
+    if lam <= 0:
+        raise InvalidParameterError(f"lambda must be > 0, got {lam}")
+    M, H = system
+    return _solve(M, lam, H, "regularized matrix")
+
+
+def resolvent_shifted(system, lam, shift=None):
+    """The matrix (M_a + lam I + shift)^{-1} of a normal_equations
+    system; the shift is z Sigma for a resolvent at z."""
+    M = system[0]
+    return _solve(M, lam, np.eye(M.shape[0]), "regularized matrix", shift)
+
+
+def xi_derivative_fd(system, lam, Sigma):
+    """Central finite difference at z = 0 of the q x q quadratic form
+    xi(z) = H_a^T R(z) H_a (scalar for q = 1), R(z) the resolvent shifted
+    by z Sigma; by the resolvent identity this equals
     -theta_hat^T Sigma theta_hat."""
-    Ha = _h_alpha(design, alpha)
-    xp, xm = (Ha.T @ cho_solve(_regularized_factor(design, alpha, lam, z,
-                                                   Sigma), Ha)
-              for z in (h, -h))
-    out = (xp - xm) / (2.0 * h)
+    M, Ha = system
+    xp, xm = (Ha.T @ _solve(M, lam, Ha, "regularized matrix", z * Sigma)
+              for z in (1e-4, -1e-4))
+    out = (xp - xm) / 2e-4
     return float(out[0, 0]) if out.shape == (1, 1) else out
 
 
-def empirical_generalization(ridge_fit, test_X, test_Y, feature_map):
-    """Mean squared test error, averaged over outputs."""
+def empirical_generalization(theta, test_X, test_Y, feature_map):
+    """Mean squared test error of theta, averaged over outputs."""
     test_X = np.asarray(test_X, dtype=float)
     test_Y = np.atleast_2d(np.asarray(test_Y, dtype=float))
     if test_X.shape[1] == 0:
         raise EmptyInputError("empty test set")
-    pred = ridge_fit.theta_hat.T @ apply_features(feature_map, test_X)
+    pred = theta.T @ apply_features(feature_map, test_X)
     return float(np.mean((pred - test_Y) ** 2))
 
 
@@ -174,20 +171,20 @@ def population_risk(terms, sigma2):
     return float(np.mean(chi - 2.0 * tSs + tSSt + sigma2))
 
 
-def population_generalization(ridge_fit, moment_set, theta_star, sigma2):
-    """The population risk of a fit (see population_risk)."""
-    return population_risk(quadratic_terms(ridge_fit.theta_hat, moment_set,
+def population_generalization(theta, moment_set, theta_star, sigma2):
+    """The population risk of theta (see population_risk)."""
+    return population_risk(quadratic_terms(theta, moment_set,
                                            theta_star, sigma2), sigma2)
 
 
-def overlap_stat(ridge_fit, moment_set, theta_star, sigma2=0.0):
-    """theta*^T SigmaStar theta_hat per output, averaged (plugin
-    substitution G1^T theta_hat when truth blocks are absent)."""
-    return float(np.mean(quadratic_terms(ridge_fit.theta_hat, moment_set,
+def overlap_stat(theta, moment_set, theta_star, sigma2=0.0):
+    """theta*^T SigmaStar theta per output, averaged (plugin substitution
+    G1^T theta when truth blocks are absent)."""
+    return float(np.mean(quadratic_terms(theta, moment_set,
                                          theta_star, sigma2)[1]))
 
 
-def chi_stat(ridge_fit, moment_set):
-    """theta_hat^T Sigma theta_hat per output, averaged."""
-    return float(np.mean(quadratic_terms(ridge_fit.theta_hat, moment_set,
+def chi_stat(theta, moment_set):
+    """theta^T Sigma theta per output, averaged."""
+    return float(np.mean(quadratic_terms(theta, moment_set,
                                          None, 0.0)[0]))

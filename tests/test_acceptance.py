@@ -171,9 +171,10 @@ def test_criterion_04_derivative_identity():
         psm = batch_sample_moments(scheme, fm, X, Y, 2, rng)
         design = ridge.assemble_design(X, Y, fm, psm)
         Sigma = np.diag(rng.uniform(0.5, 2.0, d))
-        f = ridge.fit(design, alpha, lam)
-        fd = ridge.xi_derivative_fd(design, alpha, lam, Sigma)
-        exact = -float(f.theta_hat[:, 0] @ Sigma @ f.theta_hat[:, 0])
+        system = ridge.normal_equations(design, alpha)
+        theta = ridge.fit(system, lam)[:, 0]
+        fd = ridge.xi_derivative_fd(system, lam, Sigma)
+        exact = -float(theta @ Sigma @ theta)
         assert abs(fd - exact) <= 1e-3 * abs(exact), f"instance {idx}"
 
 
@@ -278,7 +279,7 @@ def test_criterion_08_coordinatewise_multivariate_equivalence():
     scheme = salt_and_pepper(0.7, 0.4)
     psm = batch_sample_moments(scheme, fm, X, Y, 8, rng)
     design = ridge.assemble_design(X, Y, fm, psm)
-    joint = ridge.fit(design, 0.5, 0.3).theta_hat
+    joint = ridge.fit(ridge.normal_equations(design, 0.5), 0.3)
     assert joint.shape == (d, q)
     for j in range(q):
         dj = ridge.AugmentedDesign(
@@ -286,7 +287,7 @@ def test_criterion_08_coordinatewise_multivariate_equivalence():
             Hprime=design.Hprime[:, [j]], LambdaEmp=design.LambdaEmp,
             OmegaEmp=design.OmegaEmp[:, [j]], n=design.n,
         )
-        single = ridge.fit(dj, 0.5, 0.3).theta_hat[:, 0]
+        single = ridge.fit(ridge.normal_equations(dj, 0.5), 0.3)[:, 0]
         assert np.max(np.abs(joint[:, j] - single)) <= 1e-10
 
 

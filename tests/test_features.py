@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from augridge.features import (
     COLS,
@@ -17,7 +15,6 @@ def test_identity_roundtrip():
     x = np.array([1.0, 2.0, 3.0])
     assert np.array_equal(fm(x), x)
     assert fm.output_dim == 3
-    assert fm.lipschitz_bound == 1.0
 
 
 def test_identity_scalar_and_big():
@@ -78,50 +75,6 @@ def test_apply_duplicate_columns_equal():
 def test_apply_dimension_mismatch():
     with pytest.raises(InvalidDimensionError):
         apply_features(identity_map(3), np.zeros((4, 2)))
-
-
-def _lipschitz_ratio(fmap, trials, rng_seed=0):
-    """max ||phi(x) - phi(x')|| / ||x - x'|| over random pairs: a lower
-    bound on the Lipschitz constant."""
-    rng = np.random.default_rng(rng_seed)
-    X = rng.standard_normal((fmap.input_dim, trials))
-    Xp = X + 0.5 * rng.standard_normal(X.shape)
-    num = np.linalg.norm(apply_features(fmap, X) - apply_features(fmap, Xp),
-                         axis=0)
-    return float(np.max(num / np.linalg.norm(X - Xp, axis=0)))
-
-
-def test_lipschitz_identity_is_one():
-    fm = identity_map(8)
-    assert _lipschitz_ratio(fm, 100) == pytest.approx(fm.lipschitz_bound)
-
-
-def test_lipschitz_linear_layer_spectral_norm():
-    fm = random_mlp_map(12, [], 6, seed=5)
-    W = fm.weights[0]
-    # power iteration oracle for the top singular value
-    v = np.random.default_rng(1).standard_normal(12)
-    for _ in range(500):
-        v = W.T @ (W @ v)
-        v /= np.linalg.norm(v)
-    sigma_top = np.linalg.norm(W @ v)
-    assert fm.lipschitz_bound == pytest.approx(sigma_top, rel=1e-8)
-    probe = _lipschitz_ratio(fm, 2000, rng_seed=2)
-    assert probe <= fm.lipschitz_bound + 1e-12
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 10_000), depth=st.integers(0, 2))
-def test_lipschitz_sandwich(seed, depth):
-    fm = random_mlp_map(5, [7] * depth, 4, seed=seed)
-    probe = _lipschitz_ratio(fm, 500, rng_seed=seed)
-    assert 0.0 <= probe <= fm.lipschitz_bound + 1e-12
-
-
-def test_lipschitz_probe_large_sample():
-    fm = random_mlp_map(10, [15], 8, seed=9)
-    probe = _lipschitz_ratio(fm, 10_000, rng_seed=0)
-    assert probe <= fm.lipschitz_bound + 1e-12
 
 
 @pytest.mark.parametrize("activation,act", [

@@ -359,7 +359,7 @@ def test_cli_overflowed_moment_set_exit_4(tmp_path, capsys, key, value, over):
 
 
 def test_cli_memory_error_exit_3(tmp_path, monkeypatch, capsys):
-    def no_memory(config, rng=None):
+    def no_memory(config):
         raise MemoryError
     monkeypatch.setattr(harness, "build_moment_set", no_memory)
     path = _write_cfg(tmp_path, _tiny_cfg(out_dir=str(tmp_path / "out")))

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,20 @@ def test_psd_clip_warns_and_clips():
         out = psd_clip(M)
     w = np.linalg.eigvalsh(out)
     assert w[0] >= -1e-12
+    # the clip the fuzzed configs hit: a real negative mass, whatever the
+    # scale of the moment set
+    with pytest.warns(UserWarning, match="-2.440e-01"):
+        psd_clip(np.diag([0.0156, -0.244]), 1.0)
+    # a block that is zero up to rounding, in a moment set of unit scale:
+    # clipped, but without a warning
+    noise = np.diag([2.115e-16, -6.049e-16])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = psd_clip(noise, 1.0)
+    assert np.linalg.eigvalsh(out)[0] >= 0.0
+    # on its own scale the same block still warns
+    with pytest.warns(UserWarning):
+        psd_clip(noise)
 
 
 def test_closed_population_masking_blocks():

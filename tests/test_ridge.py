@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from augridge.features import identity_map, random_mlp_map
+from augridge.features import identity_map
 from augridge.moments import (
     batch_sample_moments,
     closed_population_moment_set,
@@ -13,6 +13,7 @@ from augridge.ridge import (
     chi_stat,
     empirical_generalization,
     fit,
+    normal_equations,
     overlap_stat,
     population_generalization,
     resolvent_shifted,
@@ -29,6 +30,10 @@ def _design(X, Y, fmap, scheme, n_mc=200, seed=0):
     rng = np.random.default_rng(seed)
     psm = batch_sample_moments(scheme, fmap, X, Y, n_mc, rng)
     return assemble_design(X, Y, fmap, psm)
+
+
+def _fit(design, alpha, lam):
+    return fit(normal_equations(design, alpha), lam)
 
 
 def test_assemble_identity_augmentation_collapses():
@@ -63,8 +68,7 @@ def test_fit_classic_ridge_hand_computed():
     X = np.array([[1.0, -1.0]])
     Y = np.array([[2.0, 0.0]])
     d = _design(X, Y, fm, additive_noise(0.0))
-    f = fit(d, 0.0, 1.0)
-    assert f.theta_hat[0, 0] == pytest.approx(0.5)
+    assert _fit(d, 0.0, 1.0)[0, 0] == pytest.approx(0.5)
 
 
 def test_fit_full_augmentation_hand_computed():
@@ -72,9 +76,8 @@ def test_fit_full_augmentation_hand_computed():
     X = np.array([[1.0, -1.0]])
     Y = np.array([[2.0, 0.0]])
     d = _design(X, Y, fm, additive_noise(1.0))
-    f = fit(d, 1.0, 1.0)
     # mu_x = x so C' = C = 1, H' = H = 1, Lambda = 1: theta = 1/(1+1+1)
-    assert f.theta_hat[0, 0] == pytest.approx(1.0 / 3.0)
+    assert _fit(d, 1.0, 1.0)[0, 0] == pytest.approx(1.0 / 3.0)
 
 
 def test_fit_huge_lambda_shrinks():
@@ -83,17 +86,32 @@ def test_fit_huge_lambda_shrinks():
     X = rng.standard_normal((3, 20))
     Y = rng.standard_normal((1, 20))
     d = _design(X, Y, fm, additive_noise(0.0))
-    f = fit(d, 0.0, 1e6)
-    assert np.linalg.norm(f.theta_hat) <= np.linalg.norm(d.H) / 1e6 * 1.001
+    theta = _fit(d, 0.0, 1e6)
+    assert np.linalg.norm(theta) <= np.linalg.norm(d.H) / 1e6 * 1.001
 
 
 def test_fit_rejects_bad_parameters():
     fm = identity_map(2)
     d = _design(np.eye(2), np.ones((1, 2)), fm, additive_noise(0.0))
     with pytest.raises(InvalidParameterError):
-        fit(d, 0.0, 0.0)
+        _fit(d, 0.0, 0.0)
     with pytest.raises(InvalidParameterError):
-        fit(d, 1.5, 0.1)
+        normal_equations(d, 1.5)
+
+
+def test_shared_system_is_reused_unchanged():
+    # every lambda of one (design, alpha) is fitted from one system: a fit
+    # must neither change it nor depend on the fits before it
+    rng = np.random.default_rng(10)
+    X = rng.standard_normal((6, 20))
+    Y = rng.standard_normal((2, 20))
+    d = _design(X, Y, identity_map(6), salt_and_pepper(0.6, 0.5))
+    system = normal_equations(d, 0.5)
+    before = [a.copy() for a in system]
+    first, _, again = (fit(system, lam) for lam in (0.3, 2.0, 0.3))
+    assert np.array_equal(first, again)
+    assert np.array_equal(first, _fit(d, 0.5, 0.3))
+    assert all(np.array_equal(a, b) for a, b in zip(system, before))
 
 
 @settings(max_examples=20, deadline=None)
@@ -106,11 +124,11 @@ def test_normal_equation_residual(seed, alpha, lam):
     X = rng.standard_normal((4, 12))
     Y = rng.standard_normal((2, 12))
     d = _design(X, Y, fm, salt_and_pepper(0.6, 0.5), seed=seed)
-    f = fit(d, alpha, lam)
+    theta = _fit(d, alpha, lam)
     M = ((1 - alpha) * d.C + alpha * d.Cprime + alpha * d.LambdaEmp
          + lam * np.eye(4))
     Ha = (1 - alpha) * d.H + alpha * d.Hprime + alpha * d.OmegaEmp
-    res = np.linalg.norm(M @ f.theta_hat - Ha)
+    res = np.linalg.norm(M @ theta - Ha)
     assert res <= 1e-8 * max(np.linalg.norm(Ha), 1e-30)
 
 
@@ -121,8 +139,8 @@ def test_alpha_continuity():
     Y = rng.standard_normal((1, 30))
     d = _design(X, Y, fm, salt_and_pepper(0.5, 0.5))
     for alpha in (0.0, 0.3, 0.7):
-        a = fit(d, alpha, 0.5).theta_hat
-        b = fit(d, alpha + 1e-4, 0.5).theta_hat
+        a = _fit(d, alpha, 0.5)
+        b = _fit(d, alpha + 1e-4, 0.5)
         assert np.linalg.norm(b - a) <= 1e-2 * max(np.linalg.norm(a), 1e-12)
 
 
@@ -132,14 +150,14 @@ def test_coordinatewise_equivalence():
     X = rng.standard_normal((6, 25))
     Y = rng.standard_normal((3, 25))
     d = _design(X, Y, fm, salt_and_pepper(0.7, 0.3))
-    joint = fit(d, 0.5, 0.2).theta_hat
+    joint = _fit(d, 0.5, 0.2)
     from augridge.ridge import AugmentedDesign
     for j in range(3):
         # scalar fit on the same design restricted to output j
         dj = AugmentedDesign(C=d.C, Cprime=d.Cprime, H=d.H[:, [j]],
                              Hprime=d.Hprime[:, [j]], LambdaEmp=d.LambdaEmp,
                              OmegaEmp=d.OmegaEmp[:, [j]], n=d.n)
-        single = fit(dj, 0.5, 0.2).theta_hat[:, 0]
+        single = _fit(dj, 0.5, 0.2)[:, 0]
         assert np.max(np.abs(joint[:, j] - single)) <= 1e-10
 
 
@@ -149,7 +167,7 @@ def test_resolvent_zero_shift_matches_fit_matrix():
     X = rng.standard_normal((3, 15))
     Y = rng.standard_normal((1, 15))
     d = _design(X, Y, fm, additive_noise(0.3))
-    R = resolvent_shifted(d, 0.5, 0.7, 0.0)
+    R = resolvent_shifted(normal_equations(d, 0.5), 0.7)
     M = 0.5 * d.C + 0.5 * d.Cprime + 0.5 * d.LambdaEmp + 0.7 * np.eye(3)
     assert np.allclose(R @ M, np.eye(3), atol=1e-10)
 
@@ -158,7 +176,7 @@ def test_resolvent_scalar_closed_form():
     fm = identity_map(1)
     d = _design(np.array([[2.0]]), np.array([[1.0]]), fm, additive_noise(1.0))
     Sigma = np.array([[3.0]])
-    R = resolvent_shifted(d, 0.5, 0.25, 2.0, Sigma)
+    R = resolvent_shifted(normal_equations(d, 0.5), 0.25, 2.0 * Sigma)
     denom = 0.5 * d.C[0, 0] + 0.5 * d.Cprime[0, 0] + 0.5 * 1.0 + 0.25 + 6.0
     assert R[0, 0] == pytest.approx(1.0 / denom)
 
@@ -171,9 +189,10 @@ def test_xi_derivative_identity():
     d = _design(X, Y, fm, salt_and_pepper(0.5, 0.5))
     Sigma = closed_population_moment_set(
         np.eye(5), salt_and_pepper(0.5, 0.5), np.zeros(5), 0.0).Sigma
-    f = fit(d, 0.5, 0.3)
-    fd = xi_derivative_fd(d, 0.5, 0.3, Sigma)
-    exact = -float(f.theta_hat[:, 0] @ Sigma @ f.theta_hat[:, 0])
+    system = normal_equations(d, 0.5)
+    theta = fit(system, 0.3)[:, 0]
+    fd = xi_derivative_fd(system, 0.3, Sigma)
+    exact = -float(theta @ Sigma @ theta)
     assert abs(fd - exact) <= 1e-3 * abs(exact)
 
 
@@ -183,13 +202,9 @@ def test_empirical_generalization_trivials():
     X = rng.standard_normal((2, 50))
     theta = np.array([[1.0], [2.0]])
     Y = theta.T @ X
-    d = _design(X, Y, fm, additive_noise(0.0))
-    from augridge.ridge import RidgeFit
-    zero = RidgeFit(theta_hat=np.zeros((2, 1)), alpha=0.0, lam=1.0)
-    assert empirical_generalization(zero, X, Y, fm) == pytest.approx(
-        float(np.mean(Y ** 2)))
-    exact = RidgeFit(theta_hat=theta, alpha=0.0, lam=1.0)
-    assert empirical_generalization(exact, X, Y, fm) == pytest.approx(0.0)
+    assert empirical_generalization(np.zeros((2, 1)), X, Y, fm) == \
+        pytest.approx(float(np.mean(Y ** 2)))
+    assert empirical_generalization(theta, X, Y, fm) == pytest.approx(0.0)
 
 
 def test_population_generalization_trivials():
@@ -198,14 +213,11 @@ def test_population_generalization_trivials():
     theta_star = np.array([1.0, -1.0, 2.0])
     ms = closed_population_moment_set(Sigma, additive_noise(0.0),
                                       theta_star, 0.3)
-    from augridge.ridge import RidgeFit
-    same = RidgeFit(theta_hat=theta_star[:, None], alpha=0.0, lam=1.0)
-    assert population_generalization(same, ms, theta_star, 0.3) == \
-        pytest.approx(0.3)
-    zero = RidgeFit(theta_hat=np.zeros((d, 1)), alpha=0.0, lam=1.0)
+    assert population_generalization(theta_star[:, None], ms, theta_star,
+                                     0.3) == pytest.approx(0.3)
     null_risk = float(theta_star @ Sigma @ theta_star) + 0.3
-    assert population_generalization(zero, ms, theta_star, 0.3) == \
-        pytest.approx(null_risk)
+    assert population_generalization(np.zeros((d, 1)), ms, theta_star,
+                                     0.3) == pytest.approx(null_risk)
 
 
 def test_population_matches_empirical():
@@ -216,15 +228,13 @@ def test_population_matches_empirical():
     sigma2 = 0.25
     ms = closed_population_moment_set(Sigma, additive_noise(0.0),
                                       theta_star, sigma2)
-    from augridge.ridge import RidgeFit
-    f = RidgeFit(theta_hat=rng.standard_normal((d, 1)) * 0.3,
-                 alpha=0.0, lam=1.0)
+    theta = rng.standard_normal((d, 1)) * 0.3
     N = 200_000
     Xt = rng.standard_normal((d, N))
     Yt = theta_star @ Xt + np.sqrt(sigma2) * rng.standard_normal(N)
-    emp = empirical_generalization(f, Xt, Yt[None], identity_map(d))
-    pop = population_generalization(f, ms, theta_star, sigma2)
-    per = (f.theta_hat[:, 0] @ Xt - Yt) ** 2
+    emp = empirical_generalization(theta, Xt, Yt[None], identity_map(d))
+    pop = population_generalization(theta, ms, theta_star, sigma2)
+    per = (theta[:, 0] @ Xt - Yt) ** 2
     se = per.std() / np.sqrt(N)
     assert abs(emp - pop) <= 3 * se
 
@@ -235,8 +245,6 @@ def test_overlap_and_chi_stats():
     theta_star = np.array([1.0, 1.0])
     ms = closed_population_moment_set(Sigma, additive_noise(0.0),
                                       theta_star, 0.0)
-    from augridge.ridge import RidgeFit
     th = np.array([[0.5], [2.0]])
-    f = RidgeFit(theta_hat=th, alpha=0.0, lam=1.0)
-    assert chi_stat(f, ms) == pytest.approx(0.25 * 2 + 4.0)
-    assert overlap_stat(f, ms, theta_star) == pytest.approx(1.0 + 2.0)
+    assert chi_stat(th, ms) == pytest.approx(0.25 * 2 + 4.0)
+    assert overlap_stat(th, ms, theta_star) == pytest.approx(1.0 + 2.0)
