@@ -33,6 +33,7 @@ from .errors import ConfigError, DataError, InvalidDimensionError
 from .features import FeatureMap, identity_map, random_mlp_map
 from .moments import (
     CHUNK,
+    DRAWS,
     batch_sample_moments,
     closed_population_moment_set,
     estimate_moment_set,
@@ -368,13 +369,18 @@ def _peak_terms(config):
     T = config.n_mc_aug if config.features["kind"] == "random-mlp" else 1
     workers = min(config.workers, os.cpu_count() or 1)
     col = 9 * d + 8 * p  # one augmented column: x', its mask and phi(x')
+    col_key = "data.d" if 9 * d >= 8 * p else p_key
+    # the replicate batches, one in each worker, or a moment-set block,
+    # which runs alone before the pool starts
+    batch = n * T * workers
+    sizes = {col_key: col, n_key: n, "n_mc_aug": T, "workers": workers}
+    if batch < CHUNK * DRAWS:
+        batch, sizes = CHUNK * DRAWS, {col_key: col}
     cells = (len(config.n_grid or (n,)) * len(config.lambda_grid)
              * len(config.alpha_grid))
     q = 1 if config.data["kind"] == "synthetic" else PATCH_SIDE * PATCH_SIDE
     terms = [
-        (col * max(n, CHUNK) * T * workers,
-         {"data.d" if 9 * d >= 8 * p else p_key: col, n_key: max(n, CHUNK),
-          "n_mc_aug": T, "workers": workers}),
+        (col * batch, sizes),
         (8 * d * d, {"data.d": d}),
         (6 * 8 * p * p, {p_key: p}),  # the moment set's p x p blocks
         (8 * config.replicates * cells * p * q,  # the kept theta_hat
@@ -419,7 +425,7 @@ def build_moment_set(config):
     return estimate_moment_set(
         fmap, config.build_truth_map(), scheme,
         lambda a, b: sample_synthetic(spec, rng, n=b - a),
-        config.n_mc_data, config.n_mc_aug, rng,
+        config.n_mc_data, rng,
         theta_star=spec.theta_star, noise_sigma2=spec.noise_sigma2,
     )
 
@@ -723,7 +729,7 @@ def mnist_pipeline(config, csv_name=None):
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xD0]))
     moment_set = estimate_moment_set(
         fmap, None, scheme, lambda a, b: (train.X[:, a:b], train.Y[:, a:b]),
-        train.X.shape[1], config.n_mc_aug, rng,
+        train.X.shape[1], rng,
     )
     return _sweep(config, _Subsamples(train, test, fmap), fmap, scheme,
                   moment_set, None, data["noise_sigma2"], csv_name)

@@ -11,10 +11,14 @@ Monte-Carlo estimation notes:
   explicit symmetrization;
 - the estimated mean mu_hat over n_mc draws satisfies
   E[mu_hat mu_hat^T] = mu mu^T + Lambda/n_mc, so second-moment blocks built
-  from mu_hat (SigmaDoublePrime, G4) are debiased by subtracting
-  LambdaBar/n_mc (OmegaBar/n_mc);
+  from mu_hat are debiased by subtracting LambdaBar/n_mc (OmegaBar/n_mc,
+  and the label variance/n_mc);
 - label-preserving schemes use mu_y = y exactly and Omega = 0 without
-  sampling.
+  sampling;
+- a replicate draws the config's n_mc_aug augmentations per sample, which
+  define its estimator; a population moment set draws DRAWS per data
+  column: the debias keeps every block unbiased at any n_mc >= 2, so few
+  draws add only Monte-Carlo error, which the data columns average out.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .errors import InsufficientSamplesError, NumericalFailureError
 from .features import apply_features
-from .schemes import closed_moments, sample_augmented_batch
+from .schemes import closed_moments, label_variance, sample_augmented_batch
 
 
 def symmetrize(M):
@@ -128,6 +132,7 @@ class MomentSet:
 
 
 CHUNK = 512  # data columns per estimation block
+DRAWS = 10  # augmentations per data column of a Monte-Carlo moment set
 
 
 def _check_finite(blocks):
@@ -139,13 +144,18 @@ def _check_finite(blocks):
                 f"moment set block {name} has a non-finite entry")
 
 
-def estimate_moment_set(feature_map, truth_map, scheme, take, total,
-                        n_mc_aug, rng, theta_star=None, noise_sigma2=None):
+def estimate_moment_set(feature_map, truth_map, scheme, take, total, rng,
+                        theta_star=None, noise_sigma2=None):
     """Estimate every MomentSet block by Monte-Carlo averaging over `total`
     data columns, read in blocks of CHUNK columns: ``take(a, b)`` returns
     the columns a..b-1 as (X: d x (b-a), Y: q x (b-a)). When truth_map is
     None the SigmaStar blocks are omitted and provenance is
     "empirical-plugin".
+
+    Each column's augmentation moments come from DRAWS draws. The blocks
+    built from two estimated means (SigmaDoublePrime, G4 and E[mu_y^2] in
+    PsiSecond) are debiased by LambdaBar/DRAWS, OmegaBar/DRAWS and
+    schemes.label_variance/DRAWS, so every block is unbiased.
 
     When theta_star and noise_sigma2 are given (synthetic well-known truth)
     and the scheme is label-preserving (its parameters are constants, so
@@ -175,7 +185,7 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total,
         X, Y = take(a, min(a + CHUNK, total))
         Phi = apply_features(feature_map, X)
         MuX, MuY, Lam_c, Om_c = batch_sample_moments(
-            scheme, feature_map, X, Y, n_mc_aug, rng
+            scheme, feature_map, X, Y, DRAWS, rng
         )
         if truth_map is not None:
             PhiStar = apply_features(truth_map, X)
@@ -198,9 +208,11 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total,
     for M in sums.values():
         M /= total
     if feature_map.kind != "identity":
-        # remove the O(1/n_mc_aug) bias of mu_hat outer products
-        sums["SigmaDoublePrime"] -= sums["LambdaBar"] / n_mc_aug
-        sums["G4"] -= sums["OmegaBar"] / n_mc_aug
+        # remove the O(1/DRAWS) bias of mu_hat outer products
+        sums["SigmaDoublePrime"] -= sums["LambdaBar"] / DRAWS
+        sums["G4"] -= sums["OmegaBar"] / DRAWS
+        sums["PsiSecond"][:, 1, 1] -= (
+            label_variance(scheme, sums["G1"].shape[1]) / DRAWS)
     if condition_labels:
         sums["PsiSecond"] += float(noise_sigma2)
     _check_finite(sums)

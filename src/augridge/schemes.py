@@ -235,3 +235,16 @@ def closed_moments(scheme, v, S, q):
         return (c, sum(wj * L for wj, L in zip(w, lams)) + spread * S(),
                 sum(wj * O for wj, O in zip(w, oms)))
     raise InvalidParameterError(f"unknown scheme kind {scheme.kind!r}")
+
+
+def label_variance(scheme, q):
+    """Per-output variance of tau_y(z, eta) given z, the same for every
+    datum: the row sums of s_y**2 for heteroskedastic label noise, the
+    weighted sum over a mixture's components (each has mean y, so their
+    spread adds nothing), and zero for the label-preserving kinds."""
+    if scheme.kind == "heteroskedastic" and scheme.s_y is not None:
+        return (scheme.s_y ** 2).sum(axis=1)
+    if scheme.kind == "mixture":
+        return sum(w * label_variance(comp, q)
+                   for w, comp in zip(scheme.weights, scheme.components))
+    return np.zeros(q)

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from augridge import harness
 from augridge.cli import main as cli_main
 from augridge.harness import CONFIG_TABLE, ExperimentConfig
+from augridge.moments import CHUNK, DRAWS
+from test_acceptance import CR1_CFG
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -140,6 +142,18 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, capsys, path,
         assert err.startswith(f"{label}: config.{path}: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_preflight_batch_term():
+    # the Monte-Carlo batch term is the larger of a replicate batch,
+    # n * n_mc_aug columns in each worker, and a moment-set block of
+    # CHUNK * DRAWS columns, which runs before the pool starts
+    d, p, n, n_mc_aug = 200, 150, 300, 200
+    term = harness._peak_terms(ExperimentConfig.from_dict(CR1_CFG))[0]
+    assert term[0] == (9 * d + 8 * p) * n * n_mc_aug
+    col = 9 * 6 + 8 * 4
+    assert harness._peak_terms(ExperimentConfig.from_dict(TINY_MLP))[0] == (
+        col * CHUNK * DRAWS, {"data.d": col})
 
 
 _SCALAR = (st.none() | st.booleans() | st.integers(-3, 4) | st.floats()

@@ -210,6 +210,18 @@ def test_moment_set_path_choice(over, provenance):
     assert ms.n_mc_used == (0 if provenance == "closed-form" else 64)
 
 
+def test_moment_set_ignores_n_mc_aug():
+    # the Monte-Carlo moment set draws DRAWS augmentations a column
+    # whatever n_mc_aug, which sets the replicates' draws only
+    sets = [build_moment_set(ExperimentConfig.from_dict(_tiny_cfg(
+        n_mc_data=64, n_mc_aug=T, features=_MLP_MAP))) for T in (4, 200)]
+    for name in ("Sigma", "SigmaPrime", "SigmaDoublePrime", "G1", "G2", "G3",
+                 "G4", "PsiSecond", "LambdaBar", "OmegaBar", "SigmaStar",
+                 "SigmaStarStar"):
+        assert np.array_equal(getattr(sets[0], name),
+                              getattr(sets[1], name)), name
+
+
 def test_validate_report_shape():
     config = ExperimentConfig.from_dict(_tiny_cfg(
         data={"kind": "synthetic", "d": 10, "n": 20,

@@ -7,6 +7,7 @@ import pytest
 from augridge.datasets import SyntheticSpec, sample_synthetic
 from augridge.features import identity_map, random_mlp_map
 from augridge.moments import (
+    DRAWS,
     InsufficientSamplesError,
     batch_sample_moments,
     closed_population_moment_set,
@@ -114,7 +115,7 @@ def test_estimate_identity_augmentation_blocks_collapse():
     rng = _rng(3)
     ms = estimate_moment_set(
         identity_map(d), identity_map(d), additive_noise(0.0),
-        _draws(spec, rng), 4000, 2, rng,
+        _draws(spec, rng), 4000, rng,
         theta_star=spec.theta_star, noise_sigma2=0.1,
     )
     assert np.allclose(ms.SigmaPrime, ms.Sigma)
@@ -132,7 +133,7 @@ def test_estimate_sigma_consistency():
     rng = _rng(4)
     ms = estimate_moment_set(
         identity_map(d), identity_map(d), additive_noise(0.0),
-        _draws(spec, rng), 60_000, 2, rng,
+        _draws(spec, rng), 60_000, rng,
         theta_star=spec.theta_star, noise_sigma2=0.0,
     )
     assert np.linalg.norm(ms.Sigma - C) <= 0.05 * np.linalg.norm(C)
@@ -147,14 +148,14 @@ def test_estimate_pure_noise_labels():
     rng = _rng(5)
     ms = estimate_moment_set(
         identity_map(d), identity_map(d), additive_noise(0.2),
-        _draws(spec, rng), 30_000, 2, rng,
+        _draws(spec, rng), 30_000, rng,
     )
     assert np.all(np.abs(ms.G1) <= 3 * 1.0 / np.sqrt(30_000) * 3)
 
 
 def test_estimate_debias_second_moment():
-    # with few augmentation draws the mu-outer-product bias Lambda/n_mc is
-    # large; the corrected SigmaDoublePrime must still match the truth
+    # with DRAWS augmentation draws the mu-outer-product bias Lambda/DRAWS
+    # is large; the corrected SigmaDoublePrime must still match the truth
     d = 4
     sigma = 1.0
     spec = SyntheticSpec(d=d, n=1, theta_star=np.zeros(d),
@@ -165,11 +166,11 @@ def test_estimate_debias_second_moment():
     rng = _rng(6)
     ms = estimate_moment_set(
         fm, identity_map(d), additive_noise(sigma),
-        _draws(spec, rng), 40_000, 4, rng,
+        _draws(spec, rng), 40_000, rng,
         theta_star=spec.theta_star, noise_sigma2=0.0,
     )
     truth = W @ W.T  # E[mu_x mu_x^T] = W Sigma W^T with Sigma = I
-    bias_scale = np.linalg.norm(sigma ** 2 * W @ W.T) / 4
+    bias_scale = np.linalg.norm(sigma ** 2 * W @ W.T) / DRAWS
     err = np.linalg.norm(ms.SigmaDoublePrime - truth)
     assert err <= 0.25 * bias_scale
 
@@ -181,7 +182,7 @@ def test_stacked_second_moment_psd():
     rng = _rng(7)
     ms = estimate_moment_set(
         identity_map(d), identity_map(d), masking(0.6),
-        _draws(spec, rng), 5000, 2, rng,
+        _draws(spec, rng), 5000, rng,
         theta_star=spec.theta_star, noise_sigma2=0.0,
     )
     # [[Sigma, Sigma'], [Sigma'^T, Sigma'']] = E[(phi, mu_x)(phi, mu_x)^T]
@@ -206,7 +207,7 @@ def test_estimate_reads_fixed_data_in_chunks():
         return X[:, a:b], Y[:, a:b]
 
     fm = identity_map(d)
-    ms = estimate_moment_set(fm, None, masking(0.7), take, n, 2, rng)
+    ms = estimate_moment_set(fm, None, masking(0.7), take, n, rng)
     assert seen == [(0, 512), (512, 1024), (1024, 1100)]
     assert ms.provenance == "empirical-plugin" and ms.n_mc_used == n
     assert ms.SigmaStar is None and ms.SigmaStarStar is None
@@ -230,7 +231,7 @@ def test_estimate_needs_two_columns_before_reading():
         raise AssertionError("take called")
 
     with pytest.raises(InsufficientSamplesError):
-        estimate_moment_set(identity_map(2), None, masking(0.5), take, 1, 2,
+        estimate_moment_set(identity_map(2), None, masking(0.5), take, 1,
                             _rng())
 
 
@@ -242,7 +243,7 @@ def test_estimate_psi_second_shape():
     Y = rng.standard_normal((q, n))
     fm = random_mlp_map(d, [4], 3, seed=1)
     ms = estimate_moment_set(fm, None, additive_noise(0.3),
-                             lambda a, b: (X[:, a:b], Y[:, a:b]), n, 3, rng)
+                             lambda a, b: (X[:, a:b], Y[:, a:b]), n, rng)
     psi = ms.PsiSecond
     assert psi.shape == (q, 2, 2) and psi.flags.c_contiguous
     assert np.array_equal(psi, psi.transpose(0, 2, 1))
@@ -327,7 +328,7 @@ def test_closed_population_mixture_matches_estimate():
                                          spec.theta_star, 0.3)
     rng = _rng(10)
     groups = [estimate_moment_set(identity_map(d), identity_map(d), mix,
-                                  _draws(spec, rng), 5000, 2, rng)
+                                  _draws(spec, rng), 5000, rng)
               for _ in range(20)]
     for name in ("Sigma", "SigmaPrime", "SigmaDoublePrime", "G1", "G2", "G3",
                  "G4", "PsiSecond", "LambdaBar", "OmegaBar", "SigmaStar",
@@ -335,6 +336,50 @@ def test_closed_population_mixture_matches_estimate():
         est = np.stack([getattr(ms, name) for ms in groups])
         se = est.std(axis=0, ddof=1) / np.sqrt(len(groups))
         gap = np.abs(est.mean(axis=0) - getattr(exact, name))
+        assert np.all(gap <= 4 * se + 1e-12), name
+
+
+def _linear_image(exact, W):
+    """The population blocks of phi(x) = W x from those of x (identity
+    features, identity truth map): every feature-side index maps by W."""
+    blocks = {name: getattr(exact, name) for name in (
+        "Sigma", "SigmaPrime", "SigmaDoublePrime", "LambdaBar")}
+    blocks = {name: W @ M @ W.T for name, M in blocks.items()}
+    blocks.update({name: W @ getattr(exact, name)
+                   for name in ("G1", "G2", "G3", "G4", "OmegaBar")})
+    blocks.update(PsiSecond=exact.PsiSecond,
+                  SigmaStar=exact.SigmaStar @ W.T,
+                  SigmaStarStar=exact.SigmaStarStar)
+    return blocks
+
+
+@pytest.mark.parametrize("scheme", [
+    salt_and_pepper(0.5, 0.7071067811865476),
+    heteroskedastic(_S_X[[0, 1, 2, 0, 1]], _S_Y),
+], ids=["salt-and-pepper", "heteroskedastic"])
+def test_estimate_at_draws_matches_linear_features(scheme):
+    # a linear random MLP phi(x) = W x has exact population blocks
+    # (SigmaDoublePrime = c^2 W Sigma W^T, LambdaBar = W Lambda_x W^T, ...);
+    # the Monte-Carlo set at DRAWS draws a column, debiased, must match
+    # them: every block within 4 grouped SEs over 40 groups of 2048
+    # columns. Heteroskedastic labels reach the G4 and E[mu_y^2] debias.
+    d, p = 5, 3
+    fm = random_mlp_map(d, [], p, seed=3)
+    spec = SyntheticSpec(d=d, n=1, theta_star=np.ones(d) / 2.0,
+                         truth_map=identity_map(d), noise_sigma2=0.3,
+                         q_seed=6)
+    exact = _linear_image(closed_population_moment_set(
+        spec.covariance(), scheme, spec.theta_star, 0.3), fm.weights[0])
+    rng = _rng(15)
+    groups = [estimate_moment_set(fm, identity_map(d), scheme,
+                                  _draws(spec, rng), 2048, rng,
+                                  theta_star=spec.theta_star,
+                                  noise_sigma2=0.3)
+              for _ in range(40)]
+    for name, M in exact.items():
+        est = np.stack([getattr(ms, name) for ms in groups])
+        se = est.std(axis=0, ddof=1) / np.sqrt(len(groups))
+        gap = np.abs(est.mean(axis=0) - M)
         assert np.all(gap <= 4 * se + 1e-12), name
 
 
