@@ -39,7 +39,8 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .errors import NotConvergedError, PreconditionViolationError
-from .ridge import _cholesky, _solve, quadratic_terms
+from .moments import symmetrize
+from .ridge import _cholesky, _solve, quadratic_terms, truth_term
 from .schemes import InvalidParameterError
 
 
@@ -281,8 +282,9 @@ def equivalents(state, D, moment_set, theta_star, sigma2) -> EquivalentReport:
     alpha = state.alpha
     ms = moment_set
     B = state.B
-    theta_bar = _solve(_sigma_bar_of(B, ms) + alpha * ms.LambdaBar,
-                       state.lam, _gamma_bar_of(B, ms) + alpha * ms.OmegaBar,
+    M = symmetrize(_sigma_bar_of(B, ms) + alpha * ms.LambdaBar)
+    theta_bar = _solve(M, state.lam,
+                       _gamma_bar_of(B, ms) + alpha * ms.OmegaBar,
                        "equivalents: Sigma_bar + alpha LambdaBar + lam I")
 
     Sigma_bar_prime = _sigma_bar_of(D, ms)
@@ -294,7 +296,8 @@ def equivalents(state, D, moment_set, theta_star, sigma2) -> EquivalentReport:
     cross = np.einsum("ij,ij->j", theta_bar, Gamma_bar_prime)
     chi_bar = quad - 2.0 * cross + gamma_bar
 
-    theta_sig, tSs, tSSt = quadratic_terms(theta_bar, ms, theta_star, sigma2)
+    theta_sig, tSs, tSSt = quadratic_terms(
+        theta_bar, ms, theta_star, truth_term(ms, theta_star, sigma2))
     g_bar = tSSt - 2.0 * tSs + chi_bar + sigma2
     bias2_bar = theta_sig + tSSt - 2.0 * tSs
     var_bar = g_bar - bias2_bar
@@ -336,8 +339,8 @@ def wellspecified_reduction(state, D, moment_set, theta_star, sigma2):
             )
     beta = float(state.B.sum())
     delta = float(D.sum())
-    theta_bar = _solve(beta * ms.Sigma + alpha * ms.LambdaBar, state.lam,
-                       beta * ms.G1 + alpha * ms.OmegaBar,
+    M = symmetrize(beta * ms.Sigma + alpha * ms.LambdaBar)
+    theta_bar = _solve(M, state.lam, beta * ms.G1 + alpha * ms.OmegaBar,
                        "beta Sigma + alpha LambdaBar + lam I")
     th = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
     diff = theta_bar - th

@@ -479,9 +479,9 @@ def _run_unit(unit, payload=None):
     assemble one design, build one system per alpha and fit every lambda
     from it. Returns (risk, overlap, chi, theta_hat) by cell
     (n, lambda, alpha). Without a payload, the one the pool worker was
-    started with."""
+    started with; its truth is the sweep's ridge.truth_term."""
     (source, fmap, scheme, lambda_grid, alpha_grid, n_mc_aug, moment_set,
-     theta_star, sigma2) = payload or _worker_payload
+     theta_star, truth) = payload or _worker_payload
     seed_seq, n_list = unit
     rng = np.random.default_rng(seed_seq)
     debias = None if fmap.kind == "identity" else n_mc_aug
@@ -495,7 +495,7 @@ def _run_unit(unit, payload=None):
             for lam in lambda_grid:
                 theta = ridge.fit(system, lam)
                 terms = ridge.quadratic_terms(theta, moment_set, theta_star,
-                                              sigma2)
+                                              truth)
                 out[(n, lam, alpha)] = (source.risk(theta, terms),
                                         float(np.mean(terms[1])),
                                         float(np.mean(terms[0])), theta)
@@ -553,8 +553,9 @@ def _sweep(config, source, fmap, scheme, moment_set, theta_star, sigma2,
     det = {cell: _det_columns(moment_set, *cell, theta_star, sigma2)
            for cell in cells}
     seeds = np.random.SeedSequence(config.seed).spawn(config.replicates)
+    truth = ridge.truth_term(moment_set, theta_star, sigma2)
     payload = (source, fmap, scheme, config.lambda_grid, config.alpha_grid,
-               config.n_mc_aug, moment_set, theta_star, sigma2)
+               config.n_mc_aug, moment_set, theta_star, truth)
     results = _run_units(payload, source.units(seeds, n_list), config.workers)
     p = fmap.output_dim
     rows = []
@@ -563,7 +564,7 @@ def _sweep(config, source, fmap, scheme, moment_set, theta_star, sigma2,
         gs, ovs, chis = (np.array([v[k] for v in vals]) for k in range(3))
         th = sum(v[3] for v in vals) / len(vals)  # the replicates' mean
         chi, tSs, tSSt = ridge.quadratic_terms(th, moment_set, theta_star,
-                                               sigma2)
+                                               truth)
         bias2 = float(np.mean(chi + tSSt - 2.0 * tSs))
         n, lam, alpha = cell
         rows.append(ResultRow(
@@ -663,6 +664,7 @@ def validate(config, factor=4):
         a /= np.linalg.norm(a)
         tr_det = float(np.sum(A * state.R_bar))
         th_det = float(a @ rep.theta_bar[:, 0])
+        truth = ridge.truth_term(ms, spec.theta_star, sigma2)
         seeds = np.random.SeedSequence([config.seed, 0xC0 + scale_idx]).spawn(
             config.replicates
         )
@@ -678,7 +680,7 @@ def validate(config, factor=4):
             res_dev.append(float(np.sum(A * Ri)) - tr_det)
             theta = ridge.fit(system, lam)
             th_dev.append(float(a @ theta[:, 0]) - th_det)
-            terms = ridge.quadratic_terms(theta, ms, spec.theta_star, sigma2)
+            terms = ridge.quadratic_terms(theta, ms, spec.theta_star, truth)
             chi = float(np.mean(terms[0]))
             chi_dev.append(chi - rep.chi_bar_mean)
             gs.append(ridge.population_risk(terms, sigma2))

@@ -7,9 +7,14 @@ The estimator solves
     H_a = (1-a) H + a H' + a Omega(Z),
 
 with C = phi(X) phi(X)^T / n, C' = mu_x(Z) mu_x(Z)^T / n, H = phi(X) Y^T / n,
-H' = mu_x(Z) mu_y(Z)^T / n. normal_equations builds (M_a, H_a) once per
-(design, alpha); _solve, the one regularized solve (the equivalents' too),
-factors M_a + lam I once for all q output columns.
+H' = mu_x(Z) mu_y(Z)^T / n. assemble_design symmetrizes C, C' and Lambda,
+so normal_equations, called once per (design, alpha), builds an exactly
+symmetric M_a and checks (M_a, H_a) finite there, once for every lambda.
+_solve, the one regularized solve (the equivalents' too), then costs one
+copy of M_a per lambda, lam added to its diagonal in place, and LAPACK's
+dpotrf (in place) and dpotrs for all q output columns; only a shifted
+solve symmetrizes. truth_term, the one theta-free risk term, is computed
+once per sweep and passed to quadratic_terms for every fit.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, lapack
+from scipy.linalg import lapack
 
 from .errors import EmptyInputError, NumericalFailureError
 from .features import InvalidDimensionError, apply_features
@@ -69,6 +74,16 @@ def assemble_design(X, Y, feature_map, sample_moments, debias_n_mc=None):
     )
 
 
+def _not_positive_definite(A, what):
+    """The NumericalFailureError of a symmetric A (its lower triangle is
+    read) that has no Cholesky factor, naming `what` and A's smallest
+    eigenvalue."""
+    smallest = float(np.linalg.eigvalsh(A)[0])
+    return NumericalFailureError(
+        f"{what} not positive definite (smallest eigenvalue {smallest:.3e})"
+    )
+
+
 def _cholesky(M, what=None):
     """Lower Cholesky factor of the symmetric matrix M (its lower triangle
     is read). If M is not positive definite: None when `what` is None,
@@ -81,37 +96,61 @@ def _cholesky(M, what=None):
         return L
     if what is None:
         return None
-    smallest = float(np.linalg.eigvalsh(M)[0])
-    raise NumericalFailureError(
-        f"{what} not positive definite (smallest eigenvalue {smallest:.3e})"
-    )
+    raise _not_positive_definite(M, what)
 
 
 def normal_equations(design, alpha):
     """The system (M_a, H_a) = ((1-a)C + aC' + aLambda, (1-a)H + aH' +
-    aOmega) of one (design, alpha), which every lambda shares."""
+    aOmega) of one (design, alpha), which every lambda shares. M_a is
+    built by in-place scaled adds from the design's symmetrized blocks, so
+    it is exactly symmetric; both arrays are checked finite here, once per
+    system, and not again per lambda."""
     if not 0.0 <= alpha <= 1.0:
         raise InvalidParameterError(f"alpha must be in [0,1], got {alpha}")
-    M = ((1.0 - alpha) * design.C + alpha * design.Cprime
-         + alpha * design.LambdaEmp)
-    H = ((1.0 - alpha) * design.H + alpha * design.Hprime
-         + alpha * design.OmegaEmp)
-    return M, H
+    system = []
+    for name, (A, B, D) in (
+        ("regularized matrix", (design.C, design.Cprime, design.LambdaEmp)),
+        ("right-hand side", (design.H, design.Hprime, design.OmegaEmp)),
+    ):
+        S = (1.0 - alpha) * A
+        T = alpha * B
+        S += T
+        S += np.multiply(alpha, D, out=T)
+        if not np.isfinite(S).all():
+            raise NumericalFailureError(f"{name} is not finite")
+        system.append(S)
+    return tuple(system)
+
+
+def _regularized(M, lam, shift):
+    """A fresh M + lam I, plus shift and symmetrized when one is given."""
+    A = M.copy()
+    A.flat[::A.shape[0] + 1] += lam
+    return A if shift is None else symmetrize(A + shift)
 
 
 def _solve(M, lam, rhs, what, shift=None):
-    """(M + lam I + shift)^{-1} rhs from one Cholesky factorization of
-    the symmetrized matrix, `what` naming it in a failure. M itself is
-    left as it is, so every lambda can reuse it."""
-    A = M + lam * np.eye(M.shape[0])
-    if shift is not None:
-        A = A + shift
-    return cho_solve((_cholesky(symmetrize(A), what), True), rhs)
+    """(M + lam I + shift)^{-1} rhs, `what` naming the matrix in a failure.
+
+    M is exactly symmetric (a normal_equations system, or symmetrized by
+    the caller) and finite, as is rhs; neither is changed, so every
+    lambda can reuse them. Without a shift this is one copy of M that
+    takes lam on its diagonal in place, factored in place by dpotrf and
+    solved for every column of rhs by dpotrs. A shift, which need not be
+    symmetric, is added to that copy and the sum symmetrized."""
+    A = _regularized(M, lam, shift)
+    # A is exactly symmetric, so A.T is it in the Fortran order that
+    # dpotrf overwrites without a copy
+    L, info = lapack.dpotrf(A.T, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise _not_positive_definite(_regularized(M, lam, shift), what)
+    return lapack.dpotrs(L, rhs, lower=1)[0]
 
 
 def fit(system, lam):
-    """theta_hat (p x q) of a normal_equations system at penalty lam; one
-    factorization for all q outputs."""
+    """theta_hat (p x q) of a normal_equations system at penalty lam: one
+    copy of M_a, one in-place Cholesky factorization and one dpotrs
+    solve for all q outputs (see _solve)."""
     if lam <= 0:
         raise InvalidParameterError(f"lambda must be > 0, got {lam}")
     M, H = system
@@ -147,20 +186,28 @@ def empirical_generalization(theta, test_X, test_Y, feature_map):
     return float(np.mean((pred - test_Y) ** 2))
 
 
-def quadratic_terms(theta, moment_set, theta_star, sigma2):
-    """Per-output (theta^T Sigma theta, theta*^T SigmaStar theta,
-    theta*^T SigmaStarStar theta*), the terms every risk statistic is made
-    of; without truth blocks, G1^T theta and E[Y^2] - sigma2 stand in for
-    the last two."""
+def truth_term(moment_set, theta_star, sigma2):
+    """Per-output theta*^T SigmaStarStar theta*, or E[Y^2] - sigma2
+    without truth blocks: the one risk term that does not depend on
+    theta, so a sweep computes it once and passes it to quadratic_terms."""
+    if theta_star is not None and moment_set.SigmaStar is not None:
+        th = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
+        return np.einsum("ij,ik,kj->j", th, moment_set.SigmaStarStar, th)
+    return moment_set.PsiSecond[:, 0, 0] - sigma2
+
+
+def quadratic_terms(theta, moment_set, theta_star, truth):
+    """Per-output (theta^T Sigma theta, theta*^T SigmaStar theta, truth),
+    the terms every risk statistic is made of, with truth from
+    truth_term; without truth blocks G1^T theta stands in for the
+    second."""
     chi = np.einsum("ij,ik,kj->j", theta, moment_set.Sigma, theta)
     if theta_star is not None and moment_set.SigmaStar is not None:
         th = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
-        tSSt = np.einsum("ij,ik,kj->j", th, moment_set.SigmaStarStar, th)
         tSs = np.einsum("ij,ik,kj->j", th, moment_set.SigmaStar, theta)
     else:
-        tSSt = moment_set.PsiSecond[:, 0, 0] - sigma2
         tSs = np.einsum("ij,ij->j", moment_set.G1, theta)
-    return chi, tSs, tSSt
+    return chi, tSs, truth
 
 
 def population_risk(terms, sigma2):
@@ -173,18 +220,19 @@ def population_risk(terms, sigma2):
 
 def population_generalization(theta, moment_set, theta_star, sigma2):
     """The population risk of theta (see population_risk)."""
-    return population_risk(quadratic_terms(theta, moment_set,
-                                           theta_star, sigma2), sigma2)
+    truth = truth_term(moment_set, theta_star, sigma2)
+    return population_risk(quadratic_terms(theta, moment_set, theta_star,
+                                           truth), sigma2)
 
 
-def overlap_stat(theta, moment_set, theta_star, sigma2=0.0):
+def overlap_stat(theta, moment_set, theta_star):
     """theta*^T SigmaStar theta per output, averaged (plugin substitution
     G1^T theta when truth blocks are absent)."""
     return float(np.mean(quadratic_terms(theta, moment_set,
-                                         theta_star, sigma2)[1]))
+                                         theta_star, None)[1]))
 
 
 def chi_stat(theta, moment_set):
     """theta^T Sigma theta per output, averaged."""
     return float(np.mean(quadratic_terms(theta, moment_set,
-                                         None, 0.0)[0]))
+                                         None, None)[0]))

@@ -1,12 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve, cholesky
 
+from augridge.errors import NumericalFailureError
 from augridge.features import identity_map
 from augridge.moments import (
     batch_sample_moments,
     closed_population_moment_set,
+    symmetrize,
 )
 from augridge.ridge import (
     assemble_design,
@@ -112,6 +117,54 @@ def test_shared_system_is_reused_unchanged():
     assert np.array_equal(first, again)
     assert np.array_equal(first, _fit(d, 0.5, 0.3))
     assert all(np.array_equal(a, b) for a, b in zip(system, before))
+
+
+def test_fit_matches_reference_cholesky_at_blocked_size():
+    # at p = 200 LAPACK factors in blocks; the in-place per-lambda path
+    # must give the bits of a factorization of symmetrize(M + lam I)
+    rng = np.random.default_rng(11)
+    p = 200
+    X = rng.standard_normal((p, 150))
+    Y = rng.standard_normal((2, 150))
+    d = _design(X, Y, identity_map(p), salt_and_pepper(0.6, 0.5))
+    system = normal_equations(d, 0.5)
+    before = [a.copy() for a in system]
+    M, H = system
+    for lam in (1e-5, 1e-2, 1.0, 100.0):
+        L = cholesky(symmetrize(M + lam * np.eye(p)), lower=True)
+        assert np.array_equal(fit(system, lam), cho_solve((L, True), H))
+    assert all(np.array_equal(a, b) for a, b in zip(system, before))
+
+
+@pytest.mark.parametrize("block,name", [
+    ("Cprime", "regularized matrix"), ("OmegaEmp", "right-hand side"),
+])
+def test_non_finite_design_raises(block, name):
+    rng = np.random.default_rng(12)
+    d = _design(rng.standard_normal((4, 10)), rng.standard_normal((1, 10)),
+                identity_map(4), additive_noise(0.5))
+    bad = getattr(d, block).copy()
+    bad[1, 0] = np.inf
+    with pytest.raises(NumericalFailureError, match=f"{name} is not finite"):
+        normal_equations(replace(d, **{block: bad}), 0.5)
+
+
+def test_indefinite_system_names_smallest_eigenvalue():
+    # n = 4 < p = 6: debiasing C' by Lambda / n_mc = 0.125 I leaves it two
+    # eigenvalues of -0.125, which a small lambda does not lift
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((6, 4))
+    fm = identity_map(6)
+    psm = batch_sample_moments(additive_noise(0.5), fm, X, np.ones((1, 4)),
+                               2, rng)
+    d = assemble_design(X, np.ones((1, 4)), fm, psm, debias_n_mc=2)
+    lam = 1e-3
+    smallest = float(np.linalg.eigvalsh(d.Cprime + lam * np.eye(6))[0])
+    assert smallest == pytest.approx(-0.125 + lam)
+    with pytest.raises(NumericalFailureError,
+                       match=f"regularized matrix not positive definite "
+                             f"\\(smallest eigenvalue {smallest:.3e}\\)"):
+        fit((d.Cprime, d.H), lam)
 
 
 @settings(max_examples=20, deadline=None)
