@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .errors import AugridgeError, DataError
+from .errors import AugridgeError, ConfigError, DataError
 from .harness import ExperimentConfig, mnist_pipeline, run_sweep, validate
 
 _COMMANDS = (
@@ -53,8 +53,10 @@ def _dispatch(command, config):
     elif command == "mnist":
         mnist_pipeline(config, csv_name="mnist.csv")
     else:  # the sweeps, each writing <command>.csv
-        run_sweep(config, bias_variance=command == "bias-variance",
-                  csv_name=command.replace("-", "_") + ".csv")
+        if command == "bias-variance" and config.replicates < 10:
+            raise ConfigError("bias-variance estimation needs replicates "
+                              f">= 10 (got {config.replicates})")
+        run_sweep(config, csv_name=command.replace("-", "_") + ".csv")
 
 
 def main(argv=None) -> int:

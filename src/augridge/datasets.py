@@ -138,18 +138,15 @@ class InpaintingTask:
     patch_idx: np.ndarray
 
     def reassemble(self, i=None):
-        """Rebuild the original image(s) from X and Y columns."""
-        side = IMAGE_SIDE
-        if i is not None:
-            img = np.empty(side * side)
-            img[self.visible_idx] = self.X[:, i]
-            img[self.patch_idx] = self.Y[:, i]
-            return img.reshape(side, side)
-        n = self.X.shape[1]
-        out = np.empty((n, side, side))
-        for c in range(n):
-            out[c] = self.reassemble(c)
-        return out
+        """Rebuild the original images, (n, 28, 28), from X and Y in one
+        scatter of their columns; or, given i, column i's 28 x 28 image."""
+        cols = slice(None) if i is None else [i]
+        X, Y = self.X[:, cols], self.Y[:, cols]
+        out = np.empty((X.shape[1], IMAGE_SIDE * IMAGE_SIDE))
+        out[:, self.visible_idx] = X.T
+        out[:, self.patch_idx] = Y.T
+        out = out.reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
+        return out if i is None else out[0]
 
 
 def inpainting_task(images) -> InpaintingTask:

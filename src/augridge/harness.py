@@ -284,16 +284,11 @@ class ExperimentConfig:
     def build_feature_map(self):
         return _build_feature_map(self.features, self.data_dim())
 
-    def build_truth_map(self):
-        if self.data["kind"] == "mnist":
-            return None
-        return _build_feature_map(self.truth_features, self.data_dim())
-
     def build_synthetic_spec(self):
         data = self.data
         if data["kind"] != "synthetic":
             raise ConfigError("synthetic data required for this command")
-        truth = self.build_truth_map()
+        truth = _build_feature_map(self.truth_features, self.data_dim())
         return SyntheticSpec(
             d=data["d"],
             n=data["n"],
@@ -423,7 +418,7 @@ def build_moment_set(config):
         )
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xA0]))
     return estimate_moment_set(
-        fmap, config.build_truth_map(), scheme,
+        fmap, spec.truth_map, scheme,
         lambda a, b: sample_synthetic(spec, rng, n=b - a),
         config.n_mc_data, rng,
         theta_star=spec.theta_star, noise_sigma2=spec.noise_sigma2,
@@ -471,34 +466,40 @@ class _Subsamples:
                                               self.test.Y, self.fmap)
 
 
+def _replicate(source, fmap, scheme, n_mc_aug, alpha_grid, seed_seq, n_list):
+    """One replicate from its seed: per n, draw data from the source, take
+    its per-sample moments and assemble one design (debiased by the draw
+    count the moments carry); yields (n, alpha, system) for each alpha,
+    the normal_equations system every lambda shares."""
+    rng = np.random.default_rng(seed_seq)
+    for n in n_list:
+        X, Y = source.draw(rng, n)
+        psm = batch_sample_moments(scheme, fmap, X, Y, n_mc_aug, rng)
+        design = ridge.assemble_design(X, Y, fmap, psm)
+        for alpha in alpha_grid:
+            yield n, alpha, ridge.normal_equations(design, alpha)
+
+
 _worker_payload = None  # set once in each pool worker by _init_worker
 
 
 def _run_unit(unit, payload=None):
-    """One work unit (seed, n_list): per n, draw data from the source,
-    assemble one design, build one system per alpha and fit every lambda
-    from it. Returns (risk, overlap, chi, theta_hat) by cell
+    """One work unit (seed, n_list): fit every lambda from each system of
+    its _replicate. Returns (risk, overlap, chi, theta_hat) by cell
     (n, lambda, alpha). Without a payload, the one the pool worker was
     started with; its truth is the sweep's ridge.truth_term."""
     (source, fmap, scheme, lambda_grid, alpha_grid, n_mc_aug, moment_set,
      theta_star, truth) = payload or _worker_payload
-    seed_seq, n_list = unit
-    rng = np.random.default_rng(seed_seq)
-    debias = None if fmap.kind == "identity" else n_mc_aug
     out = {}
-    for n in n_list:
-        X, Y = source.draw(rng, n)
-        psm = batch_sample_moments(scheme, fmap, X, Y, n_mc_aug, rng)
-        design = ridge.assemble_design(X, Y, fmap, psm, debias_n_mc=debias)
-        for alpha in alpha_grid:
-            system = ridge.normal_equations(design, alpha)
-            for lam in lambda_grid:
-                theta = ridge.fit(system, lam)
-                terms = ridge.quadratic_terms(theta, moment_set, theta_star,
-                                              truth)
-                out[(n, lam, alpha)] = (source.risk(theta, terms),
-                                        float(np.mean(terms[1])),
-                                        float(np.mean(terms[0])), theta)
+    for n, alpha, system in _replicate(source, fmap, scheme, n_mc_aug,
+                                       alpha_grid, *unit):
+        for lam in lambda_grid:
+            theta = ridge.fit(system, lam)
+            terms = ridge.quadratic_terms(theta, moment_set, theta_star,
+                                          truth)
+            out[(n, lam, alpha)] = (source.risk(theta, terms),
+                                    float(np.mean(terms[1])),
+                                    float(np.mean(terms[0])), theta)
     return out
 
 
@@ -579,18 +580,13 @@ def _sweep(config, source, fmap, scheme, moment_set, theta_star, sigma2,
     return rows
 
 
-def run_sweep(config, bias_variance=False, csv_name=None, moment_set=None):
+def run_sweep(config, csv_name=None, moment_set=None):
     """Full (lambda, alpha, n) grid sweep with Monte-Carlo ground truth
     and deterministic equivalents; one ResultRow per cell.
 
     moment_set overrides the internally built population moments; pass it
     to share one estimation across several sweeps of the same data law.
     """
-    if bias_variance and config.replicates < 10:
-        raise ConfigError(
-            "bias-variance estimation needs replicates >= 10 "
-            f"(got {config.replicates})"
-        )
     _preflight(config)
     spec = config.build_synthetic_spec()
     fmap = config.build_feature_map()
@@ -616,7 +612,9 @@ def validate(config, factor=4):
     but it mixes a fast-decaying bias with a Monte-Carlo noise floor of
     order std/sqrt(R), so its ratio is not a stable rate probe. std(G)
     and the finite-difference derivative identity error round out the
-    report. It runs identity features and truth only.
+    report. It runs identity features and truth only, at the first
+    lambda and alpha, and takes each replicate's system from _replicate,
+    serially whatever config.workers is.
     """
     for key in ("features", "truth_features"):
         kind = getattr(config, key)["kind"]
@@ -670,12 +668,8 @@ def validate(config, factor=4):
         )
         res_dev, th_dev, chi_dev, gs, fd_errs = [], [], [], [], []
         for r, s in enumerate(seeds):
-            rng = np.random.default_rng(s)
-            X, Y = sample_synthetic(spec, rng, n=n)
-            psm = batch_sample_moments(scheme, fmap, X, Y, config.n_mc_aug,
-                                       rng)
-            system = ridge.normal_equations(
-                ridge.assemble_design(X, Y, fmap, psm), alpha)
+            (_, _, system), = _replicate(_FreshDraws(spec), fmap, scheme,
+                                         config.n_mc_aug, (alpha,), s, (n,))
             Ri = ridge.resolvent_shifted(system, lam)
             res_dev.append(float(np.sum(A * Ri)) - tr_det)
             theta = ridge.fit(system, lam)

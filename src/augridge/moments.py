@@ -60,13 +60,13 @@ def psd_clip(M, scale=0.0):
 def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
     """Vectorized per-sample moments of all columns of (X, Y).
 
-    Returns (MuX: p x n, MuY: q x n, LambdaBar: p x p, OmegaBar: p x q)
-    where LambdaBar, OmegaBar are the empirical averages over the n
+    Returns (MuX: p x n, MuY: q x n, LambdaBar: p x p, OmegaBar: p x q,
+    draws) where LambdaBar, OmegaBar are the empirical averages over the n
     samples (unbiased per-sample normalization). Identity features take
     the closed form of schemes.closed_moments, with the batch's coordinate
-    second moments and second-moment matrix; otherwise n_mc Monte-Carlo
-    draws per sample, pushed through the feature map in one batch. One
-    column gives the moments of one datum.
+    second moments and second-moment matrix, and draws = 0; otherwise
+    draws = n_mc Monte-Carlo draws per sample, pushed through the feature
+    map in one batch. One column gives the moments of one datum.
     """
     X = np.asarray(X, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -76,7 +76,7 @@ def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
     if feature_map.kind == "identity":
         c, LambdaBar, OmegaBar = closed_moments(
             scheme, (X * X).mean(1), lambda: X @ X.T / n, q)
-        return c * X, Y.copy(), LambdaBar, OmegaBar
+        return c * X, Y.copy(), LambdaBar, OmegaBar, 0
     if n_mc < 2:
         raise InsufficientSamplesError(
             "n_mc >= 2 required without a closed form"
@@ -98,7 +98,7 @@ def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
         Sxy = Pa @ Ya.T / (n * n_mc)
         Mxy = MuX @ MuY.T / n
         OmegaBar = n_mc / (n_mc - 1) * (Sxy - Mxy)
-    return MuX, MuY, LambdaBar, OmegaBar
+    return MuX, MuY, LambdaBar, OmegaBar, n_mc
 
 
 @dataclass
@@ -152,10 +152,11 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total, rng,
     None the SigmaStar blocks are omitted and provenance is
     "empirical-plugin".
 
-    Each column's augmentation moments come from DRAWS draws. The blocks
-    built from two estimated means (SigmaDoublePrime, G4 and E[mu_y^2] in
-    PsiSecond) are debiased by LambdaBar/DRAWS, OmegaBar/DRAWS and
-    schemes.label_variance/DRAWS, so every block is unbiased.
+    Each column's augmentation moments come from DRAWS draws (none with
+    identity features). The blocks built from two estimated means
+    (SigmaDoublePrime, G4 and E[mu_y^2] in PsiSecond) are debiased by the
+    draw count the chunks report: LambdaBar/draws, OmegaBar/draws and
+    schemes.label_variance/draws, so every block is unbiased.
 
     When theta_star and noise_sigma2 are given (synthetic well-known truth)
     and the scheme is label-preserving (its parameters are constants, so
@@ -184,7 +185,7 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total, rng,
     for a in range(0, total, CHUNK):
         X, Y = take(a, min(a + CHUNK, total))
         Phi = apply_features(feature_map, X)
-        MuX, MuY, Lam_c, Om_c = batch_sample_moments(
+        MuX, MuY, Lam_c, Om_c, draws = batch_sample_moments(
             scheme, feature_map, X, Y, DRAWS, rng
         )
         if truth_map is not None:
@@ -207,12 +208,12 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total, rng,
 
     for M in sums.values():
         M /= total
-    if feature_map.kind != "identity":
-        # remove the O(1/DRAWS) bias of mu_hat outer products
-        sums["SigmaDoublePrime"] -= sums["LambdaBar"] / DRAWS
-        sums["G4"] -= sums["OmegaBar"] / DRAWS
+    if draws:
+        # remove the O(1/draws) bias of mu_hat outer products
+        sums["SigmaDoublePrime"] -= sums["LambdaBar"] / draws
+        sums["G4"] -= sums["OmegaBar"] / draws
         sums["PsiSecond"][:, 1, 1] -= (
-            label_variance(scheme, sums["G1"].shape[1]) / DRAWS)
+            label_variance(scheme, sums["G1"].shape[1]) / draws)
     if condition_labels:
         sums["PsiSecond"] += float(noise_sigma2)
     _check_finite(sums)

@@ -41,13 +41,13 @@ class AugmentedDesign:
     n: int
 
 
-def assemble_design(X, Y, feature_map, sample_moments, debias_n_mc=None):
+def assemble_design(X, Y, feature_map, sample_moments):
     """Build the six design blocks with 1/n normalization.
 
-    sample_moments is the (MuX, MuY, LambdaBar, OmegaBar) tuple from
-    moments.batch_sample_moments. When the per-sample means were estimated
-    from debias_n_mc augmentation draws, the O(1/n_mc) bias of Cprime and
-    Hprime (outer products of estimated means) is removed.
+    sample_moments is the (MuX, MuY, LambdaBar, OmegaBar, draws) tuple
+    from moments.batch_sample_moments. When the per-sample means were
+    estimated from draws > 0 augmentations, the O(1/draws) bias of Cprime
+    and Hprime (outer products of estimated means) is removed.
     """
     X = np.asarray(X, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -57,7 +57,7 @@ def assemble_design(X, Y, feature_map, sample_moments, debias_n_mc=None):
     if Y.shape[1] != n:
         raise InvalidDimensionError("X and Y column counts differ")
     Phi = apply_features(feature_map, X)
-    MuX, MuY, LambdaEmp, OmegaEmp = sample_moments
+    MuX, MuY, LambdaEmp, OmegaEmp, draws = sample_moments
     MuY = np.atleast_2d(MuY)
     if MuX.shape[1] != n:
         raise InvalidDimensionError("per-sample moments do not match n")
@@ -65,9 +65,9 @@ def assemble_design(X, Y, feature_map, sample_moments, debias_n_mc=None):
     Cprime = symmetrize(MuX @ MuX.T / n)
     H = Phi @ Y.T / n
     Hprime = MuX @ MuY.T / n
-    if debias_n_mc is not None and debias_n_mc > 0:
-        Cprime = symmetrize(Cprime - LambdaEmp / debias_n_mc)
-        Hprime = Hprime - OmegaEmp / debias_n_mc
+    if draws:
+        Cprime = symmetrize(Cprime - LambdaEmp / draws)
+        Hprime = Hprime - OmegaEmp / draws
     return AugmentedDesign(
         C=C, Cprime=Cprime, H=H, Hprime=Hprime,
         LambdaEmp=symmetrize(LambdaEmp), OmegaEmp=OmegaEmp, n=n,

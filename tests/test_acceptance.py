@@ -96,7 +96,7 @@ def bias_variance_run(accuracy_run):
         n_grid=[100],
         replicates=50,
     ))
-    rows = run_sweep(bv, bias_variance=True, moment_set=moment_set)
+    rows = run_sweep(bv, moment_set=moment_set)
     return bv, rows
 
 

@@ -163,15 +163,9 @@ def test_single_replicate_has_zero_std():
     assert rows[0].g_std == 0.0 and rows[0].chi_std == 0.0
 
 
-def test_bias_variance_requires_replicates():
-    config = ExperimentConfig.from_dict(_tiny_cfg(replicates=3))
-    with pytest.raises(ConfigError, match="replicates"):
-        run_sweep(config, bias_variance=True)
-
-
 def test_bias_variance_split_sums():
     config = ExperimentConfig.from_dict(_tiny_cfg(replicates=12))
-    rows = run_sweep(config, bias_variance=True)
+    rows = run_sweep(config)
     for r in rows:
         assert r.bias2_emp + r.var_emp == pytest.approx(r.g_mean, rel=1e-12)
         assert r.bias2_det + r.var_det == pytest.approx(r.g_det, rel=1e-12)
@@ -246,6 +240,17 @@ def _write_cfg(tmp_path, cfg):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return str(path)
+
+
+def test_cli_bias_variance_requires_replicates(tmp_path, capsys):
+    # the command's replicates check runs before the sweep; run_sweep
+    # itself takes any replicate count
+    out = tmp_path / "out"
+    path = _write_cfg(tmp_path, _tiny_cfg(replicates=3, out_dir=str(out)))
+    assert cli_main(["bias-variance", "--config", path]) == 2
+    assert "replicates >= 10" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_sweep(ExperimentConfig.from_json(path))
 
 
 def test_cli_bad_config_exit_2(tmp_path):

@@ -35,8 +35,8 @@ def _draws(spec, rng):
 def _one_column(scheme, fm, z, n_mc, rng):
     """The moments of one datum: a one-column batch_sample_moments call."""
     x, y = z
-    mu_x, mu_y, lam, om = batch_sample_moments(scheme, fm, x[:, None],
-                                               y[:, None], n_mc, rng)
+    mu_x, mu_y, lam, om, _ = batch_sample_moments(scheme, fm, x[:, None],
+                                                  y[:, None], n_mc, rng)
     return mu_x[:, 0], mu_y[:, 0], lam, om
 
 
@@ -99,7 +99,7 @@ def test_empirical_average_shrinks_like_root_n():
         for rep in range(60):
             rng = _rng(1000 * n + rep)
             X = spec.covariance_sqrt() @ rng.standard_normal((d, n))
-            _, _, lam_bar, _ = batch_sample_moments(
+            _, _, lam_bar, _, _ = batch_sample_moments(
                 scheme, fm, X, np.zeros((1, n)), 2, rng)
             dev.append(np.linalg.norm(lam_bar - ms.LambdaBar))
         errs[n] = np.mean(dev)
@@ -211,7 +211,8 @@ def test_estimate_reads_fixed_data_in_chunks():
     assert seen == [(0, 512), (512, 1024), (1024, 1100)]
     assert ms.provenance == "empirical-plugin" and ms.n_mc_used == n
     assert ms.SigmaStar is None and ms.SigmaStarStar is None
-    MuX, MuY, Lam, Om = batch_sample_moments(masking(0.7), fm, X, Y, 2, rng)
+    MuX, MuY, Lam, Om, _ = batch_sample_moments(masking(0.7), fm, X, Y, 2,
+                                                rng)
     expected = {
         "Sigma": X @ X.T / n, "SigmaPrime": X @ MuX.T / n,
         "SigmaDoublePrime": MuX @ MuX.T / n, "G1": X @ Y.T / n,

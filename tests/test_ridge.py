@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky
 
 from augridge.errors import NumericalFailureError
-from augridge.features import identity_map
+from augridge.features import identity_map, random_mlp_map
 from augridge.moments import (
     batch_sample_moments,
     closed_population_moment_set,
@@ -27,6 +27,7 @@ from augridge.ridge import (
 from augridge.schemes import (
     InvalidParameterError,
     additive_noise,
+    heteroskedastic,
     salt_and_pepper,
 )
 
@@ -157,7 +158,8 @@ def test_indefinite_system_names_smallest_eigenvalue():
     fm = identity_map(6)
     psm = batch_sample_moments(additive_noise(0.5), fm, X, np.ones((1, 4)),
                                2, rng)
-    d = assemble_design(X, np.ones((1, 4)), fm, psm, debias_n_mc=2)
+    # exact means that claim 2 draws: assemble_design debiases by them
+    d = assemble_design(X, np.ones((1, 4)), fm, psm[:4] + (2,))
     lam = 1e-3
     smallest = float(np.linalg.eigvalsh(d.Cprime + lam * np.eye(6))[0])
     assert smallest == pytest.approx(-0.125 + lam)
@@ -165,6 +167,39 @@ def test_indefinite_system_names_smallest_eigenvalue():
                        match=f"regularized matrix not positive definite "
                              f"\\(smallest eigenvalue {smallest:.3e}\\)"):
         fit((d.Cprime, d.H), lam)
+
+
+def test_design_debiases_by_the_draw_count():
+    # random-MLP means estimated from T draws: C' and H' lose Lambda/T and
+    # Omega/T, and no argument asks for it
+    rng = np.random.default_rng(14)
+    n, T = 9, 7
+    X = rng.standard_normal((3, n))
+    Y = rng.standard_normal((1, n))
+    fm = random_mlp_map(3, [6], 4, seed=1)
+    scheme = heteroskedastic(rng.standard_normal((3, 2)),
+                             rng.standard_normal((1, 2)))
+    psm = batch_sample_moments(scheme, fm, X, Y, T, rng)
+    MuX, MuY, Lam, Om, draws = psm
+    assert draws == T and np.any(Om != 0)
+    d = assemble_design(X, Y, fm, psm)
+    assert np.array_equal(d.Cprime,
+                          symmetrize(symmetrize(MuX @ MuX.T / n) - Lam / T))
+    assert np.array_equal(d.Hprime, MuX @ MuY.T / n - Om / T)
+
+
+def test_identity_design_is_not_debiased():
+    # identity features have exact means: 0 draws, no debias
+    rng = np.random.default_rng(15)
+    X = rng.standard_normal((4, 6))
+    Y = rng.standard_normal((1, 6))
+    psm = batch_sample_moments(additive_noise(0.5), identity_map(4), X, Y,
+                               7, rng)
+    MuX, MuY, _, _, draws = psm
+    assert draws == 0
+    d = assemble_design(X, Y, identity_map(4), psm)
+    assert np.array_equal(d.Cprime, symmetrize(MuX @ MuX.T / 6))
+    assert np.array_equal(d.Hprime, MuX @ MuY.T / 6)
 
 
 @settings(max_examples=20, deadline=None)
