@@ -14,12 +14,16 @@ by safeguarded Newton on the free entries of B, starting from the
 infinite-data limit B = W^2: b11 alone at alpha = 0, b22 alone at
 alpha = 1, (b11, b12, b22) otherwise. A step factors M(B) = L L^T once and
 whitens the blocks X = (Sigma, sym Sigma', Sigma'') into
-Z_i = L^{-1} X_i L^{-T}, so tr(X_i R_bar) = tr Z_i. Through
+Z_i = L^{-1} X_i L^{-T} by one LAPACK dsygst per block, so
+tr(X_i R_bar) = tr Z_i. dsygst reads and writes only the lower triangle,
+so each Z_i is kept as its lower triangle over zeros. Through
 dR_bar = -R_bar dM R_bar and dF = -n^{-1} F dA F, the exact Jacobian of F
-needs only T_ij = tr(X_i R_bar X_j R_bar) = <Z_i, Z_j>_F. A step is halved
-while M(B) is not positive definite or the residual ||F(B) - B||_F grows;
-it is not held inside the Loewner box 0 <= B <= W^2, because with a
-nearly rank-one A (masking) the fixed point lies on its boundary.
+needs only T_ij = tr(X_i R_bar X_j R_bar) = <Z_i, Z_j>_F, read from the
+lower triangles as 2 <tril Z_i, tril Z_j> - <diag Z_i, diag Z_j>. A step
+is halved while M(B) is not positive definite or the residual
+||F(B) - B||_F grows; it is not held inside the Loewner box
+0 <= B <= W^2, because with a nearly rank-one A (masking) the fixed
+point lies on its boundary.
 
 The random resolvent expectation is closed with R_bar itself, the only
 deterministic closure available; its validity is what the Monte-Carlo
@@ -36,11 +40,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 from .errors import NotConvergedError, PreconditionViolationError
 from .moments import symmetrize
-from .ridge import _cholesky, _solve, quadratic_terms, truth_term
+from .ridge import (_cholesky, _solve, quadratic_form, quadratic_terms,
+                    truth_term)
 from .schemes import InvalidParameterError
 
 
@@ -123,21 +128,28 @@ def _gamma_bar_of(B, ms):
 
 
 def _whiten(L, X):
-    """L^{-1} X L^{-T} by two triangular solves, the second in place."""
-    Y = blas.dtrsm(1.0, L, X, lower=1)
-    return blas.dtrsm(1.0, L, Y, side=1, lower=1, trans_a=1, overwrite_b=1)
+    """The lower triangle of L^{-1} X L^{-T}, for a symmetric X given by
+    its lower triangle, by one LAPACK dsygst on a copy of X. dsygst leaves
+    the strict upper triangle as X has it: zeros for _DilationMap's
+    blocks."""
+    return lapack.dsygst(X, L, itype=1, lower=1)[0]
 
 
 def _traces(Z):
-    """tr Z_i and <Z_i, Z_j>_F over the whitened blocks, 0 elsewhere."""
+    """tr Z_i and <Z_i, Z_j>_F over the whitened blocks, 0 elsewhere. Each
+    Z_i holds a symmetric matrix as its lower triangle over zeros, so the
+    Frobenius product of two such matrices is twice that of the stored
+    arrays less that of their diagonals."""
     a = np.zeros(3)
     T = np.zeros((3, 3))
     flat = {k: z.ravel(order="K") for k, z in Z.items()}
+    diag = {k: np.diagonal(z) for k, z in Z.items()}
     for i in flat:
-        a[i] = np.trace(Z[i])
+        a[i] = diag[i].sum()
         for j in flat:
             if j >= i:
-                T[i, j] = T[j, i] = np.dot(flat[i], flat[j])
+                T[i, j] = T[j, i] = (2.0 * np.dot(flat[i], flat[j])
+                                     - np.dot(diag[i], diag[j]))
     return a, T
 
 
@@ -159,11 +171,15 @@ class _DilationMap:
         self.ms, self.alpha, self.lam, self.n = ms, alpha, lam, n
         self.W = np.diag([np.sqrt(1.0 - alpha), np.sqrt(alpha)])
         self.free = _free(alpha)
-        # only the symmetric part of Sigma' enters A
-        self.X = (ms.Sigma,
-                  0.5 * (ms.SigmaPrime + ms.SigmaPrime.T)
-                  if 1 in self.free else None,
-                  ms.SigmaDoublePrime)
+        # the blocks that enter (Sigma always: C_bar needs it at alpha = 1)
+        # as their lower triangles over zeros, in the Fortran order dsygst
+        # copies without a transpose; only sym Sigma' enters A
+        self.X = {}
+        for k in sorted({0, *self.free}):
+            X = (ms.Sigma, ms.SigmaPrime, ms.SigmaDoublePrime)[k]
+            if k == 1:
+                X = 0.5 * (X + X.T)
+            self.X[k] = np.asfortranarray(np.tril(X))
 
     def at(self, b, what=None):
         """The point b, or None when M(B) is not positive definite (and
@@ -291,8 +307,7 @@ def equivalents(state, D, moment_set, theta_star, sigma2) -> EquivalentReport:
     Gamma_bar_prime = _gamma_bar_of(D, ms)
     gamma_bar = np.einsum("ij,kji->k", D, ms.PsiSecond)
 
-    quad = np.einsum("ij,ik,kj->j", theta_bar,
-                     Sigma_bar_prime + ms.Sigma, theta_bar)
+    quad = quadratic_form(theta_bar, Sigma_bar_prime + ms.Sigma, theta_bar)
     cross = np.einsum("ij,ij->j", theta_bar, Gamma_bar_prime)
     chi_bar = quad - 2.0 * cross + gamma_bar
 
@@ -345,7 +360,7 @@ def wellspecified_reduction(state, D, moment_set, theta_star, sigma2):
     th = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
     diff = theta_bar - th
     g_simple = (1.0 + delta) * (
-        np.einsum("ij,ik,kj->j", diff, ms.Sigma, diff) + sigma2
+        quadratic_form(diff, ms.Sigma, diff) + sigma2
     )
     return {
         "beta": beta,

@@ -246,7 +246,9 @@ def closed_population_moment_set(Sigma, scheme, theta_star, sigma2):
     c, LambdaBar, OmegaBar = closed_moments(scheme, np.diag(Sigma),
                                             lambda: Sigma, q)
     G1 = Sigma @ theta
-    ey2 = np.einsum("ij,ik,kj->j", theta, Sigma, theta) + sigma2
+    # theta^T Sigma theta per output: ridge.quadratic_form with its GEMM
+    # already done as G1
+    ey2 = np.einsum("ij,ij->j", theta, G1) + sigma2
     Psi = np.empty((q, 2, 2))
     Psi[:] = ey2[:, None, None]
     blocks = dict(

@@ -14,7 +14,9 @@ _solve, the one regularized solve (the equivalents' too), then costs one
 copy of M_a per lambda, lam added to its diagonal in place, and LAPACK's
 dpotrf (in place) and dpotrs for all q output columns; only a shifted
 solve symmetrizes. truth_term, the one theta-free risk term, is computed
-once per sweep and passed to quadratic_terms for every fit.
+once per sweep and passed to quadratic_terms for every fit. Every risk
+term theta_a^T S theta_b, per output column, is quadratic_form: one GEMM
+S @ theta_b and a column sum of its product with theta_a.
 """
 
 from __future__ import annotations
@@ -186,13 +188,18 @@ def empirical_generalization(theta, test_X, test_Y, feature_map):
     return float(np.mean((pred - test_Y) ** 2))
 
 
+def quadratic_form(A, S, B):
+    """Per column j, A[:, j]^T S B[:, j]: one GEMM and a column sum."""
+    return np.einsum("ij,ij->j", A, S @ B)
+
+
 def truth_term(moment_set, theta_star, sigma2):
     """Per-output theta*^T SigmaStarStar theta*, or E[Y^2] - sigma2
     without truth blocks: the one risk term that does not depend on
     theta, so a sweep computes it once and passes it to quadratic_terms."""
     if theta_star is not None and moment_set.SigmaStar is not None:
         th = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
-        return np.einsum("ij,ik,kj->j", th, moment_set.SigmaStarStar, th)
+        return quadratic_form(th, moment_set.SigmaStarStar, th)
     return moment_set.PsiSecond[:, 0, 0] - sigma2
 
 
@@ -201,10 +208,10 @@ def quadratic_terms(theta, moment_set, theta_star, truth):
     the terms every risk statistic is made of, with truth from
     truth_term; without truth blocks G1^T theta stands in for the
     second."""
-    chi = np.einsum("ij,ik,kj->j", theta, moment_set.Sigma, theta)
+    chi = quadratic_form(theta, moment_set.Sigma, theta)
     if theta_star is not None and moment_set.SigmaStar is not None:
         th = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
-        tSs = np.einsum("ij,ik,kj->j", th, moment_set.SigmaStar, theta)
+        tSs = quadratic_form(th, moment_set.SigmaStar, theta)
     else:
         tSs = np.einsum("ij,ij->j", moment_set.G1, theta)
     return chi, tSs, truth

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import blas
 
 from augridge.detequiv import (
+    _DilationMap,
     NotConvergedError,
     PreconditionViolationError,
     compute_second_order,
@@ -292,3 +296,28 @@ def test_second_order_from_stored_traces_matches_direct():
         D_ref = np.array([[d[0], d[1]], [d[1], d[2]]])
         D = compute_second_order(st_, ms)
         assert np.linalg.norm(D - D_ref) <= 1e-12 * np.linalg.norm(D_ref)
+
+
+def test_whitened_traces_match_two_triangular_solves():
+    # three distinct blocks, the diagonal blocks and sym Sigma' of one
+    # joint covariance, with Sigma' not symmetric; the reference whitens
+    # each full symmetric block by two dtrsm calls and takes its trace
+    # and Frobenius products
+    p = 200
+    rng = np.random.default_rng(43)
+    G = rng.standard_normal((2 * p, 2 * p)) / np.sqrt(2 * p)
+    K = G @ G.T
+    ms = replace(_aniso_masking_ms(p, seed=6), Sigma=K[:p, :p],
+                 SigmaPrime=K[:p, p:], SigmaDoublePrime=K[p:, p:])
+    alpha, lam, n = 0.5, 0.05, 150
+    state = solve_fixed_point(ms, alpha, lam, n)
+    assert state.converged
+    P = _DilationMap(ms, alpha, lam, n).at(state.B[[0, 0, 1], [0, 1, 1]])
+    X = (ms.Sigma, 0.5 * (ms.SigmaPrime + ms.SigmaPrime.T),
+         ms.SigmaDoublePrime)
+    Z = [blas.dtrsm(1.0, P.L, blas.dtrsm(1.0, P.L, Xi, lower=1),
+                    side=1, lower=1, trans_a=1) for Xi in X]
+    a = np.array([np.trace(Zi) for Zi in Z])
+    T = np.array([[np.sum(Zi * Zj) for Zj in Z] for Zi in Z])
+    np.testing.assert_allclose(P.a, a, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(P.T, T, rtol=1e-12, atol=0.0)

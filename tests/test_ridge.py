@@ -21,7 +21,9 @@ from augridge.ridge import (
     normal_equations,
     overlap_stat,
     population_generalization,
+    quadratic_terms,
     resolvent_shifted,
+    truth_term,
     xi_derivative_fd,
 )
 from augridge.schemes import (
@@ -336,3 +338,35 @@ def test_overlap_and_chi_stats():
     th = np.array([[0.5], [2.0]])
     assert chi_stat(th, ms) == pytest.approx(0.25 * 2 + 4.0)
     assert overlap_stat(th, ms, theta_star) == pytest.approx(1.0 + 2.0)
+
+
+@pytest.mark.parametrize("q", [1, 25])
+def test_quadratic_terms_match_per_column_loop(q):
+    # p = 759 is the MNIST feature dimension; SigmaStar is not symmetric
+    # and SigmaStarStar differs from Sigma, so each term must pair its own
+    # block with its own operands
+    p = 759
+    rng = np.random.default_rng(41)
+    G = rng.standard_normal((p, p)) / np.sqrt(p)
+    K = rng.standard_normal((p, p)) / np.sqrt(p)
+    Sigma = G @ G.T
+    theta_star = rng.standard_normal((p, q)) / np.sqrt(p)
+    ms = replace(
+        closed_population_moment_set(Sigma, additive_noise(0.0),
+                                     theta_star, 0.2),
+        SigmaStar=Sigma + 0.3 * K, SigmaStarStar=Sigma + K @ K.T)
+    theta = theta_star + 0.1 * rng.standard_normal((p, q)) / np.sqrt(p)
+    if q == 1:  # a 1-D truth, as configs give it
+        theta_star = theta_star[:, 0]
+    chi, tSs, tSSt = quadratic_terms(theta, ms, theta_star,
+                                     truth_term(ms, theta_star, 0.2))
+    ts = theta_star.reshape(p, q)
+
+    def loop(A, S, B):
+        return np.array([A[:, j] @ S @ B[:, j] for j in range(q)])
+
+    for got, want in ((chi, loop(theta, Sigma, theta)),
+                      (tSs, loop(ts, ms.SigmaStar, theta)),
+                      (tSSt, loop(ts, ms.SigmaStarStar, ts))):
+        assert got.shape == (q,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
