@@ -82,7 +82,6 @@ class EquivalentReport:
     bias2_bar_mean: float
     var_bar_mean: float
     overlap_bar_mean: float
-    plugin_mode: bool
 
 
 # free entry k of B, as (b11, b12, b22): its slot in B, and the weight of
@@ -286,14 +285,14 @@ def compute_second_order(state, moment_set):
                                    B @ _sym2(T[:, 0]) @ B / n))
 
 
-def equivalents(state, D, moment_set, theta_star, sigma2) -> EquivalentReport:
+def equivalents(state, D, moment_set, sigma2) -> EquivalentReport:
     """Deterministic equivalents of theta_hat, chi, risk, and the
     bias/variance split, per output and output-averaged.
 
-    Without a truth map (theta_star None or missing SigmaStar blocks) the
-    scalar substitutions theta*^T SigmaStarStar theta* -> E[Y^2] - sigma2
-    and theta*^T SigmaStar theta_bar -> G1^T theta_bar are applied and
-    flagged via plugin_mode.
+    The truth enters only through the moment set's G1 and E[Y^2]
+    (ridge.quadratic_terms), for every data source: the bias is
+    theta_bar^T Sigma theta_bar - 2 G1^T theta_bar + E[Y^2] - sigma2 and
+    the overlap G1^T theta_bar.
     """
     alpha = state.alpha
     ms = moment_set
@@ -311,10 +310,10 @@ def equivalents(state, D, moment_set, theta_star, sigma2) -> EquivalentReport:
     cross = np.einsum("ij,ij->j", theta_bar, Gamma_bar_prime)
     chi_bar = quad - 2.0 * cross + gamma_bar
 
-    theta_sig, tSs, tSSt = quadratic_terms(
-        theta_bar, ms, theta_star, truth_term(ms, theta_star, sigma2))
-    g_bar = tSSt - 2.0 * tSs + chi_bar + sigma2
-    bias2_bar = theta_sig + tSSt - 2.0 * tSs
+    theta_sig, overlap, truth = quadratic_terms(theta_bar, ms,
+                                                truth_term(ms, sigma2))
+    g_bar = truth - 2.0 * overlap + chi_bar + sigma2
+    bias2_bar = theta_sig + truth - 2.0 * overlap
     var_bar = g_bar - bias2_bar
 
     return EquivalentReport(
@@ -324,31 +323,34 @@ def equivalents(state, D, moment_set, theta_star, sigma2) -> EquivalentReport:
         g_bar_mean=float(g_bar.mean()),
         bias2_bar_mean=float(bias2_bar.mean()),
         var_bar_mean=float(var_bar.mean()),
-        overlap_bar_mean=float(tSs.mean()),
-        plugin_mode=theta_star is None or ms.SigmaStar is None,
+        overlap_bar_mean=float(overlap.mean()),
     )
 
 
 def wellspecified_reduction(state, D, moment_set, theta_star, sigma2):
     """Scalar beta/delta form valid when phi = phi_star and the scheme is
-    unbiased and label-preserving, i.e. every Sigma block equals Sigma and
-    every G block equals G1. Returns beta, delta, theta_bar and the
-    simplified risk (1 + delta)[(theta_bar - theta*)^T Sigma
-    (theta_bar - theta*) + sigma2]. A block is equal when it is within
-    1e-6 of its reference, relative to ||Sigma||_F."""
+    unbiased and label-preserving, i.e. every Sigma block equals Sigma,
+    every G block equals G1, G1 = Sigma theta* and E[Y^2] =
+    theta*^T Sigma theta* + sigma2; the last two make its risk equal the
+    general E[Y^2] - 2 G1^T theta + theta^T Sigma theta form. Returns beta,
+    delta, theta_bar and the simplified risk (1 + delta)[(theta_bar -
+    theta*)^T Sigma (theta_bar - theta*) + sigma2]. A block is equal when
+    it is within 1e-6 of its reference, relative to ||Sigma||_F."""
     alpha = state.alpha
     ms = moment_set
+    th = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
     scale = max(float(np.linalg.norm(ms.Sigma)), 1e-300)
     for name, M, ref in (
         ("SigmaPrime", ms.SigmaPrime, ms.Sigma),
         ("SigmaDoublePrime", ms.SigmaDoublePrime, ms.Sigma),
-        ("SigmaStar", ms.SigmaStar, ms.Sigma),
-        ("SigmaStarStar", ms.SigmaStarStar, ms.Sigma),
+        ("G1", ms.G1, ms.Sigma @ th),
         ("G2", ms.G2, ms.G1),
         ("G3", ms.G3, ms.G1),
         ("G4", ms.G4, ms.G1),
+        ("PsiSecond", ms.PsiSecond[:, 0, 0],
+         quadratic_form(th, ms.Sigma, th) + sigma2),
     ):
-        if M is None or np.linalg.norm(M - ref) > 1e-6 * scale:
+        if np.linalg.norm(M - ref) > 1e-6 * scale:
             raise PreconditionViolationError(
                 f"moment set is not well specified: block {name} deviates"
             )
@@ -357,7 +359,6 @@ def wellspecified_reduction(state, D, moment_set, theta_star, sigma2):
     M = symmetrize(beta * ms.Sigma + alpha * ms.LambdaBar)
     theta_bar = _solve(M, state.lam, beta * ms.G1 + alpha * ms.OmegaBar,
                        "beta Sigma + alpha LambdaBar + lam I")
-    th = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
     diff = theta_bar - th
     g_simple = (1.0 + delta) * (
         quadratic_form(diff, ms.Sigma, diff) + sigma2

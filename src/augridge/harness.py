@@ -486,17 +486,18 @@ _worker_payload = None  # set once in each pool worker by _init_worker
 def _run_unit(unit, payload=None):
     """One work unit (seed, n_list): fit every lambda from each system of
     its _replicate. Returns (risk, overlap, chi, theta_hat) by cell
-    (n, lambda, alpha). Without a payload, the one the pool worker was
-    started with; its truth is the sweep's ridge.truth_term."""
+    (n, lambda, alpha), the overlap G1^T theta_hat and chi
+    theta_hat^T Sigma theta_hat under the moment set. Without a payload,
+    the one the pool worker was started with; its truth is the sweep's
+    ridge.truth_term, E[Y^2] - sigma2."""
     (source, fmap, scheme, lambda_grid, alpha_grid, n_mc_aug, moment_set,
-     theta_star, truth) = payload or _worker_payload
+     truth) = payload or _worker_payload
     out = {}
     for n, alpha, system in _replicate(source, fmap, scheme, n_mc_aug,
                                        alpha_grid, *unit):
         for lam in lambda_grid:
             theta = ridge.fit(system, lam)
-            terms = ridge.quadratic_terms(theta, moment_set, theta_star,
-                                          truth)
+            terms = ridge.quadratic_terms(theta, moment_set, truth)
             out[(n, lam, alpha)] = (source.risk(theta, terms),
                                     float(np.mean(terms[1])),
                                     float(np.mean(terms[0])), theta)
@@ -522,13 +523,13 @@ def _run_units(payload, units, workers):
                              chunksize=max(1, len(units) // (4 * workers))))
 
 
-def _det_columns(moment_set, n, lam, alpha, theta_star, sigma2):
+def _det_columns(moment_set, n, lam, alpha, sigma2):
     """A row's deterministic columns. Only these scalars outlive the call,
     not the cell's p x p blocks."""
     state = detequiv.solve_fixed_point(moment_set, alpha, lam, n)
     # raises NotConvergedError on an unconverged cell
     D = detequiv.compute_second_order(state, moment_set)
-    rep = detequiv.equivalents(state, D, moment_set, theta_star, sigma2)
+    rep = detequiv.equivalents(state, D, moment_set, sigma2)
     return (rep.g_bar_mean, rep.overlap_bar_mean, rep.chi_bar_mean,
             rep.bias2_bar_mean, rep.var_bar_mean, float(state.B.sum()),
             rep.delta, state.iterations, state.residual, state.converged)
@@ -538,8 +539,7 @@ def _std(a):
     return float(a.std(ddof=1)) if len(a) > 1 else 0.0
 
 
-def _sweep(config, source, fmap, scheme, moment_set, theta_star, sigma2,
-           csv_name):
+def _sweep(config, source, fmap, scheme, moment_set, sigma2, csv_name):
     """The replicate engine: one ResultRow per (n, lambda, alpha) cell.
 
     Every fixed point is solved before any Monte-Carlo, so an unconverged
@@ -551,12 +551,11 @@ def _sweep(config, source, fmap, scheme, moment_set, theta_star, sigma2,
     n_list = config.sample_sizes()
     cells = [(n, lam, alpha) for n in n_list for lam in config.lambda_grid
              for alpha in config.alpha_grid]
-    det = {cell: _det_columns(moment_set, *cell, theta_star, sigma2)
-           for cell in cells}
+    det = {cell: _det_columns(moment_set, *cell, sigma2) for cell in cells}
     seeds = np.random.SeedSequence(config.seed).spawn(config.replicates)
-    truth = ridge.truth_term(moment_set, theta_star, sigma2)
+    truth = ridge.truth_term(moment_set, sigma2)
     payload = (source, fmap, scheme, config.lambda_grid, config.alpha_grid,
-               config.n_mc_aug, moment_set, theta_star, truth)
+               config.n_mc_aug, moment_set, truth)
     results = _run_units(payload, source.units(seeds, n_list), config.workers)
     p = fmap.output_dim
     rows = []
@@ -564,9 +563,8 @@ def _sweep(config, source, fmap, scheme, moment_set, theta_star, sigma2,
         vals = [r[cell] for r in results if cell in r]
         gs, ovs, chis = (np.array([v[k] for v in vals]) for k in range(3))
         th = sum(v[3] for v in vals) / len(vals)  # the replicates' mean
-        chi, tSs, tSSt = ridge.quadratic_terms(th, moment_set, theta_star,
-                                               truth)
-        bias2 = float(np.mean(chi + tSSt - 2.0 * tSs))
+        chi, overlap, _ = ridge.quadratic_terms(th, moment_set, truth)
+        bias2 = float(np.mean(chi + truth - 2.0 * overlap))
         n, lam, alpha = cell
         rows.append(ResultRow(
             lam, alpha, n, p, config.data_dim(), p / n,
@@ -594,7 +592,7 @@ def run_sweep(config, csv_name=None, moment_set=None):
     if moment_set is None:
         moment_set = build_moment_set(config)
     return _sweep(config, _FreshDraws(spec), fmap, scheme,
-                  moment_set, spec.theta_star, spec.noise_sigma2, csv_name)
+                  moment_set, spec.noise_sigma2, csv_name)
 
 
 # --- validation oracles ------------------------------------------------
@@ -649,7 +647,7 @@ def validate(config, factor=4):
                                           spec.theta_star, sigma2)
         state = detequiv.solve_fixed_point(ms, alpha, lam, n)
         D = detequiv.compute_second_order(state, ms)
-        rep = detequiv.equivalents(state, D, ms, spec.theta_star, sigma2)
+        rep = detequiv.equivalents(state, D, ms, sigma2)
         probe_rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, 0xB0 + scale_idx])
         )
@@ -662,7 +660,7 @@ def validate(config, factor=4):
         a /= np.linalg.norm(a)
         tr_det = float(np.sum(A * state.R_bar))
         th_det = float(a @ rep.theta_bar[:, 0])
-        truth = ridge.truth_term(ms, spec.theta_star, sigma2)
+        truth = ridge.truth_term(ms, sigma2)
         seeds = np.random.SeedSequence([config.seed, 0xC0 + scale_idx]).spawn(
             config.replicates
         )
@@ -674,7 +672,7 @@ def validate(config, factor=4):
             res_dev.append(float(np.sum(A * Ri)) - tr_det)
             theta = ridge.fit(system, lam)
             th_dev.append(float(a @ theta[:, 0]) - th_det)
-            terms = ridge.quadratic_terms(theta, ms, spec.theta_star, truth)
+            terms = ridge.quadratic_terms(theta, ms, truth)
             chi = float(np.mean(terms[0]))
             chi_dev.append(chi - rep.chi_bar_mean)
             gs.append(ridge.population_risk(terms, sigma2))
@@ -728,4 +726,4 @@ def mnist_pipeline(config, csv_name=None):
         train.X.shape[1], rng,
     )
     return _sweep(config, _Subsamples(train, test, fmap), fmap, scheme,
-                  moment_set, None, data["noise_sigma2"], csv_name)
+                  moment_set, data["noise_sigma2"], csv_name)

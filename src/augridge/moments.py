@@ -105,10 +105,11 @@ def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
 class MomentSet:
     """Population first/second-order blocks feeding the equivalents.
 
-    SigmaStar is the cross-covariance E[phi_star(X) phi(X)^T] (p_star x p);
-    SigmaStar and SigmaStarStar are None in empirical-plugin mode (no truth
-    map available). PsiSecond has shape (q, 2, 2) with per-output entries
-    [[E[Y^2], E[Y mu_y]], [E[Y mu_y], E[mu_y^2]]].
+    PsiSecond has shape (q, 2, 2) with per-output entries
+    [[E[Y^2], E[Y mu_y]], [E[Y mu_y], E[mu_y^2]]]. The truth enters only
+    through G1 = E[phi(X) Y^T] and E[Y^2] = PsiSecond[:, 0, 0]: the risk
+    of any theta is E[Y^2] - 2 G1^T theta + theta^T Sigma theta, whatever
+    the data source.
     """
 
     Sigma: np.ndarray
@@ -121,8 +122,6 @@ class MomentSet:
     PsiSecond: np.ndarray
     LambdaBar: np.ndarray
     OmegaBar: np.ndarray
-    SigmaStar: np.ndarray | None = None
-    SigmaStarStar: np.ndarray | None = None
     n_mc_used: int = 0
     provenance: str = "closed-form"
 
@@ -135,22 +134,28 @@ CHUNK = 512  # data columns per estimation block
 DRAWS = 10  # augmentations per data column of a Monte-Carlo moment set
 
 
+# the largest magnitude whose square is finite
+_LARGEST = float(np.sqrt(np.finfo(float).max))
+
+
 def _check_finite(blocks):
-    """Raise NumericalFailureError naming the first block with a
-    non-finite entry (an overflow near 1e308 in the data or the truth)."""
+    """Raise NumericalFailureError naming the first block with an entry
+    that is not finite or whose square is not (an overflow near 1e308 in
+    the data or the truth): the risk statistics square quantities of a
+    block's size, such as E[Y^2] in the replicates' spread."""
     for name, M in blocks.items():
-        if not np.all(np.isfinite(M)):
+        if not np.abs(M).max() <= _LARGEST:
             raise NumericalFailureError(
-                f"moment set block {name} has a non-finite entry")
+                f"moment set block {name} has a non-finite entry or square")
 
 
 def estimate_moment_set(feature_map, truth_map, scheme, take, total, rng,
                         theta_star=None, noise_sigma2=None):
     """Estimate every MomentSet block by Monte-Carlo averaging over `total`
     data columns, read in blocks of CHUNK columns: ``take(a, b)`` returns
-    the columns a..b-1 as (X: d x (b-a), Y: q x (b-a)). When truth_map is
-    None the SigmaStar blocks are omitted and provenance is
-    "empirical-plugin".
+    the columns a..b-1 as (X: d x (b-a), Y: q x (b-a)). provenance is
+    "empirical-plugin" when truth_map is None (labels read from the data),
+    "monte-carlo" otherwise.
 
     Each column's augmentation moments come from DRAWS draws (none with
     identity features). The blocks built from two estimated means
@@ -163,7 +168,12 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total, rng,
     none depends on y), label noise is integrated out analytically: the G
     blocks use the conditional mean theta_star^T phi_star(X) in place of Y,
     and PsiSecond adds noise_sigma2 exactly. This removes the label-noise
-    Monte-Carlo error without changing the estimand.
+    Monte-Carlo error without changing the estimand. G1 is then
+    E[phi phi_star^T] theta_star and PsiSecond[:, 0, 0] - noise_sigma2 is
+    theta_star^T E[phi_star phi_star^T] theta_star over the same columns,
+    which is all of the truth the risk needs. Labels of a label-changing
+    scheme, or without a truth map, are read from the data, so G1 and
+    E[Y^2] carry their Monte-Carlo error.
     """
     if total < 2:
         raise InsufficientSamplesError("n_mc_data >= 2 required")
@@ -188,12 +198,8 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total, rng,
         MuX, MuY, Lam_c, Om_c, draws = batch_sample_moments(
             scheme, feature_map, X, Y, DRAWS, rng
         )
-        if truth_map is not None:
-            PhiStar = apply_features(truth_map, X)
-            add("SigmaStar", PhiStar @ Phi.T)
-            add("SigmaStarStar", PhiStar @ PhiStar.T)
         if condition_labels:
-            Y = MuY = theta_star.T @ PhiStar
+            Y = MuY = theta_star.T @ apply_features(truth_map, X)
         for name, (A, B) in (
             ("Sigma", (Phi, Phi)), ("SigmaPrime", (Phi, MuX)),
             ("SigmaDoublePrime", (MuX, MuX)), ("G1", (Phi, Y)),
@@ -220,9 +226,8 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total, rng,
     sums["Sigma"] = psd_clip(sums["Sigma"])
     # the other blocks' rounding is relative to the size of Sigma
     scale = float(np.linalg.eigvalsh(sums["Sigma"])[-1])
-    for name in ("SigmaDoublePrime", "LambdaBar", "SigmaStarStar"):
-        if name in sums:
-            sums[name] = psd_clip(sums[name], scale)
+    for name in ("SigmaDoublePrime", "LambdaBar"):
+        sums[name] = psd_clip(sums[name], scale)
     return MomentSet(
         **sums,
         n_mc_used=total,
@@ -259,8 +264,6 @@ def closed_population_moment_set(Sigma, scheme, theta_star, sigma2):
         PsiSecond=Psi,
         LambdaBar=LambdaBar,
         OmegaBar=OmegaBar,
-        SigmaStar=Sigma.copy(),
-        SigmaStarStar=Sigma.copy(),
     )
     _check_finite(blocks)
     return MomentSet(**blocks, n_mc_used=0, provenance="closed-form")

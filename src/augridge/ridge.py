@@ -13,10 +13,14 @@ symmetric M_a and checks (M_a, H_a) finite there, once for every lambda.
 _solve, the one regularized solve (the equivalents' too), then costs one
 copy of M_a per lambda, lam added to its diagonal in place, and LAPACK's
 dpotrf (in place) and dpotrs for all q output columns; only a shifted
-solve symmetrizes. truth_term, the one theta-free risk term, is computed
-once per sweep and passed to quadratic_terms for every fit. Every risk
-term theta_a^T S theta_b, per output column, is quadratic_form: one GEMM
-S @ theta_b and a column sum of its product with theta_a.
+solve symmetrizes.
+
+The population risk of theta is g = E[Y^2] - 2 G1^T theta +
+theta^T Sigma theta per output, for every data source: the truth enters
+only through the moment set's G1 = E[phi(X) Y^T] and E[Y^2]. truth_term,
+its one theta-free term, is computed once per sweep and passed to
+quadratic_terms for every fit. theta^T Sigma theta is quadratic_form: one
+GEMM Sigma @ theta and a column sum of its product with theta.
 """
 
 from __future__ import annotations
@@ -193,53 +197,40 @@ def quadratic_form(A, S, B):
     return np.einsum("ij,ij->j", A, S @ B)
 
 
-def truth_term(moment_set, theta_star, sigma2):
-    """Per-output theta*^T SigmaStarStar theta*, or E[Y^2] - sigma2
-    without truth blocks: the one risk term that does not depend on
-    theta, so a sweep computes it once and passes it to quadratic_terms."""
-    if theta_star is not None and moment_set.SigmaStar is not None:
-        th = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
-        return quadratic_form(th, moment_set.SigmaStarStar, th)
+def truth_term(moment_set, sigma2):
+    """Per-output E[Y^2] - sigma2: the one risk term that does not depend
+    on theta, so a sweep computes it once and passes it to
+    quadratic_terms."""
     return moment_set.PsiSecond[:, 0, 0] - sigma2
 
 
-def quadratic_terms(theta, moment_set, theta_star, truth):
-    """Per-output (theta^T Sigma theta, theta*^T SigmaStar theta, truth),
-    the terms every risk statistic is made of, with truth from
-    truth_term; without truth blocks G1^T theta stands in for the
-    second."""
+def quadratic_terms(theta, moment_set, truth):
+    """Per-output (theta^T Sigma theta, G1^T theta, truth), the terms
+    every risk statistic is made of, with truth from truth_term."""
     chi = quadratic_form(theta, moment_set.Sigma, theta)
-    if theta_star is not None and moment_set.SigmaStar is not None:
-        th = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
-        tSs = quadratic_form(th, moment_set.SigmaStar, theta)
-    else:
-        tSs = np.einsum("ij,ij->j", moment_set.G1, theta)
-    return chi, tSs, truth
+    overlap = np.einsum("ij,ij->j", moment_set.G1, theta)
+    return chi, overlap, truth
 
 
 def population_risk(terms, sigma2):
-    """Risk from quadratic_terms: theta^T Sigma theta - 2 theta*^T
-    SigmaStar theta + theta*^T SigmaStarStar theta* + sigma2, averaged
-    over outputs."""
-    chi, tSs, tSSt = terms
-    return float(np.mean(chi - 2.0 * tSs + tSSt + sigma2))
+    """Risk from quadratic_terms: theta^T Sigma theta - 2 G1^T theta +
+    (E[Y^2] - sigma2) + sigma2, averaged over outputs."""
+    chi, overlap, truth = terms
+    return float(np.mean(chi - 2.0 * overlap + truth + sigma2))
 
 
-def population_generalization(theta, moment_set, theta_star, sigma2):
+def population_generalization(theta, moment_set, sigma2):
     """The population risk of theta (see population_risk)."""
-    truth = truth_term(moment_set, theta_star, sigma2)
-    return population_risk(quadratic_terms(theta, moment_set, theta_star,
-                                           truth), sigma2)
+    truth = truth_term(moment_set, sigma2)
+    return population_risk(quadratic_terms(theta, moment_set, truth),
+                           sigma2)
 
 
-def overlap_stat(theta, moment_set, theta_star):
-    """theta*^T SigmaStar theta per output, averaged (plugin substitution
-    G1^T theta when truth blocks are absent)."""
-    return float(np.mean(quadratic_terms(theta, moment_set,
-                                         theta_star, None)[1]))
+def overlap_stat(theta, moment_set):
+    """G1^T theta per output, averaged."""
+    return float(np.mean(quadratic_terms(theta, moment_set, None)[1]))
 
 
 def chi_stat(theta, moment_set):
     """theta^T Sigma theta per output, averaged."""
-    return float(np.mean(quadratic_terms(theta, moment_set,
-                                         None, None)[0]))
+    return float(np.mean(quadratic_terms(theta, moment_set, None)[0]))

@@ -147,7 +147,7 @@ def test_criterion_03_equivalence_of_equivalents():
         for alpha in (0.0, 0.5, 1.0):
             st = detequiv.solve_fixed_point(ms, alpha, lam, n)
             D = detequiv.compute_second_order(st, ms)
-            rep = detequiv.equivalents(st, D, ms, theta, 0.3)
+            rep = detequiv.equivalents(st, D, ms, 0.3)
             red = detequiv.wellspecified_reduction(st, D, ms, theta, 0.3)
             rel = abs(red["g_bar_simple_mean"] - rep.g_bar_mean) \
                 / abs(rep.g_bar_mean)
@@ -349,13 +349,12 @@ def test_criterion_12_label_changing_augmentation():
     ms = closed_population_moment_set(spec.covariance(), het, theta, sigma2)
     assert np.abs(ms.OmegaBar).max() > 0.1
     rows = harness._sweep(config, harness._FreshDraws(spec), identity_map(d),
-                          het, ms, theta, sigma2, None)
+                          het, ms, sigma2, None)
     assert len(rows) == 9
     no_omega = replace(ms, OmegaBar=np.zeros_like(ms.OmegaBar))
     worst, worst_no_omega = 0.0, 0.0
     for r in rows:
-        det0 = harness._det_columns(no_omega, r.n, r.lam, r.alpha, theta,
-                                    sigma2)
+        det0 = harness._det_columns(no_omega, r.n, r.lam, r.alpha, sigma2)
         for mean, std, det, wrong in (
             (r.g_mean, r.g_std, r.g_det, det0[0]),
             (r.overlap_mean, r.overlap_std, r.overlap_det, det0[1]),

@@ -152,7 +152,7 @@ def test_null_signal_risk_is_noise_inflation():
     ms = _iso_ms(p, np.zeros(p), sigma2)
     st = solve_fixed_point(ms, 0.0, 0.4, n)
     D = compute_second_order(st, ms)
-    rep = equivalents(st, D, ms, np.zeros(p), sigma2)
+    rep = equivalents(st, D, ms, sigma2)
     assert rep.g_bar_mean == pytest.approx(sigma2 * (1.0 + rep.delta),
                                            rel=1e-10)
     assert rep.bias2_bar_mean == pytest.approx(0.0, abs=1e-12)
@@ -171,7 +171,7 @@ def test_identity_augmentation_alpha_invariance():
     for alpha in (0.0, 0.3, 0.8, 1.0):
         st = solve_fixed_point(ms, alpha, 0.3, n)
         D = compute_second_order(st, ms)
-        rep = equivalents(st, D, ms, theta, 0.2)
+        rep = equivalents(st, D, ms, 0.2)
         vec = np.array([rep.g_bar_mean, rep.chi_bar_mean,
                         rep.bias2_bar_mean, rep.var_bar_mean, rep.beta,
                         rep.delta])
@@ -190,7 +190,7 @@ def test_wellspecified_reduction_matches_general():
     for alpha in (0.0, 0.5, 1.0):
         st = solve_fixed_point(ms, alpha, 0.2, n)
         D = compute_second_order(st, ms)
-        rep = equivalents(st, D, ms, theta, 0.3)
+        rep = equivalents(st, D, ms, 0.3)
         red = wellspecified_reduction(st, D, ms, theta, 0.3)
         assert red["g_bar_simple_mean"] == pytest.approx(rep.g_bar_mean,
                                                          rel=1e-9)
@@ -207,19 +207,28 @@ def test_wellspecified_reduction_rejects_biased_scheme():
         wellspecified_reduction(st, D, ms, theta, 0.1)
 
 
-def test_plugin_mode_flag():
-    p, n = 12, 20
+@pytest.mark.parametrize("block", ["G1", "PsiSecond"])
+def test_wellspecified_reduction_rejects_inconsistent_truth(block):
+    # an unbiased label-preserving scheme, so every Sigma and G block
+    # equals its reference; only the truth's G1 = Sigma theta* or
+    # E[Y^2] = theta*^T Sigma theta* + sigma2 is broken, by 1e-3 of
+    # ||Sigma||_F, above the 1e-6 rule
+    p, sigma2 = 10, 0.1
     theta = np.ones(p) / np.sqrt(p)
-    ms = closed_population_moment_set(np.eye(p), additive_noise(0.2),
-                                      theta, 0.1)
-    st = solve_fixed_point(ms, 0.5, 0.3, n)
+    ms = closed_population_moment_set(np.eye(p), additive_noise(0.3),
+                                      theta, sigma2)
+    st = solve_fixed_point(ms, 0.5, 0.3, 20)
     D = compute_second_order(st, ms)
-    rep = equivalents(st, D, ms, theta, 0.1)
-    assert not rep.plugin_mode
-    rep2 = equivalents(st, D, ms, None, 0.1)
-    assert rep2.plugin_mode
-    # plugin substitution is exact for well-specified identity features
-    assert rep2.g_bar_mean == pytest.approx(rep.g_bar_mean, rel=1e-8)
+    wellspecified_reduction(st, D, ms, theta, sigma2)
+    bump = 1e-3 * np.linalg.norm(ms.Sigma)
+    if block == "G1":
+        G1 = ms.G1.copy()
+        G1[0, 0] += bump
+        bad = replace(ms, G1=G1, G2=G1, G3=G1, G4=G1)
+    else:
+        bad = replace(ms, PsiSecond=ms.PsiSecond + bump)
+    with pytest.raises(PreconditionViolationError, match=block):
+        wellspecified_reduction(st, D, bad, theta, sigma2)
 
 
 def test_loewner_gap_eigs_closed_form():

@@ -210,8 +210,7 @@ def test_moment_set_ignores_n_mc_aug():
     sets = [build_moment_set(ExperimentConfig.from_dict(_tiny_cfg(
         n_mc_data=64, n_mc_aug=T, features=_MLP_MAP))) for T in (4, 200)]
     for name in ("Sigma", "SigmaPrime", "SigmaDoublePrime", "G1", "G2", "G3",
-                 "G4", "PsiSecond", "LambdaBar", "OmegaBar", "SigmaStar",
-                 "SigmaStarStar"):
+                 "G4", "PsiSecond", "LambdaBar", "OmegaBar"):
         assert np.array_equal(getattr(sets[0], name),
                               getattr(sets[1], name)), name
 

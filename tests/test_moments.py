@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from augridge.datasets import SyntheticSpec, sample_synthetic
-from augridge.features import identity_map, random_mlp_map
+from augridge.features import apply_features, identity_map, random_mlp_map
 from augridge.moments import (
     DRAWS,
     InsufficientSamplesError,
@@ -210,7 +210,6 @@ def test_estimate_reads_fixed_data_in_chunks():
     ms = estimate_moment_set(fm, None, masking(0.7), take, n, rng)
     assert seen == [(0, 512), (512, 1024), (1024, 1100)]
     assert ms.provenance == "empirical-plugin" and ms.n_mc_used == n
-    assert ms.SigmaStar is None and ms.SigmaStarStar is None
     MuX, MuY, Lam, Om, _ = batch_sample_moments(masking(0.7), fm, X, Y, 2,
                                                 rng)
     expected = {
@@ -315,6 +314,30 @@ def test_closed_population_blocks(scheme, c, lam, om):
     assert np.allclose(ms.PsiSecond[0], ey2)
 
 
+def test_conditioned_labels_carry_the_truth():
+    # the risk reads the truth only from G1 and E[Y^2]; with conditioned
+    # labels they are the truth's cross and self products over the same
+    # columns: G1 = Phi Phi*^T theta*/N and E[Y^2] - sigma2 =
+    # theta*^T Phi* Phi*^T theta*/N, for a truth map unlike the features
+    d, N, sigma2 = 6, 1100, 0.3
+    fm = random_mlp_map(d, [7], 5, seed=1)
+    truth = random_mlp_map(d, [9], 4, seed=2)
+    rng = _rng(21)
+    X = rng.standard_normal((d, N))
+    theta_star = rng.standard_normal(4)
+    ms = estimate_moment_set(
+        fm, truth, salt_and_pepper(0.5, 0.7), lambda a, b: (
+            X[:, a:b], rng.standard_normal((1, b - a))),
+        N, rng, theta_star=theta_star, noise_sigma2=sigma2)
+    Phi, PhiStar = apply_features(fm, X), apply_features(truth, X)
+    np.testing.assert_allclose(ms.G1[:, 0], Phi @ PhiStar.T @ theta_star / N,
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(
+        ms.PsiSecond[0, 0, 0] - sigma2,
+        theta_star @ PhiStar @ PhiStar.T @ theta_star / N,
+        rtol=1e-12, atol=0.0)
+
+
 def test_closed_population_mixture_matches_estimate():
     # identity maps: the exact set against estimate_moment_set over
     # 20 groups of 5000 columns, every block within 4 grouped SEs
@@ -332,8 +355,7 @@ def test_closed_population_mixture_matches_estimate():
                                   _draws(spec, rng), 5000, rng)
               for _ in range(20)]
     for name in ("Sigma", "SigmaPrime", "SigmaDoublePrime", "G1", "G2", "G3",
-                 "G4", "PsiSecond", "LambdaBar", "OmegaBar", "SigmaStar",
-                 "SigmaStarStar"):
+                 "G4", "PsiSecond", "LambdaBar", "OmegaBar"):
         est = np.stack([getattr(ms, name) for ms in groups])
         se = est.std(axis=0, ddof=1) / np.sqrt(len(groups))
         gap = np.abs(est.mean(axis=0) - getattr(exact, name))
@@ -348,9 +370,7 @@ def _linear_image(exact, W):
     blocks = {name: W @ M @ W.T for name, M in blocks.items()}
     blocks.update({name: W @ getattr(exact, name)
                    for name in ("G1", "G2", "G3", "G4", "OmegaBar")})
-    blocks.update(PsiSecond=exact.PsiSecond,
-                  SigmaStar=exact.SigmaStar @ W.T,
-                  SigmaStarStar=exact.SigmaStarStar)
+    blocks.update(PsiSecond=exact.PsiSecond)
     return blocks
 
 

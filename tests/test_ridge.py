@@ -303,10 +303,10 @@ def test_population_generalization_trivials():
     theta_star = np.array([1.0, -1.0, 2.0])
     ms = closed_population_moment_set(Sigma, additive_noise(0.0),
                                       theta_star, 0.3)
-    assert population_generalization(theta_star[:, None], ms, theta_star,
+    assert population_generalization(theta_star[:, None], ms,
                                      0.3) == pytest.approx(0.3)
     null_risk = float(theta_star @ Sigma @ theta_star) + 0.3
-    assert population_generalization(np.zeros((d, 1)), ms, theta_star,
+    assert population_generalization(np.zeros((d, 1)), ms,
                                      0.3) == pytest.approx(null_risk)
 
 
@@ -323,7 +323,7 @@ def test_population_matches_empirical():
     Xt = rng.standard_normal((d, N))
     Yt = theta_star @ Xt + np.sqrt(sigma2) * rng.standard_normal(N)
     emp = empirical_generalization(theta, Xt, Yt[None], identity_map(d))
-    pop = population_generalization(theta, ms, theta_star, sigma2)
+    pop = population_generalization(theta, ms, sigma2)
     per = (theta[:, 0] @ Xt - Yt) ** 2
     se = per.std() / np.sqrt(N)
     assert abs(emp - pop) <= 3 * se
@@ -337,36 +337,33 @@ def test_overlap_and_chi_stats():
                                       theta_star, 0.0)
     th = np.array([[0.5], [2.0]])
     assert chi_stat(th, ms) == pytest.approx(0.25 * 2 + 4.0)
-    assert overlap_stat(th, ms, theta_star) == pytest.approx(1.0 + 2.0)
+    assert overlap_stat(th, ms) == pytest.approx(1.0 + 2.0)
 
 
 @pytest.mark.parametrize("q", [1, 25])
 def test_quadratic_terms_match_per_column_loop(q):
-    # p = 759 is the MNIST feature dimension; SigmaStar is not symmetric
-    # and SigmaStarStar differs from Sigma, so each term must pair its own
-    # block with its own operands
+    # p = 759 is the MNIST feature dimension; G1 is not Sigma theta* and
+    # E[Y^2] differs per output, so each term must pair its own block
+    # with its own column
     p = 759
     rng = np.random.default_rng(41)
     G = rng.standard_normal((p, p)) / np.sqrt(p)
-    K = rng.standard_normal((p, p)) / np.sqrt(p)
     Sigma = G @ G.T
     theta_star = rng.standard_normal((p, q)) / np.sqrt(p)
-    ms = replace(
-        closed_population_moment_set(Sigma, additive_noise(0.0),
-                                     theta_star, 0.2),
-        SigmaStar=Sigma + 0.3 * K, SigmaStarStar=Sigma + K @ K.T)
+    closed = closed_population_moment_set(Sigma, additive_noise(0.0),
+                                          theta_star, 0.2)
+    ms = replace(closed,
+                 G1=closed.G1 + 0.3 * rng.standard_normal((p, q)) / np.sqrt(p),
+                 PsiSecond=closed.PsiSecond + rng.uniform(0.0, 1.0, (q, 1, 1)))
     theta = theta_star + 0.1 * rng.standard_normal((p, q)) / np.sqrt(p)
-    if q == 1:  # a 1-D truth, as configs give it
-        theta_star = theta_star[:, 0]
-    chi, tSs, tSSt = quadratic_terms(theta, ms, theta_star,
-                                     truth_term(ms, theta_star, 0.2))
-    ts = theta_star.reshape(p, q)
+    chi, overlap, truth = quadratic_terms(theta, ms, truth_term(ms, 0.2))
 
     def loop(A, S, B):
         return np.array([A[:, j] @ S @ B[:, j] for j in range(q)])
 
     for got, want in ((chi, loop(theta, Sigma, theta)),
-                      (tSs, loop(ts, ms.SigmaStar, theta)),
-                      (tSSt, loop(ts, ms.SigmaStarStar, ts))):
+                      (overlap, np.array([ms.G1[:, j] @ theta[:, j]
+                                          for j in range(q)])),
+                      (truth, ms.PsiSecond[:, 0, 0] - 0.2)):
         assert got.shape == (q,)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

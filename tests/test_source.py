@@ -3,7 +3,10 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "augridge"
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "augridge"
 
 
 def _einsum_calls(tree):
@@ -38,3 +41,14 @@ def test_no_einsum_with_three_or_more_operands():
     slow = [f"{name}:{call.lineno}" for name, call in calls
             if _einsum_operands(call) >= 3]
     assert not slow, f"einsum with three or more operands at {slow}"
+
+
+def test_readme_library_sketch_runs():
+    # the README's library sketch calls the public API; run it as written
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library sketch", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md (Library sketch)", "exec"), namespace)
+    assert np.isfinite(namespace["rep"].g_bar_mean)
+    assert np.all(np.isfinite(namespace["theta_hat"]))
