@@ -55,7 +55,6 @@ from .schemes import (
     masking,
     mixture,
     salt_and_pepper,
-    sample_augmented,
 )
 
 __version__ = "0.1.0"

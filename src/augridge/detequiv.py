@@ -44,8 +44,8 @@ from scipy.linalg import lapack
 
 from .errors import NotConvergedError, PreconditionViolationError
 from .moments import symmetrize
-from .ridge import (_cholesky, _solve, quadratic_form, quadratic_terms,
-                    truth_term)
+from .ridge import (_cholesky, _solve, population_risk, quadratic_form,
+                    quadratic_terms)
 from .schemes import InvalidParameterError
 
 
@@ -259,14 +259,6 @@ def solve_fixed_point(moment_set, alpha, lam, n,
     )
 
 
-def loewner_gap_eigs(M):
-    """Eigenvalues of a symmetric 2x2 matrix in closed form."""
-    tr = M[0, 0] + M[1, 1]
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    disc = np.sqrt(max(tr * tr / 4.0 - det, 0.0))
-    return tr / 2.0 - disc, tr / 2.0 + disc
-
-
 def compute_second_order(state, moment_set):
     """D, whose free entries d solve (I - J) d = d0 (see the module
     docstring): d0 = n^{-1} B C_bar B with C_bar_ij = tr(X_i R_bar Sigma
@@ -289,10 +281,9 @@ def equivalents(state, D, moment_set, sigma2) -> EquivalentReport:
     """Deterministic equivalents of theta_hat, chi, risk, and the
     bias/variance split, per output and output-averaged.
 
-    The truth enters only through the moment set's G1 and E[Y^2]
-    (ridge.quadratic_terms), for every data source: the bias is
-    theta_bar^T Sigma theta_bar - 2 G1^T theta_bar + E[Y^2] - sigma2 and
-    the overlap G1^T theta_bar.
+    Both risks are ridge.population_risk at the overlap G1^T theta_bar:
+    g_bar at chi_bar, and the bias^2 at theta_bar^T Sigma theta_bar, less
+    the label noise sigma2, which enters nothing else.
     """
     alpha = state.alpha
     ms = moment_set
@@ -310,10 +301,9 @@ def equivalents(state, D, moment_set, sigma2) -> EquivalentReport:
     cross = np.einsum("ij,ij->j", theta_bar, Gamma_bar_prime)
     chi_bar = quad - 2.0 * cross + gamma_bar
 
-    theta_sig, overlap, truth = quadratic_terms(theta_bar, ms,
-                                                truth_term(ms, sigma2))
-    g_bar = truth - 2.0 * overlap + chi_bar + sigma2
-    bias2_bar = theta_sig + truth - 2.0 * overlap
+    theta_sig, overlap = quadratic_terms(theta_bar, ms)
+    g_bar = population_risk(chi_bar, overlap, ms)
+    bias2_bar = population_risk(theta_sig, overlap, ms) - sigma2
     var_bar = g_bar - bias2_bar
 
     return EquivalentReport(

@@ -29,7 +29,8 @@ from .datasets import (
     mnist_load,
     sample_synthetic,
 )
-from .errors import ConfigError, DataError, InvalidDimensionError
+from .errors import (ConfigError, DataError, InvalidDimensionError,
+                     NumericalFailureError)
 from .features import FeatureMap, identity_map, random_mlp_map
 from .moments import (
     CHUNK,
@@ -440,8 +441,9 @@ class _FreshDraws:
     def draw(self, rng, n):
         return sample_synthetic(self.spec, rng, n=n)
 
-    def risk(self, theta, terms):
-        return ridge.population_risk(terms, self.spec.noise_sigma2)
+    def risk(self, theta, chi, overlap, moment_set):
+        return float(np.mean(ridge.population_risk(chi, overlap,
+                                                   moment_set)))
 
 
 @dataclass(frozen=True)
@@ -461,7 +463,7 @@ class _Subsamples:
         cols = rng.choice(self.train.X.shape[1], size=n, replace=False)
         return self.train.X[:, cols], self.train.Y[:, cols]
 
-    def risk(self, theta, terms):
+    def risk(self, theta, chi, overlap, moment_set):
         return ridge.empirical_generalization(theta, self.test.X,
                                               self.test.Y, self.fmap)
 
@@ -487,20 +489,20 @@ def _run_unit(unit, payload=None):
     """One work unit (seed, n_list): fit every lambda from each system of
     its _replicate. Returns (risk, overlap, chi, theta_hat) by cell
     (n, lambda, alpha), the overlap G1^T theta_hat and chi
-    theta_hat^T Sigma theta_hat under the moment set. Without a payload,
-    the one the pool worker was started with; its truth is the sweep's
-    ridge.truth_term, E[Y^2] - sigma2."""
-    (source, fmap, scheme, lambda_grid, alpha_grid, n_mc_aug, moment_set,
-     truth) = payload or _worker_payload
+    theta_hat^T Sigma theta_hat under the moment set, and the risk the
+    source's (the population risk of chi and overlap for fresh draws).
+    Without a payload, the one the pool worker was started with."""
+    (source, fmap, scheme, lambda_grid, alpha_grid, n_mc_aug,
+     moment_set) = payload or _worker_payload
     out = {}
     for n, alpha, system in _replicate(source, fmap, scheme, n_mc_aug,
                                        alpha_grid, *unit):
         for lam in lambda_grid:
             theta = ridge.fit(system, lam)
-            terms = ridge.quadratic_terms(theta, moment_set, truth)
-            out[(n, lam, alpha)] = (source.risk(theta, terms),
-                                    float(np.mean(terms[1])),
-                                    float(np.mean(terms[0])), theta)
+            chi, overlap = ridge.quadratic_terms(theta, moment_set)
+            out[(n, lam, alpha)] = (
+                source.risk(theta, chi, overlap, moment_set),
+                float(np.mean(overlap)), float(np.mean(chi)), theta)
     return out
 
 
@@ -539,23 +541,36 @@ def _std(a):
     return float(a.std(ddof=1)) if len(a) > 1 else 0.0
 
 
-def _sweep(config, source, fmap, scheme, moment_set, sigma2, csv_name):
+def _check_row(row):
+    """Raise NumericalFailureError, naming the cell and the column, when a
+    value of row is not finite."""
+    for col, v in zip(RESULT_COLUMNS, row.to_list()):
+        if not math.isfinite(v):
+            raise NumericalFailureError(
+                f"{col} is {v} at lambda={row.lam:g}, alpha={row.alpha:g}, "
+                f"n={row.n}")
+
+
+def _sweep(config, source, fmap, scheme, moment_set, csv_name):
     """The replicate engine: one ResultRow per (n, lambda, alpha) cell.
 
     Every fixed point is solved before any Monte-Carlo, so an unconverged
     cell fails at once, and only the row's scalars are kept of a solve.
     Replicate seeds are spawned from the master seed, the source splits
     them into work units (seed, n_list), and results are reduced in unit
-    order, so the rows do not depend on the worker count.
+    order, so the rows do not depend on the worker count. The label noise
+    config.data["noise_sigma2"] enters only the bias^2 of the mean fit
+    and of the equivalents. A row with a non-finite value raises
+    NumericalFailureError before any CSV is written.
     """
+    sigma2 = config.data["noise_sigma2"]
     n_list = config.sample_sizes()
     cells = [(n, lam, alpha) for n in n_list for lam in config.lambda_grid
              for alpha in config.alpha_grid]
     det = {cell: _det_columns(moment_set, *cell, sigma2) for cell in cells}
     seeds = np.random.SeedSequence(config.seed).spawn(config.replicates)
-    truth = ridge.truth_term(moment_set, sigma2)
     payload = (source, fmap, scheme, config.lambda_grid, config.alpha_grid,
-               config.n_mc_aug, moment_set, truth)
+               config.n_mc_aug, moment_set)
     results = _run_units(payload, source.units(seeds, n_list), config.workers)
     p = fmap.output_dim
     rows = []
@@ -563,15 +578,18 @@ def _sweep(config, source, fmap, scheme, moment_set, sigma2, csv_name):
         vals = [r[cell] for r in results if cell in r]
         gs, ovs, chis = (np.array([v[k] for v in vals]) for k in range(3))
         th = sum(v[3] for v in vals) / len(vals)  # the replicates' mean
-        chi, overlap, _ = ridge.quadratic_terms(th, moment_set, truth)
-        bias2 = float(np.mean(chi + truth - 2.0 * overlap))
+        chi, overlap = ridge.quadratic_terms(th, moment_set)
+        bias2 = float(np.mean(ridge.population_risk(chi, overlap,
+                                                    moment_set))) - sigma2
         n, lam, alpha = cell
-        rows.append(ResultRow(
+        row = ResultRow(
             lam, alpha, n, p, config.data_dim(), p / n,
             float(gs.mean()), _std(gs), float(ovs.mean()), _std(ovs),
             float(chis.mean()), _std(chis), bias2, float(gs.mean()) - bias2,
             *det[cell],
-        ))
+        )
+        _check_row(row)
+        rows.append(row)
     if csv_name:
         os.makedirs(config.out_dir, exist_ok=True)
         write_csv(rows, os.path.join(config.out_dir, csv_name))
@@ -591,8 +609,8 @@ def run_sweep(config, csv_name=None, moment_set=None):
     scheme = config.build_scheme()
     if moment_set is None:
         moment_set = build_moment_set(config)
-    return _sweep(config, _FreshDraws(spec), fmap, scheme,
-                  moment_set, spec.noise_sigma2, csv_name)
+    return _sweep(config, _FreshDraws(spec), fmap, scheme, moment_set,
+                  csv_name)
 
 
 # --- validation oracles ------------------------------------------------
@@ -660,7 +678,6 @@ def validate(config, factor=4):
         a /= np.linalg.norm(a)
         tr_det = float(np.sum(A * state.R_bar))
         th_det = float(a @ rep.theta_bar[:, 0])
-        truth = ridge.truth_term(ms, sigma2)
         seeds = np.random.SeedSequence([config.seed, 0xC0 + scale_idx]).spawn(
             config.replicates
         )
@@ -672,10 +689,11 @@ def validate(config, factor=4):
             res_dev.append(float(np.sum(A * Ri)) - tr_det)
             theta = ridge.fit(system, lam)
             th_dev.append(float(a @ theta[:, 0]) - th_det)
-            terms = ridge.quadratic_terms(theta, ms, truth)
-            chi = float(np.mean(terms[0]))
+            chi_j, overlap_j = ridge.quadratic_terms(theta, ms)
+            chi = float(np.mean(chi_j))
             chi_dev.append(chi - rep.chi_bar_mean)
-            gs.append(ridge.population_risk(terms, sigma2))
+            gs.append(float(np.mean(ridge.population_risk(chi_j, overlap_j,
+                                                          ms))))
             if r < 5:
                 fd = ridge.xi_derivative_fd(system, lam, ms.Sigma)
                 exact = -chi * ms.q
@@ -726,4 +744,4 @@ def mnist_pipeline(config, csv_name=None):
         train.X.shape[1], rng,
     )
     return _sweep(config, _Subsamples(train, test, fmap), fmap, scheme,
-                  moment_set, data["noise_sigma2"], csv_name)
+                  moment_set, csv_name)

@@ -17,10 +17,13 @@ solve symmetrizes.
 
 The population risk of theta is g = E[Y^2] - 2 G1^T theta +
 theta^T Sigma theta per output, for every data source: the truth enters
-only through the moment set's G1 = E[phi(X) Y^T] and E[Y^2]. truth_term,
-its one theta-free term, is computed once per sweep and passed to
-quadratic_terms for every fit. theta^T Sigma theta is quadratic_form: one
-GEMM Sigma @ theta and a column sum of its product with theta.
+only through the moment set's G1 = E[phi(X) Y^T] and E[Y^2], and the
+label noise sigma2 is part of E[Y^2], not a term of its own.
+population_risk is that one formula, from the terms quadratic_terms
+forms; the fits, their mean and the deterministic equivalents all go
+through it, and sigma2 is subtracted only where a bias^2 is split from
+the variance. theta^T Sigma theta is quadratic_form: one GEMM
+Sigma @ theta and a column sum of its product with theta.
 """
 
 from __future__ import annotations
@@ -197,40 +200,32 @@ def quadratic_form(A, S, B):
     return np.einsum("ij,ij->j", A, S @ B)
 
 
-def truth_term(moment_set, sigma2):
-    """Per-output E[Y^2] - sigma2: the one risk term that does not depend
-    on theta, so a sweep computes it once and passes it to
-    quadratic_terms."""
-    return moment_set.PsiSecond[:, 0, 0] - sigma2
-
-
-def quadratic_terms(theta, moment_set, truth):
-    """Per-output (theta^T Sigma theta, G1^T theta, truth), the terms
-    every risk statistic is made of, with truth from truth_term."""
+def quadratic_terms(theta, moment_set):
+    """Per-output (theta^T Sigma theta, G1^T theta): the theta-dependent
+    terms of population_risk."""
     chi = quadratic_form(theta, moment_set.Sigma, theta)
     overlap = np.einsum("ij,ij->j", moment_set.G1, theta)
-    return chi, overlap, truth
+    return chi, overlap
 
 
-def population_risk(terms, sigma2):
-    """Risk from quadratic_terms: theta^T Sigma theta - 2 G1^T theta +
-    (E[Y^2] - sigma2) + sigma2, averaged over outputs."""
-    chi, overlap, truth = terms
-    return float(np.mean(chi - 2.0 * overlap + truth + sigma2))
+def population_risk(chi, overlap, moment_set):
+    """The population risk g = chi - 2 overlap + E[Y^2] per output, with
+    (chi, overlap) = quadratic_terms(theta, moment_set) for a fit theta,
+    or chi a deterministic equivalent of it."""
+    return chi - 2.0 * overlap + moment_set.PsiSecond[:, 0, 0]
 
 
-def population_generalization(theta, moment_set, sigma2):
-    """The population risk of theta (see population_risk)."""
-    truth = truth_term(moment_set, sigma2)
-    return population_risk(quadratic_terms(theta, moment_set, truth),
-                           sigma2)
+def population_generalization(theta, moment_set):
+    """The population risk of theta, averaged over outputs."""
+    return float(np.mean(population_risk(*quadratic_terms(theta, moment_set),
+                                         moment_set)))
 
 
 def overlap_stat(theta, moment_set):
     """G1^T theta per output, averaged."""
-    return float(np.mean(quadratic_terms(theta, moment_set, None)[1]))
+    return float(np.mean(quadratic_terms(theta, moment_set)[1]))
 
 
 def chi_stat(theta, moment_set):
     """theta^T Sigma theta per output, averaged."""
-    return float(np.mean(quadratic_terms(theta, moment_set, None)[0]))
+    return float(np.mean(quadratic_terms(theta, moment_set)[0]))

@@ -128,15 +128,6 @@ def _factor(name, s):
     return s
 
 
-def sample_augmented(scheme, z, rng):
-    """One draw (x', y') of (tau_x(z, eta), tau_y(z, eta)): a one-column,
-    one-draw call of sample_augmented_batch."""
-    x, y = (np.asarray(v, dtype=float) for v in z)
-    Xa, Ya = sample_augmented_batch(scheme, x[:, None], y.reshape(-1, 1), 1,
-                                    rng)
-    return Xa[:, 0], Ya[:, 0].reshape(y.shape)
-
-
 def sample_augmented_batch(scheme, X, Y, n_draws, rng):
     """n_draws augmentations of every column of (X, Y) in one call.
 

@@ -12,12 +12,17 @@ from augridge.detequiv import (
     PreconditionViolationError,
     compute_second_order,
     equivalents,
-    loewner_gap_eigs,
     solve_fixed_point,
     wellspecified_reduction,
 )
-from augridge.moments import closed_population_moment_set
-from augridge.schemes import InvalidParameterError, additive_noise, masking
+from augridge.features import random_mlp_map
+from augridge.moments import closed_population_moment_set, estimate_moment_set
+from augridge.schemes import (
+    InvalidParameterError,
+    additive_noise,
+    masking,
+    salt_and_pepper,
+)
 
 
 def _iso_ms(p, theta_star=None, sigma2=0.0):
@@ -101,7 +106,7 @@ def test_fixed_point_b_dominated_by_w_squared():
         lam = rng.uniform(0.05, 2.0)
         st = solve_fixed_point(ms, alpha, lam, 30)
         assert st.converged
-        lo, hi = loewner_gap_eigs(st.W @ st.W - st.B)
+        lo, hi = np.linalg.eigvalsh(st.W @ st.W - st.B)
         assert lo >= -1e-10
         beta = float(st.B.sum())
         assert 0.0 < beta <= 1.0 + 1e-10
@@ -231,15 +236,32 @@ def test_wellspecified_reduction_rejects_inconsistent_truth(block):
         wellspecified_reduction(st, D, bad, theta, sigma2)
 
 
-def test_loewner_gap_eigs_closed_form():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        M = rng.standard_normal((2, 2))
-        M = 0.5 * (M + M.T)
-        lo, hi = loewner_gap_eigs(M)
-        w = np.linalg.eigvalsh(M)
-        assert lo == pytest.approx(w[0], abs=1e-12)
-        assert hi == pytest.approx(w[1], abs=1e-12)
+def _plugin_ms():
+    # a Monte-Carlo moment set from fixed data whose labels are read, not
+    # conditioned on a truth, as the MNIST pipeline builds one
+    d, N = 6, 1100
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((d, N))
+    Y = (rng.standard_normal((1, d)) @ X / np.sqrt(d)
+         + 0.5 * rng.standard_normal((1, N)))
+    return estimate_moment_set(random_mlp_map(d, [8], 5, seed=2), None,
+                               salt_and_pepper(0.7, 0.5),
+                               lambda a, b: (X[:, a:b], Y[:, a:b]), N, rng)
+
+
+@pytest.mark.parametrize("kind", ["closed", "plugin"])
+def test_equivalents_risk_does_not_read_sigma2(kind):
+    # sigma2 enters only the bias split: the risk, overlap and chi
+    # equivalents are the same bits at any sigma2, and bias2 moves by it
+    ms = _aniso_masking_ms(20, seed=6) if kind == "closed" else _plugin_ms()
+    st_ = solve_fixed_point(ms, 0.5, 0.1, 30)
+    D = compute_second_order(st_, ms)
+    r0, r1 = (equivalents(st_, D, ms, sigma2) for sigma2 in (0.0, 0.7))
+    for name in ("g_bar_mean", "overlap_bar_mean", "chi_bar_mean"):
+        assert getattr(r1, name) == getattr(r0, name), name
+    assert r0.bias2_bar_mean - r1.bias2_bar_mean == pytest.approx(0.7,
+                                                                  abs=1e-12)
+    assert r1.var_bar_mean - r0.var_bar_mean == pytest.approx(0.7, abs=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
@@ -277,7 +299,7 @@ def test_fixed_point_on_loewner_boundary_under_masking():
     for lam in (1e-6, 1e-3, 0.1):
         st_ = solve_fixed_point(ms, 0.5, lam, 20)
         assert st_.converged
-        lo, hi = loewner_gap_eigs(st_.W @ st_.W - st_.B)
+        lo, hi = np.linalg.eigvalsh(st_.W @ st_.W - st_.B)
         assert -1e-10 <= lo <= 1e-12
         assert hi > 0.1
 

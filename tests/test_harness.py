@@ -10,6 +10,7 @@ import pytest
 
 from augridge import detequiv, harness
 from augridge.cli import main as cli_main
+from augridge.errors import NumericalFailureError
 from augridge.harness import (
     RESULT_COLUMNS,
     ConfigError,
@@ -20,6 +21,8 @@ from augridge.harness import (
     validate,
     write_csv,
 )
+from augridge.moments import closed_population_moment_set
+from augridge.schemes import additive_noise
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -372,6 +375,24 @@ def test_cli_overflowed_moment_set_exit_4(tmp_path, capsys, key, value, over):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: moment set block")
     assert "non-finite" in err and "Traceback" not in err
+
+
+def test_sweep_rejects_non_finite_row(tmp_path):
+    # Sigma's entries sit just under the moment-set bound (1.34e154) while
+    # the data are O(1): chi = theta_hat^T Sigma theta_hat is finite, but
+    # its spread over the replicates overflows np.std; the sweep names the
+    # cell and the column and writes no CSV
+    config = ExperimentConfig.from_dict(
+        _tiny_cfg(replicates=8, out_dir=str(tmp_path / "out")))
+    d = config.data["d"]
+    Sigma = 1.3e154 * (0.5 * np.eye(d) + 0.5 * np.ones((d, d)))
+    ms = closed_population_moment_set(Sigma, additive_noise(0.3),
+                                      np.ones(d) / d, 0.1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalFailureError,
+            match=r"_std is inf at lambda=0\.5, alpha=0, n=16"):
+        run_sweep(config, csv_name="sweep.csv", moment_set=ms)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_memory_error_exit_3(tmp_path, monkeypatch, capsys):

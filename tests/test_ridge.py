@@ -21,9 +21,9 @@ from augridge.ridge import (
     normal_equations,
     overlap_stat,
     population_generalization,
+    population_risk,
     quadratic_terms,
     resolvent_shifted,
-    truth_term,
     xi_derivative_fd,
 )
 from augridge.schemes import (
@@ -303,11 +303,11 @@ def test_population_generalization_trivials():
     theta_star = np.array([1.0, -1.0, 2.0])
     ms = closed_population_moment_set(Sigma, additive_noise(0.0),
                                       theta_star, 0.3)
-    assert population_generalization(theta_star[:, None], ms,
-                                     0.3) == pytest.approx(0.3)
+    assert population_generalization(theta_star[:, None],
+                                     ms) == pytest.approx(0.3)
     null_risk = float(theta_star @ Sigma @ theta_star) + 0.3
-    assert population_generalization(np.zeros((d, 1)), ms,
-                                     0.3) == pytest.approx(null_risk)
+    assert population_generalization(np.zeros((d, 1)),
+                                     ms) == pytest.approx(null_risk)
 
 
 def test_population_matches_empirical():
@@ -323,7 +323,7 @@ def test_population_matches_empirical():
     Xt = rng.standard_normal((d, N))
     Yt = theta_star @ Xt + np.sqrt(sigma2) * rng.standard_normal(N)
     emp = empirical_generalization(theta, Xt, Yt[None], identity_map(d))
-    pop = population_generalization(theta, ms, sigma2)
+    pop = population_generalization(theta, ms)
     per = (theta[:, 0] @ Xt - Yt) ** 2
     se = per.std() / np.sqrt(N)
     assert abs(emp - pop) <= 3 * se
@@ -356,14 +356,16 @@ def test_quadratic_terms_match_per_column_loop(q):
                  G1=closed.G1 + 0.3 * rng.standard_normal((p, q)) / np.sqrt(p),
                  PsiSecond=closed.PsiSecond + rng.uniform(0.0, 1.0, (q, 1, 1)))
     theta = theta_star + 0.1 * rng.standard_normal((p, q)) / np.sqrt(p)
-    chi, overlap, truth = quadratic_terms(theta, ms, truth_term(ms, 0.2))
+    chi, overlap = quadratic_terms(theta, ms)
+    g = population_risk(chi, overlap, ms)
 
     def loop(A, S, B):
         return np.array([A[:, j] @ S @ B[:, j] for j in range(q)])
 
-    for got, want in ((chi, loop(theta, Sigma, theta)),
-                      (overlap, np.array([ms.G1[:, j] @ theta[:, j]
-                                          for j in range(q)])),
-                      (truth, ms.PsiSecond[:, 0, 0] - 0.2)):
+    overlap_loop = np.array([ms.G1[:, j] @ theta[:, j] for j in range(q)])
+    chi_loop = loop(theta, Sigma, theta)
+    for got, want in ((chi, chi_loop), (overlap, overlap_loop),
+                      (g, ms.PsiSecond[:, 0, 0] - 2.0 * overlap_loop
+                       + chi_loop)):
         assert got.shape == (q,)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

@@ -12,9 +12,15 @@ from augridge.schemes import (
     masking,
     mixture,
     salt_and_pepper,
-    sample_augmented,
     sample_augmented_batch,
 )
+
+
+def _one_draw(scheme, x, y, rng):
+    """One draw (x', y') of the datum (x, y): a one-column, one-draw
+    batch."""
+    Xa, Ya = sample_augmented_batch(scheme, x[:, None], y[:, None], 1, rng)
+    return Xa[:, 0], Ya[:, 0]
 
 
 def _datum(scheme, x, q=1):
@@ -26,14 +32,14 @@ def test_masking_full_keep_is_noop():
     rng = np.random.default_rng(0)
     x = np.array([1.0, -2.0, 3.0])
     y = np.array([4.0])
-    xp, yp = sample_augmented(masking(1.0), (x, y), rng)
+    xp, yp = _one_draw(masking(1.0), x, y, rng)
     assert np.array_equal(xp, x) and np.array_equal(yp, y)
 
 
 def test_additive_zero_noise_is_noop():
     rng = np.random.default_rng(0)
     x = np.array([1.0, 2.0])
-    xp, yp = sample_augmented(additive_noise(0.0), (x, np.array([0.5])), rng)
+    xp, yp = _one_draw(additive_noise(0.0), x, np.array([0.5]), rng)
     assert np.array_equal(xp, x)
 
 
@@ -95,12 +101,12 @@ def test_heteroskedastic_monte_carlo_oracle():
     sx = np.array([[1.0], [2.0]])
     sy = np.array([[3.0]])
     scheme = heteroskedastic(sx, sy)
-    z = (np.zeros(2), np.zeros(1))
+    x, y = np.zeros(2), np.zeros(1)
     N = 100_000
     draws_x = np.empty((2, N))
     draws_y = np.empty(N)
     for t in range(N):
-        xp, yp = sample_augmented(scheme, z, rng)
+        xp, yp = _one_draw(scheme, x, y, rng)
         draws_x[:, t] = xp
         draws_y[t] = yp[0]
     lam = np.cov(draws_x)
@@ -228,7 +234,7 @@ def test_label_preservation_bit_exact():
     for scheme in (additive_noise(0.25), masking(0.85),
                    salt_and_pepper(0.85, 0.25)):
         for _ in range(20):
-            _, yp = sample_augmented(scheme, (x, y), rng)
+            _, yp = _one_draw(scheme, x, y, rng)
             assert np.array_equal(yp, y)
 
 
@@ -270,22 +276,6 @@ _STREAM_CASES = {
     "mixture": lambda: mixture([additive_noise(0.5), masking(0.7),
                                 salt_and_pepper(0.5, 0.2)], [0.2, 0.5, 0.3]),
 }
-
-
-@pytest.mark.parametrize("case", sorted(_STREAM_CASES))
-def test_single_draw_is_one_column_batch_draw(case):
-    # sample_augmented and a one-column, one-draw sample_augmented_batch
-    # consume the same random stream and give the same values bit for bit
-    scheme = _STREAM_CASES[case]()
-    data = np.random.default_rng(2)
-    x = data.standard_normal(_STREAM_D)
-    y = data.standard_normal(_STREAM_Q)
-    r1, r2 = np.random.default_rng(9), np.random.default_rng(9)
-    for _ in range(200):
-        xp, yp = sample_augmented(scheme, (x, y), r1)
-        Xa, Ya = sample_augmented_batch(scheme, x[:, None], y[:, None], 1, r2)
-        assert np.array_equal(xp, Xa[:, 0]) and np.array_equal(yp, Ya[:, 0])
-    assert r1.random() == r2.random()
 
 
 def _repeated_batch(scheme, Xr, Yr, rng):
