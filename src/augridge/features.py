@@ -80,10 +80,14 @@ COLS = 4096  # columns per block of the MLP's hidden activations
 
 def apply_features(fmap: FeatureMap, M):
     """Apply fmap to every column of the d x n matrix M (a vector is a
-    single column); returns p x n (or a length-p vector). The MLP runs in
-    blocks of COLS columns, written into one p x n output, so no hidden
-    activation exists at full width."""
-    M = np.asarray(M, dtype=float)
+    single column); returns p x n (or a length-p vector) in M's float
+    dtype: float32 stays float32 (the Monte-Carlo kernel), anything else
+    is computed in float64. The MLP runs in blocks of COLS columns,
+    written into one p x n output, so no hidden activation exists at full
+    width."""
+    M = np.asarray(M)
+    if M.dtype != np.float32:
+        M = M.astype(float, copy=False)
     single = M.ndim == 1
     if single:
         M = M[:, None]
@@ -95,7 +99,8 @@ def apply_features(fmap: FeatureMap, M):
         out = M.copy()
     else:
         act = _ACTIVATIONS[fmap.activation]
-        *hidden, readout = fmap.weights
+        *hidden, readout = (W.astype(M.dtype, copy=False)
+                            for W in fmap.weights)
         n = M.shape[1]
         # A block gives the bits of the full-width product only where BLAS
         # multiplies both alike. Block edges fall on whole register tiles
@@ -106,7 +111,7 @@ def apply_features(fmap: FeatureMap, M):
         smallest = min(W.size for W in fmap.weights)
         cols = COLS * -(-2 ** 20 // (COLS * smallest))
         edges = [i * cols for i in range(max(1, n // cols))] + [n]
-        out = np.empty((fmap.output_dim, n))
+        out = np.empty((fmap.output_dim, n), dtype=M.dtype)
         for a, b in zip(edges, edges[1:]):
             h = M[:, a:b]
             for W in hidden:

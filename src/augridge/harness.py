@@ -364,8 +364,10 @@ def _peak_terms(config):
     # identity features draw nothing: their moments are closed forms
     T = config.n_mc_aug if config.features["kind"] == "random-mlp" else 1
     workers = min(config.workers, os.cpu_count() or 1)
-    col = 9 * d + 8 * p  # one augmented column: x', its mask and phi(x')
-    col_key = "data.d" if 9 * d >= 8 * p else p_key
+    # one augmented column: a float32 x', its boolean mask and a float32
+    # phi(x')
+    col = 5 * d + 4 * p
+    col_key = "data.d" if 5 * d >= 4 * p else p_key
     # the replicate batches, one in each worker, or a moment-set block,
     # which runs alone before the pool starts
     batch = n * T * workers

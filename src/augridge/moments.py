@@ -67,6 +67,13 @@ def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
     second moments and second-moment matrix, and draws = 0; otherwise
     draws = n_mc Monte-Carlo draws per sample, pushed through the feature
     map in one batch. One column gives the moments of one datum.
+
+    The draws and the feature map run in float32 (the kernel's values
+    carry a Monte-Carlo error far above its rounding). The means are
+    accumulated in float64, each Gram product is one float32 GEMM whose
+    small result is cast to float64, and every debias subtraction (here,
+    in ridge.assemble_design and in estimate_moment_set) is in float64.
+    All the returned blocks are float64.
     """
     X = np.asarray(X, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -84,10 +91,10 @@ def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
     Xa, Ya = sample_augmented_batch(scheme, X, Y, n_mc, rng)
     Pa = apply_features(feature_map, Xa)
     del Xa  # freed before the Gram products
-    MuX = Pa.reshape(p, n, n_mc).mean(axis=2)
+    MuX = Pa.reshape(p, n, n_mc).mean(axis=2, dtype=float)
     # mean of per-sample unbiased covariances, via one GEMM:
     # (n_mc/(n_mc-1)) [ (1/(n n_mc)) sum phi phi^T - (1/n) sum mu mu^T ]
-    S = Pa @ Pa.T / (n * n_mc)
+    S = (Pa @ Pa.T).astype(float) / (n * n_mc)
     M = MuX @ MuX.T / n
     LambdaBar = symmetrize(n_mc / (n_mc - 1) * (S - M))
     if scheme.label_preserving:
@@ -95,7 +102,8 @@ def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
         OmegaBar = np.zeros((p, q))
     else:
         MuY = Ya.reshape(q, n, n_mc).mean(axis=2)
-        Sxy = Pa @ Ya.T / (n * n_mc)
+        # Ya in float32 too: a float64 operand would promote all of Pa
+        Sxy = (Pa @ Ya.T.astype(np.float32)).astype(float) / (n * n_mc)
         Mxy = MuX @ MuY.T / n
         OmegaBar = n_mc / (n_mc - 1) * (Sxy - Mxy)
     return MuX, MuY, LambdaBar, OmegaBar, n_mc

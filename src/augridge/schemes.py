@@ -132,9 +132,13 @@ def sample_augmented_batch(scheme, X, Y, n_draws, rng):
     """n_draws augmentations of every column of (X, Y) in one call.
 
     Returns (Xa, Ya) of shapes (d, n*n_draws) and (q, n*n_draws); the draws
-    for sample i occupy columns i*n_draws .. (i+1)*n_draws - 1.
+    for sample i occupy columns i*n_draws .. (i+1)*n_draws - 1. Xa is
+    float32, drawn from float32 uniforms and normals: its values carry a
+    Monte-Carlo error far above float32 rounding, and the moments built
+    from them are summed in float64 (moments.batch_sample_moments). Ya is
+    float64.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.asarray(X, dtype=np.float32)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     T = int(n_draws)
     if T < 1:
@@ -147,8 +151,9 @@ def _batch_constant(scheme, X, T, Yr, rng):
     """T draws for every column of X, without repeating X: the result's
     columns i*T .. (i+1)*T - 1 are the draws of column i, against the
     broadcast view X[:, :, None]. Label noise lands in Yr (already
-    repeated). Masks stay boolean, and every draw has the shape and order
-    of one draw per column of X repeated T times."""
+    repeated). Masks stay boolean, u < keep_prob on float32 uniforms in
+    [0, 1), so keep_prob 0 and 1 are exact; every draw has the shape and
+    order of one draw per column of X repeated T times."""
     d, n = X.shape
     shape = (d, n * T)
     X3 = X[:, :, None]
@@ -157,29 +162,30 @@ def _batch_constant(scheme, X, T, Yr, rng):
         return A.reshape(d, n, T)
 
     if scheme.kind == "additive-noise":
-        Xa = rng.standard_normal(shape)
+        Xa = rng.standard_normal(shape, dtype=np.float32)
         Xa *= scheme.sigma_aug
         np.add(draws(Xa), X3, out=draws(Xa))
     elif scheme.kind == "masking":
-        M = rng.random(shape) <= scheme.keep_prob
-        Xa = np.empty(shape)
+        M = rng.random(shape, dtype=np.float32) < scheme.keep_prob
+        Xa = np.empty(shape, dtype=np.float32)
         np.multiply(X3, draws(M), out=draws(Xa))
     elif scheme.kind == "salt-and-pepper":
-        M = rng.random(shape) <= scheme.keep_prob
-        Xa = rng.standard_normal(shape)
+        M = rng.random(shape, dtype=np.float32) < scheme.keep_prob
+        Xa = rng.standard_normal(shape, dtype=np.float32)
         Xa *= scheme.replacement
         np.copyto(draws(Xa), X3, where=draws(M))
     elif scheme.kind == "heteroskedastic":
-        eta = rng.standard_normal((scheme.s_x.shape[1], shape[1]))
-        Xa = scheme.s_x @ eta
+        eta = rng.standard_normal((scheme.s_x.shape[1], shape[1]),
+                                  dtype=np.float32)
+        Xa = scheme.s_x.astype(np.float32) @ eta
         np.add(draws(Xa), X3, out=draws(Xa))
         if scheme.s_y is not None:
             Yr += scheme.s_y @ eta
     elif scheme.kind == "mixture":
-        idx = np.searchsorted(np.cumsum(scheme.weights), rng.random(shape[1]),
-                              side="right")
+        u = rng.random(shape[1], dtype=np.float32)
+        idx = np.searchsorted(np.cumsum(scheme.weights), u, side="right")
         idx = np.minimum(idx, len(scheme.components) - 1)
-        Xa = np.empty(shape)
+        Xa = np.empty(shape, dtype=np.float32)
         for j, comp in enumerate(scheme.components):
             cols = np.flatnonzero(idx == j)
             if cols.size == 0:

@@ -104,10 +104,10 @@ def _beta_closed(lam, p, n):
     return (-b + np.sqrt(b * b + 4.0 * lam)) / 2.0
 
 
-def test_criterion_01_deterministic_equivalent_accuracy(accuracy_run):
-    config, _, rows, elapsed = accuracy_run
-    R = config.replicates
-    assert len(rows) == 12
+def _assert_in_band(rows, R):
+    """Criterion 1's band: each cell's deterministic g, overlap and chi
+    within max(5% of the replicate mean, 3 standard errors of R
+    replicates) of that mean."""
     for r in rows:
         assert r.fp_converged
         for mean, std, det in (
@@ -119,7 +119,37 @@ def test_criterion_01_deterministic_equivalent_accuracy(accuracy_run):
             assert abs(det - mean) <= tol, (
                 f"lambda={r.lam} alpha={r.alpha}: |{det} - {mean}| > {tol}"
             )
+
+
+def test_criterion_01_deterministic_equivalent_accuracy(accuracy_run):
+    config, _, rows, elapsed = accuracy_run
+    assert len(rows) == 12
+    _assert_in_band(rows, config.replicates)
     assert elapsed <= 600.0, f"accuracy run took {elapsed:.0f}s (> 10 min)"
+
+
+# criterion 1's check where the feature map is far from linear: ReLU on
+# isotropic data, whose hidden preactivations have variance about 1
+# (criterion 1's power-law data gives its tanh units about 0.03)
+NONLINEAR_CFG = dict(
+    CR1_CFG,
+    data=dict(CR1_CFG["data"], d=100, n=150, spectrum="isotropic"),
+    features=dict(CR1_CFG["features"], hidden_sizes=[100], output_dim=75,
+                  activation="relu"),
+    lambda_grid=[0.05, 0.3, 1.0],
+    alpha_grid=[0.0, 0.5, 1.0],
+    n_mc_aug=50,
+)
+
+
+def test_deterministic_equivalent_accuracy_relu_isotropic():
+    config = ExperimentConfig.from_dict(NONLINEAR_CFG)
+    W1 = config.build_feature_map().weights[0]
+    preact = (W1 * W1).sum(axis=1)  # Var(W1 x) with Cov(x) = I
+    assert 0.7 <= preact.mean() <= 1.3
+    rows = run_sweep(config)
+    assert len(rows) == 9
+    _assert_in_band(rows, config.replicates)
 
 
 def test_criterion_02_closed_form_fixed_point():

@@ -150,8 +150,8 @@ def test_preflight_batch_term():
     # CHUNK * DRAWS columns, which runs before the pool starts
     d, p, n, n_mc_aug = 200, 150, 300, 200
     term = harness._peak_terms(ExperimentConfig.from_dict(CR1_CFG))[0]
-    assert term[0] == (9 * d + 8 * p) * n * n_mc_aug
-    col = 9 * 6 + 8 * 4
+    assert term[0] == (5 * d + 4 * p) * n * n_mc_aug
+    col = 5 * 6 + 4 * 4
     assert harness._peak_terms(ExperimentConfig.from_dict(TINY_MLP))[0] == (
         col * CHUNK * DRAWS, {"data.d": col})
 

@@ -77,18 +77,27 @@ def test_apply_dimension_mismatch():
         apply_features(identity_map(3), np.zeros((4, 2)))
 
 
-@pytest.mark.parametrize("activation,act", [
-    ("tanh", np.tanh), ("relu", lambda h: np.maximum(h, 0.0))])
-@pytest.mark.parametrize("d,hidden,p,n", [
+_BLOCK_SHAPES = [
     (50, 60, 40, 2 * COLS + 37),
     # layers of 192 and 160 weights: blocks of COLS columns would take
     # OpenBLAS's small-matrix kernel where the full product does not
     (12, 16, 10, 3 * COLS + 100),
-])
-def test_blocked_mlp_equals_one_shot(activation, act, d, hidden, p, n):
+]
+
+
+@pytest.mark.parametrize("activation,act", [
+    ("tanh", np.tanh), ("relu", lambda h: np.maximum(h, 0.0))])
+@pytest.mark.parametrize("d,hidden,p,n,dtype", [
+    pytest.param(*shape, dtype, id="-".join(map(str, shape)) + suffix)
+    for shape in _BLOCK_SHAPES
+    for dtype, suffix in ((np.float64, ""), (np.float32, "-float32"))])
+def test_blocked_mlp_equals_one_shot(activation, act, d, hidden, p, n,
+                                     dtype):
     # the MLP runs in column blocks and must give the one-shot product bit
-    # for bit, the last block's odd columns included
+    # for bit, the last block's odd columns included, in either precision
     fm = random_mlp_map(d, [hidden], p, activation=activation, seed=3)
-    M = np.random.default_rng(4).standard_normal((d, n))
-    W1, W2 = fm.weights
-    assert np.array_equal(apply_features(fm, M), W2 @ act(W1 @ M))
+    M = np.random.default_rng(4).standard_normal((d, n)).astype(dtype)
+    W1, W2 = (W.astype(dtype) for W in fm.weights)
+    out = apply_features(fm, M)
+    assert out.dtype == dtype
+    assert np.array_equal(out, W2 @ act(W1 @ M))

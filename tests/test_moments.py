@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from augridge import moments
 from augridge.datasets import SyntheticSpec, sample_synthetic
 from augridge.features import apply_features, identity_map, random_mlp_map
 from augridge.moments import (
@@ -13,13 +14,16 @@ from augridge.moments import (
     closed_population_moment_set,
     estimate_moment_set,
     psd_clip,
+    symmetrize,
 )
+from augridge.ridge import assemble_design
 from augridge.schemes import (
     additive_noise,
     heteroskedastic,
     masking,
     mixture,
     salt_and_pepper,
+    sample_augmented_batch,
 )
 
 
@@ -419,3 +423,80 @@ def test_batch_kernel_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * (8 * (d + p) + d) * n * T + 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("scheme", [
+    salt_and_pepper(0.5, 0.7),
+    heteroskedastic(np.full((8, 2), 0.3), np.ones((1, 2))),
+], ids=["salt-and-pepper", "heteroskedastic-sy"])
+def test_batch_kernel_is_float32_with_float64_blocks(scheme):
+    # the kernel's draws and features are float32 and every block it
+    # returns is float64; labels that change (a float64 Ya) must not
+    # promote the features to a full-width float64 copy in Pa @ Ya^T, which
+    # would add 8 p n T bytes. Bound: the float32 draws, mask and features
+    # and the float64 labels, ten p x p float64 temporaries and 1 MB.
+    d, hidden, p, q, n, T = 8, 8, 256, 1, 64, 256
+    fm = random_mlp_map(d, [hidden], p, seed=1)
+    X = _rng(1).standard_normal((d, n))
+    Y = _rng(2).standard_normal((q, n))
+    tracemalloc.start()
+    try:
+        out = batch_sample_moments(scheme, fm, X, Y, T, _rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(M.dtype == np.float64 for M in out[:4])
+    assert peak <= (5 * d + 4 * p + 8 * q) * n * T + 10 * 8 * p * p + 2 ** 20
+
+
+def _float64_moments(scheme, fm, X, Y, n_mc, rng):
+    """batch_sample_moments of a label-preserving scheme on the same
+    float32 draws, with the feature map, the means and the Gram products
+    all in float64: the reference of the rounding test."""
+    Xa, Ya = sample_augmented_batch(scheme, X, Y, n_mc, rng)
+    Pa = apply_features(fm, Xa.astype(float))
+    p, n = Pa.shape[0], X.shape[1]
+    MuX = Pa.reshape(p, n, n_mc).mean(axis=2)
+    Lam = symmetrize(n_mc / (n_mc - 1)
+                     * (Pa @ Pa.T / (n * n_mc) - MuX @ MuX.T / n))
+    return MuX, np.atleast_2d(Y).copy(), Lam, np.zeros((p, Y.shape[0])), n_mc
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def test_float32_kernel_rounding_below_monte_carlo_error(monkeypatch):
+    # the same draws through the float32 kernel and a float64 reference,
+    # at the criterion-1 size (200 -> 200 -> 150 tanh, salt-and-pepper,
+    # n 300, 200 draws a sample) and a moment set of 2048 columns: MuX,
+    # LambdaBar, the debiased C' and SigmaDoublePrime each differ by less
+    # than 1e-3 of the Monte-Carlo error 1/sqrt(columns), relative
+    d, n, T, total = 200, 300, 200, 2048
+    spec = SyntheticSpec(d=d, n=n, theta_star=np.ones(d) / np.sqrt(d),
+                         truth_map=identity_map(d), noise_sigma2=0.5)
+    fm = random_mlp_map(d, [200], 150, seed=11)
+    scheme = salt_and_pepper(0.5, np.sqrt(0.5))
+    X, Y = sample_synthetic(spec, _rng(1))
+    new = batch_sample_moments(scheme, fm, X, Y, T, _rng(2))
+    ref = _float64_moments(scheme, fm, X, Y, T, _rng(2))
+    bound = 1e-3 / np.sqrt(n * T)
+    assert _rel(new[0], ref[0]) < bound
+    assert _rel(new[2], ref[2]) < bound
+    assert _rel(assemble_design(X, Y, fm, new).Cprime,
+                assemble_design(X, Y, fm, ref).Cprime) < bound
+
+    def moment_set():
+        rng = _rng(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the same psd_clip on both
+            return estimate_moment_set(fm, identity_map(d), scheme,
+                                       _draws(spec, rng), total, rng,
+                                       theta_star=spec.theta_star,
+                                       noise_sigma2=0.5)
+
+    ms = moment_set()
+    monkeypatch.setattr(moments, "batch_sample_moments", _float64_moments)
+    ms_ref = moment_set()
+    assert (_rel(ms.SigmaDoublePrime, ms_ref.SigmaDoublePrime)
+            < 1e-3 / np.sqrt(total * DRAWS))

@@ -33,14 +33,15 @@ def test_masking_full_keep_is_noop():
     x = np.array([1.0, -2.0, 3.0])
     y = np.array([4.0])
     xp, yp = _one_draw(masking(1.0), x, y, rng)
-    assert np.array_equal(xp, x) and np.array_equal(yp, y)
+    assert np.array_equal(xp, x.astype(np.float32))
+    assert np.array_equal(yp, y)
 
 
 def test_additive_zero_noise_is_noop():
     rng = np.random.default_rng(0)
     x = np.array([1.0, 2.0])
     xp, yp = _one_draw(additive_noise(0.0), x, np.array([0.5]), rng)
-    assert np.array_equal(xp, x)
+    assert np.array_equal(xp, x.astype(np.float32))
 
 
 def test_salt_pepper_mean_is_qx():
@@ -279,26 +280,27 @@ _STREAM_CASES = {
 
 
 def _repeated_batch(scheme, Xr, Yr, rng):
-    """The kernel as it was before it streamed: the columns repeated by
-    np.repeat and float masks. The oracle of the stream-pinning test."""
-    shape = Xr.shape
+    """The kernel written plainly: float32 columns repeated by np.repeat,
+    float32 uniforms and normals, float masks. The oracle of the
+    stream-pinning test."""
+    shape, f32 = Xr.shape, np.float32
     if scheme.kind == "additive-noise":
-        Xa = Xr + scheme.sigma_aug * rng.standard_normal(shape)
+        Xa = Xr + scheme.sigma_aug * rng.standard_normal(shape, dtype=f32)
     elif scheme.kind == "masking":
-        M = (rng.random(shape) <= scheme.keep_prob).astype(float)
+        M = (rng.random(shape, dtype=f32) < scheme.keep_prob).astype(f32)
         Xa = Xr * M
     elif scheme.kind == "salt-and-pepper":
-        M = (rng.random(shape) <= scheme.keep_prob).astype(float)
-        noise = rng.standard_normal(shape) * (1.0 - M)
+        M = (rng.random(shape, dtype=f32) < scheme.keep_prob).astype(f32)
+        noise = rng.standard_normal(shape, dtype=f32) * (1.0 - M)
         Xa = Xr * M + scheme.replacement * noise
     elif scheme.kind == "heteroskedastic":
-        eta = rng.standard_normal((scheme.s_x.shape[1], shape[1]))
-        Xa = Xr + scheme.s_x @ eta
+        eta = rng.standard_normal((scheme.s_x.shape[1], shape[1]), dtype=f32)
+        Xa = Xr + scheme.s_x.astype(f32) @ eta
         if scheme.s_y is not None:
             Yr += scheme.s_y @ eta
     else:  # mixture
-        idx = np.searchsorted(np.cumsum(scheme.weights), rng.random(shape[1]),
-                              side="right")
+        idx = np.searchsorted(np.cumsum(scheme.weights),
+                              rng.random(shape[1], dtype=f32), side="right")
         idx = np.minimum(idx, len(scheme.components) - 1)
         Xa = np.empty_like(Xr)
         for j, comp in enumerate(scheme.components):
@@ -315,7 +317,8 @@ def _repeated_batch(scheme, Xr, Yr, rng):
 @pytest.mark.parametrize("n_draws", [1, 7])
 @pytest.mark.parametrize("case", sorted(_STREAM_CASES))
 def test_streamed_batch_keeps_the_random_stream(case, n_draws):
-    # same RNG state in, same values and sign bits out, same state after
+    # same RNG state in, same values and sign bits out, same state after;
+    # every kind draws x' in float32 and keeps its labels in float64
     scheme = _STREAM_CASES[case]()
     data = np.random.default_rng(4)
     X = data.standard_normal((_STREAM_D, 9))
@@ -323,11 +326,52 @@ def test_streamed_batch_keeps_the_random_stream(case, n_draws):
     r1, r2 = np.random.default_rng(13), np.random.default_rng(13)
     Xa, Ya = sample_augmented_batch(scheme, X, Y, n_draws, r1)
     Yr = np.repeat(Y, n_draws, axis=1)
-    Xr = _repeated_batch(scheme, np.repeat(X, n_draws, axis=1), Yr, r2)
+    Xr = _repeated_batch(scheme, np.repeat(X.astype(np.float32), n_draws,
+                                           axis=1), Yr, r2)
+    assert Xa.dtype == np.float32 and Ya.dtype == np.float64
     for new, old in ((Xa, Xr), (Ya, Yr)):
         assert np.array_equal(new, old)
         assert np.array_equal(np.signbit(new), np.signbit(old))
     assert r1.random() == r2.random()
+
+
+class _FixedUniforms:
+    """A generator whose uniforms all take one value; its normals come
+    from a real generator of the given seed."""
+
+    def __init__(self, value, seed):
+        self.value, self.normals = value, np.random.default_rng(seed)
+
+    def random(self, size, dtype=np.float64):
+        return np.full(size, self.value, dtype=dtype)
+
+    def standard_normal(self, size, dtype=np.float64):
+        return self.normals.standard_normal(size, dtype=dtype)
+
+
+def test_masks_exact_at_the_ends_of_the_range():
+    # float32 uniforms lie on a 2**-24 grid in [0, 1) that includes 0:
+    # u < keep_prob keeps nothing at keep_prob 0 even when u = 0, and
+    # everything at keep_prob 1 even at the largest uniform
+    X = np.random.default_rng(4).standard_normal((_STREAM_D, 9))
+    Y = np.zeros((1, 9))
+    shape = (_STREAM_D, 9 * 7)
+    Xr = np.repeat(X.astype(np.float32), 7, axis=1)
+    Xa, _ = sample_augmented_batch(masking(0.0), X, Y, 7,
+                                   _FixedUniforms(0.0, 5))
+    assert np.array_equal(Xa, np.zeros(shape, np.float32))
+    Xa, _ = sample_augmented_batch(salt_and_pepper(0.0, 0.7), X, Y, 7,
+                                   _FixedUniforms(0.0, 5))
+    noise = np.random.default_rng(5).standard_normal(shape, dtype=np.float32)
+    assert np.array_equal(Xa, noise * 0.7)
+    top = np.nextafter(np.float32(1.0), np.float32(0.0))
+    Xa, _ = sample_augmented_batch(masking(1.0), X, Y, 7,
+                                   _FixedUniforms(top, 5))
+    assert np.array_equal(Xa, Xr)
+    Xa, _ = sample_augmented_batch(masking(1.0), X, Y, 7,
+                                   np.random.default_rng(6))
+    assert np.array_equal(Xa, Xr)
+    assert np.array_equal(np.signbit(Xa), np.signbit(Xr))
 
 
 def test_schemes_compare_field_by_field():
