@@ -123,7 +123,8 @@ def _sigma_bar_of(B, ms):
 
 
 def _gamma_bar_of(B, ms):
-    return (B[0, 0] * ms.G1 + B[0, 1] * (ms.G2 + ms.G3) + B[1, 1] * ms.G4)
+    # mu_y = y: E[phi mu_y^T] = G1 and E[mu_x mu_y^T] = G3
+    return (B[0, 0] * ms.G1 + B[0, 1] * (ms.G1 + ms.G3) + B[1, 1] * ms.G3)
 
 
 def _whiten(L, X):
@@ -295,7 +296,7 @@ def equivalents(state, D, moment_set, sigma2) -> EquivalentReport:
 
     Sigma_bar_prime = _sigma_bar_of(D, ms)
     Gamma_bar_prime = _gamma_bar_of(D, ms)
-    gamma_bar = np.einsum("ij,kji->k", D, ms.PsiSecond)
+    gamma_bar = D.sum() * ms.EY2  # every second moment of (y, mu_y = y)
 
     quad = quadratic_form(theta_bar, Sigma_bar_prime + ms.Sigma, theta_bar)
     cross = np.einsum("ij,ij->j", theta_bar, Gamma_bar_prime)
@@ -320,12 +321,12 @@ def equivalents(state, D, moment_set, sigma2) -> EquivalentReport:
 def wellspecified_reduction(state, D, moment_set, theta_star, sigma2):
     """Scalar beta/delta form valid when phi = phi_star and the scheme is
     unbiased and label-preserving, i.e. every Sigma block equals Sigma,
-    every G block equals G1, G1 = Sigma theta* and E[Y^2] =
-    theta*^T Sigma theta* + sigma2; the last two make its risk equal the
-    general E[Y^2] - 2 G1^T theta + theta^T Sigma theta form. Returns beta,
-    delta, theta_bar and the simplified risk (1 + delta)[(theta_bar -
-    theta*)^T Sigma (theta_bar - theta*) + sigma2]. A block is equal when
-    it is within 1e-6 of its reference, relative to ||Sigma||_F."""
+    G3 equals G1, G1 = Sigma theta* and EY2 = theta*^T Sigma theta* +
+    sigma2; the last two make its risk equal the general E[Y^2] -
+    2 G1^T theta + theta^T Sigma theta form. Returns beta, delta,
+    theta_bar and the simplified risk (1 + delta)[(theta_bar - theta*)^T
+    Sigma (theta_bar - theta*) + sigma2]. A block is equal when it is
+    within 1e-6 of its reference, relative to ||Sigma||_F."""
     alpha = state.alpha
     ms = moment_set
     th = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
@@ -334,11 +335,8 @@ def wellspecified_reduction(state, D, moment_set, theta_star, sigma2):
         ("SigmaPrime", ms.SigmaPrime, ms.Sigma),
         ("SigmaDoublePrime", ms.SigmaDoublePrime, ms.Sigma),
         ("G1", ms.G1, ms.Sigma @ th),
-        ("G2", ms.G2, ms.G1),
         ("G3", ms.G3, ms.G1),
-        ("G4", ms.G4, ms.G1),
-        ("PsiSecond", ms.PsiSecond[:, 0, 0],
-         quadratic_form(th, ms.Sigma, th) + sigma2),
+        ("EY2", ms.EY2, quadratic_form(th, ms.Sigma, th) + sigma2),
     ):
         if np.linalg.norm(M - ref) > 1e-6 * scale:
             raise PreconditionViolationError(

@@ -11,10 +11,11 @@ Monte-Carlo estimation notes:
   explicit symmetrization;
 - the estimated mean mu_hat over n_mc draws satisfies
   E[mu_hat mu_hat^T] = mu mu^T + Lambda/n_mc, so second-moment blocks built
-  from mu_hat are debiased by subtracting LambdaBar/n_mc (OmegaBar/n_mc,
-  and the label variance/n_mc);
+  from mu_hat are debiased by subtracting LambdaBar/n_mc (and OmegaBar/n_mc
+  in a replicate's H');
 - label-preserving schemes use mu_y = y exactly and Omega = 0 without
-  sampling;
+  sampling; every scheme has mu_y = y in population, so the moment set
+  reads its label blocks from y alone;
 - a replicate draws the config's n_mc_aug augmentations per sample, which
   define its estimator; a population moment set draws DRAWS per data
   column: the debias keeps every block unbiased at any n_mc >= 2, so few
@@ -30,24 +31,25 @@ import numpy as np
 
 from .errors import InsufficientSamplesError, NumericalFailureError
 from .features import apply_features
-from .schemes import closed_moments, label_variance, sample_augmented_batch
+from .schemes import closed_moments, sample_augmented_batch
 
 
 def symmetrize(M):
     return 0.5 * (M + M.T)
 
 
-def psd_clip(M, scale=0.0):
+def psd_clip(M, floor=0.0):
     """Symmetrize and clip negative eigenvalues to zero.
 
-    An eigenvalue below -1e-8 times the larger of M's largest eigenvalue
-    and `scale` (the size of M's moment set) is more than rounding and
-    triggers a warning; the clipped matrix is returned either way.
+    An eigenvalue below -1e-8 times M's largest eigenvalue, or below
+    -floor (the rounding the caller's M carries, see estimate_moment_set),
+    is more than rounding and triggers a warning; the clipped matrix is
+    returned either way.
     """
     M = symmetrize(np.asarray(M, dtype=float))
     w, V = np.linalg.eigh(M)
     top = max(w[-1], 0.0)
-    if w[0] < -1e-8 * max(top, scale, 1e-300):
+    if w[0] < -max(1e-8 * top, floor, 1e-308):
         warnings.warn(
             f"clipping eigenvalue {w[0]:.3e} (largest {top:.3e}) to zero"
         )
@@ -113,21 +115,19 @@ def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
 class MomentSet:
     """Population first/second-order blocks feeding the equivalents.
 
-    PsiSecond has shape (q, 2, 2) with per-output entries
-    [[E[Y^2], E[Y mu_y]], [E[Y mu_y], E[mu_y^2]]]. The truth enters only
-    through G1 = E[phi(X) Y^T] and E[Y^2] = PsiSecond[:, 0, 0]: the risk
-    of any theta is E[Y^2] - 2 G1^T theta + theta^T Sigma theta, whatever
-    the data source.
+    G1 = E[phi(X) Y^T], G3 = E[mu_x Y^T] and EY2 = E[Y^2] (length q). Every
+    scheme has mu_y = y (schemes), so E[phi mu_y^T] = G1,
+    E[mu_x mu_y^T] = G3 and every second moment of (Y, mu_y) is EY2. The
+    truth enters only through G1 and EY2: the risk of any theta is
+    E[Y^2] - 2 G1^T theta + theta^T Sigma theta, whatever the data source.
     """
 
     Sigma: np.ndarray
     SigmaPrime: np.ndarray
     SigmaDoublePrime: np.ndarray
     G1: np.ndarray
-    G2: np.ndarray
     G3: np.ndarray
-    G4: np.ndarray
-    PsiSecond: np.ndarray
+    EY2: np.ndarray
     LambdaBar: np.ndarray
     OmegaBar: np.ndarray
     n_mc_used: int = 0
@@ -140,6 +140,11 @@ class MomentSet:
 
 CHUNK = 512  # data columns per estimation block
 DRAWS = 10  # augmentations per data column of a Monte-Carlo moment set
+# A block's rounding relative to its moment set's size: 1e-8 in float64;
+# for a Monte-Carlo block, the CHUNK * DRAWS float32 terms (draws,
+# features, sgemm products) a chunk sums, each rounded within float32's
+# epsilon, add up as a random walk to sqrt(CHUNK * DRAWS) eps = 8.5e-6
+_KERNEL_ROUNDING = float(np.sqrt(CHUNK * DRAWS) * np.finfo(np.float32).eps)
 
 
 # the largest magnitude whose square is finite
@@ -166,22 +171,18 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total, rng,
     "monte-carlo" otherwise.
 
     Each column's augmentation moments come from DRAWS draws (none with
-    identity features). The blocks built from two estimated means
-    (SigmaDoublePrime, G4 and E[mu_y^2] in PsiSecond) are debiased by the
-    draw count the chunks report: LambdaBar/draws, OmegaBar/draws and
-    schemes.label_variance/draws, so every block is unbiased.
+    identity features). SigmaDoublePrime, the one block built from two
+    estimated means, is debiased by LambdaBar/draws with the draw count
+    the chunks report, so every block is unbiased. The label blocks read Y
+    itself: mu_y = y for every scheme.
 
     When theta_star and noise_sigma2 are given (synthetic well-known truth)
-    and the scheme is label-preserving (its parameters are constants, so
-    none depends on y), label noise is integrated out analytically: the G
-    blocks use the conditional mean theta_star^T phi_star(X) in place of Y,
-    and PsiSecond adds noise_sigma2 exactly. This removes the label-noise
-    Monte-Carlo error without changing the estimand. G1 is then
-    E[phi phi_star^T] theta_star and PsiSecond[:, 0, 0] - noise_sigma2 is
-    theta_star^T E[phi_star phi_star^T] theta_star over the same columns,
-    which is all of the truth the risk needs. Labels of a label-changing
-    scheme, or without a truth map, are read from the data, so G1 and
-    E[Y^2] carry their Monte-Carlo error.
+    and the scheme is label-preserving, label noise is integrated out
+    analytically: Y is its conditional mean theta_star^T phi_star(X), and
+    EY2 adds noise_sigma2 exactly. This removes the label-noise
+    Monte-Carlo error without changing the estimand. Labels of a
+    label-changing scheme, or without a truth map, are read from the
+    data, so G1, G3 and EY2 carry their Monte-Carlo error.
     """
     if total < 2:
         raise InsufficientSamplesError("n_mc_data >= 2 required")
@@ -203,20 +204,15 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total, rng,
     for a in range(0, total, CHUNK):
         X, Y = take(a, min(a + CHUNK, total))
         Phi = apply_features(feature_map, X)
-        MuX, MuY, Lam_c, Om_c, draws = batch_sample_moments(
-            scheme, feature_map, X, Y, DRAWS, rng
-        )
+        MuX, _, Lam_c, Om_c, draws = batch_sample_moments(
+            scheme, feature_map, X, Y, DRAWS, rng)
         if condition_labels:
-            Y = MuY = theta_star.T @ apply_features(truth_map, X)
-        for name, (A, B) in (
-            ("Sigma", (Phi, Phi)), ("SigmaPrime", (Phi, MuX)),
-            ("SigmaDoublePrime", (MuX, MuX)), ("G1", (Phi, Y)),
-            ("G2", (Phi, MuY)), ("G3", (MuX, Y)), ("G4", (MuX, MuY)),
-        ):
+            Y = theta_star.T @ apply_features(truth_map, X)
+        for name, A, B in (("Sigma", Phi, Phi), ("SigmaPrime", Phi, MuX),
+                           ("SigmaDoublePrime", MuX, MuX), ("G1", Phi, Y),
+                           ("G3", MuX, Y)):
             add(name, A @ B.T)
-        # per output [[sum Y^2, sum Y mu_y], [sum Y mu_y, sum mu_y^2]]
-        P = np.stack([Y, MuY])
-        add("PsiSecond", (P[:, None] * P[None]).sum(-1).transpose(2, 0, 1))
+        add("EY2", (Y * Y).sum(1))
         add("LambdaBar", X.shape[1] * Lam_c)
         add("OmegaBar", X.shape[1] * Om_c)
 
@@ -225,17 +221,15 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total, rng,
     if draws:
         # remove the O(1/draws) bias of mu_hat outer products
         sums["SigmaDoublePrime"] -= sums["LambdaBar"] / draws
-        sums["G4"] -= sums["OmegaBar"] / draws
-        sums["PsiSecond"][:, 1, 1] -= (
-            label_variance(scheme, sums["G1"].shape[1]) / draws)
     if condition_labels:
-        sums["PsiSecond"] += float(noise_sigma2)
+        sums["EY2"] += float(noise_sigma2)
     _check_finite(sums)
     sums["Sigma"] = psd_clip(sums["Sigma"])
     # the other blocks' rounding is relative to the size of Sigma
-    scale = float(np.linalg.eigvalsh(sums["Sigma"])[-1])
+    floor = ((_KERNEL_ROUNDING if draws else 1e-8)
+             * float(np.linalg.eigvalsh(sums["Sigma"])[-1]))
     for name in ("SigmaDoublePrime", "LambdaBar"):
-        sums[name] = psd_clip(sums[name], scale)
+        sums[name] = psd_clip(sums[name], floor)
     return MomentSet(
         **sums,
         n_mc_used=total,
@@ -249,9 +243,9 @@ def closed_population_moment_set(Sigma, scheme, theta_star, sigma2):
 
     schemes.closed_moments gives (c, LambdaBar, OmegaBar) with
     v = diag Sigma and S = Sigma; then Sigma' = c Sigma, Sigma'' = c^2 Sigma,
-    G1 = G2 = Sigma theta*, G3 = G4 = c G1, and PsiSecond is E[Y^2] in
-    every entry (mu_y = y). Every block is an exact formula, so no
-    Monte-Carlo error enters the equivalents.
+    G1 = Sigma theta*, G3 = c G1 and EY2 = theta*^T Sigma theta* + sigma2.
+    Every block is an exact formula, so no Monte-Carlo error enters the
+    equivalents.
     """
     Sigma = np.asarray(Sigma, dtype=float)
     theta = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
@@ -261,17 +255,9 @@ def closed_population_moment_set(Sigma, scheme, theta_star, sigma2):
     G1 = Sigma @ theta
     # theta^T Sigma theta per output: ridge.quadratic_form with its GEMM
     # already done as G1
-    ey2 = np.einsum("ij,ij->j", theta, G1) + sigma2
-    Psi = np.empty((q, 2, 2))
-    Psi[:] = ey2[:, None, None]
-    blocks = dict(
-        Sigma=Sigma,
-        SigmaPrime=c * Sigma,
-        SigmaDoublePrime=c * c * Sigma,
-        G1=G1, G2=G1, G3=c * G1, G4=c * G1,
-        PsiSecond=Psi,
-        LambdaBar=LambdaBar,
-        OmegaBar=OmegaBar,
-    )
+    blocks = dict(Sigma=Sigma, SigmaPrime=c * Sigma,
+                  SigmaDoublePrime=c * c * Sigma, G1=G1, G3=c * G1,
+                  EY2=np.einsum("ij,ij->j", theta, G1) + sigma2,
+                  LambdaBar=LambdaBar, OmegaBar=OmegaBar)
     _check_finite(blocks)
     return MomentSet(**blocks, n_mc_used=0, provenance="closed-form")

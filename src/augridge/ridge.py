@@ -17,8 +17,8 @@ solve symmetrizes.
 
 The population risk of theta is g = E[Y^2] - 2 G1^T theta +
 theta^T Sigma theta per output, for every data source: the truth enters
-only through the moment set's G1 = E[phi(X) Y^T] and E[Y^2], and the
-label noise sigma2 is part of E[Y^2], not a term of its own.
+only through the moment set's G1 = E[phi(X) Y^T] and EY2 = E[Y^2], and
+the label noise sigma2 is part of E[Y^2], not a term of its own.
 population_risk is that one formula, from the terms quadratic_terms
 forms; the fits, their mean and the deterministic equivalents all go
 through it, and sigma2 is subtracted only where a bias^2 is split from
@@ -212,7 +212,7 @@ def population_risk(chi, overlap, moment_set):
     """The population risk g = chi - 2 overlap + E[Y^2] per output, with
     (chi, overlap) = quadratic_terms(theta, moment_set) for a fit theta,
     or chi a deterministic equivalent of it."""
-    return chi - 2.0 * overlap + moment_set.PsiSecond[:, 0, 0]
+    return chi - 2.0 * overlap + moment_set.EY2
 
 
 def population_generalization(theta, moment_set):

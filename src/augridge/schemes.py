@@ -12,9 +12,11 @@ z = (x, y). Five kinds are supported:
   applies that component
 
 Every parameter is a constant: a finite number, or a constant array for the
-heteroskedastic factors; none depends on z. With identity features every
-scheme's moments have one closed form (closed_moments): mu_x = c x,
-mu_y = y, Lambda affine in the data's second moments, Omega a constant.
+heteroskedastic factors; none depends on z. Every kind keeps the mean
+label, mu_y = E[tau_y] = y (label noise has mean zero), so a moment set
+stores no block of mu_y. With identity features every scheme's moments
+have one closed form (closed_moments): mu_x = c x, Lambda affine in the
+data's second moments, Omega a constant.
 """
 
 from __future__ import annotations
@@ -233,15 +235,3 @@ def closed_moments(scheme, v, S, q):
                 sum(wj * O for wj, O in zip(w, oms)))
     raise InvalidParameterError(f"unknown scheme kind {scheme.kind!r}")
 
-
-def label_variance(scheme, q):
-    """Per-output variance of tau_y(z, eta) given z, the same for every
-    datum: the row sums of s_y**2 for heteroskedastic label noise, the
-    weighted sum over a mixture's components (each has mean y, so their
-    spread adds nothing), and zero for the label-preserving kinds."""
-    if scheme.kind == "heteroskedastic" and scheme.s_y is not None:
-        return (scheme.s_y ** 2).sum(axis=1)
-    if scheme.kind == "mixture":
-        return sum(w * label_variance(comp, q)
-                   for w, comp in zip(scheme.weights, scheme.components))
-    return np.zeros(q)

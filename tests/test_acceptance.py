@@ -27,6 +27,7 @@ from augridge.harness import (
 from augridge.moments import (
     batch_sample_moments,
     closed_population_moment_set,
+    estimate_moment_set,
 )
 from augridge.schemes import (
     additive_noise,
@@ -76,10 +77,14 @@ CR1_CFG = {
 def accuracy_run():
     """Moment set, R=200 sweep rows, and wall time for the main accuracy
     experiment; the moment set is shared with the bias-variance and
-    hygiene criteria."""
+    hygiene criteria. Its SigmaDoublePrime has a real psd_clip (a
+    Monte-Carlo eigenvalue near -8.4e-4 against 0.113), recorded here
+    rather than raised."""
     config = ExperimentConfig.from_dict(CR1_CFG)
     t0 = time.monotonic()
-    moment_set = build_moment_set(config)
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        moment_set = build_moment_set(config)
     rows = run_sweep(config, moment_set=moment_set)
     elapsed = time.monotonic() - t0
     return config, moment_set, rows, elapsed
@@ -381,6 +386,15 @@ def test_criterion_12_label_changing_augmentation():
     rows = harness._sweep(config, harness._FreshDraws(spec), identity_map(d),
                           het, ms, None)
     assert len(rows) == 9
+    worst, worst_no_omega = _worst_ratios(rows, ms, sigma2, R)
+    assert worst <= 1.0, f"worst |det - mean| / tol = {worst:.3f}"
+    # negative control: the prediction without OmegaBar leaves the band
+    assert worst_no_omega > 1.0
+
+
+def _worst_ratios(rows, ms, sigma2, R):
+    """The worst _in_band ratio over the rows' g, overlap and chi cells,
+    and the same for the prediction with OmegaBar zeroed."""
     no_omega = replace(ms, OmegaBar=np.zeros_like(ms.OmegaBar))
     worst, worst_no_omega = 0.0, 0.0
     for r in rows:
@@ -392,9 +406,42 @@ def test_criterion_12_label_changing_augmentation():
         ):
             worst = max(worst, _in_band(mean, std, det, R))
             worst_no_omega = max(worst_no_omega, _in_band(mean, std, wrong, R))
+    return worst, worst_no_omega
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the moment set's 8192-column data draw puts the lambda 1, alpha 1 "
+    "overlap cell at 1.376 of the band; at 65536 columns the worst cell "
+    "is 0.818"))
+def test_label_changing_augmentation_monte_carlo_moments():
+    # criterion 12's label-changing scheme on random-MLP features
+    # (40 -> 40 -> 30 tanh): every block is estimated from 8192 columns
+    # whose labels are read, with G1 and G3 standing in for the mu_y
+    # blocks (mu_y = y); criterion 1's band at R = 200
+    d, n, R = 40, 80, 200
+    config = ExperimentConfig.from_dict({
+        "data": {"kind": "synthetic", "d": d, "n": n,
+                 "spectrum": "power-law", "theta_star": "normalized-ones",
+                 "noise_sigma2": 0.5, "q_seed": 0},
+        "features": {"kind": "random-mlp", "hidden_sizes": [40],
+                     "output_dim": 30, "seed": 24},
+        "lambda_grid": [0.01, 0.1, 1.0], "alpha_grid": [0.0, 0.5, 1.0],
+        "replicates": R, "n_mc_aug": 50, "seed": 24,
+    })
+    s_x = np.random.default_rng(4).standard_normal((d, 3)) / np.sqrt(d)
+    het = heteroskedastic(s_x, 3.0 * np.array([[0.5, -0.2, 0.3]]))
+    spec = config.build_synthetic_spec()
+    fmap = config.build_feature_map()
+    rng = np.random.default_rng(np.random.SeedSequence([24, 0xA0]))
+    ms = estimate_moment_set(
+        fmap, spec.truth_map, het,
+        lambda a, b: sample_synthetic(spec, rng, n=b - a), 8192, rng,
+        theta_star=spec.theta_star, noise_sigma2=spec.noise_sigma2)
+    rows = harness._sweep(config, harness._FreshDraws(spec), fmap, het, ms,
+                          None)
+    assert len(rows) == 9
+    worst, _ = _worst_ratios(rows, ms, spec.noise_sigma2, R)
     assert worst <= 1.0, f"worst |det - mean| / tol = {worst:.3f}"
-    # negative control: the prediction without OmegaBar leaves the band
-    assert worst_no_omega > 1.0
 
 
 def _find_mnist_files():

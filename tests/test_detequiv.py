@@ -212,7 +212,7 @@ def test_wellspecified_reduction_rejects_biased_scheme():
         wellspecified_reduction(st, D, ms, theta, 0.1)
 
 
-@pytest.mark.parametrize("block", ["G1", "PsiSecond"])
+@pytest.mark.parametrize("block", ["G1", "EY2"])
 def test_wellspecified_reduction_rejects_inconsistent_truth(block):
     # an unbiased label-preserving scheme, so every Sigma and G block
     # equals its reference; only the truth's G1 = Sigma theta* or
@@ -229,9 +229,9 @@ def test_wellspecified_reduction_rejects_inconsistent_truth(block):
     if block == "G1":
         G1 = ms.G1.copy()
         G1[0, 0] += bump
-        bad = replace(ms, G1=G1, G2=G1, G3=G1, G4=G1)
+        bad = replace(ms, G1=G1, G3=G1)
     else:
-        bad = replace(ms, PsiSecond=ms.PsiSecond + bump)
+        bad = replace(ms, EY2=ms.EY2 + bump)
     with pytest.raises(PreconditionViolationError, match=block):
         wellspecified_reduction(st, D, bad, theta, sigma2)
 

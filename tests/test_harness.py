@@ -212,8 +212,8 @@ def test_moment_set_ignores_n_mc_aug():
     # whatever n_mc_aug, which sets the replicates' draws only
     sets = [build_moment_set(ExperimentConfig.from_dict(_tiny_cfg(
         n_mc_data=64, n_mc_aug=T, features=_MLP_MAP))) for T in (4, 200)]
-    for name in ("Sigma", "SigmaPrime", "SigmaDoublePrime", "G1", "G2", "G3",
-                 "G4", "PsiSecond", "LambdaBar", "OmegaBar"):
+    for name in ("Sigma", "SigmaPrime", "SigmaDoublePrime", "G1", "G3",
+                 "EY2", "LambdaBar", "OmegaBar"):
         assert np.array_equal(getattr(sets[0], name),
                               getattr(sets[1], name)), name
 

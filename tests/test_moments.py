@@ -1,15 +1,19 @@
 import tracemalloc
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from augridge import moments
 from augridge.datasets import SyntheticSpec, sample_synthetic
+from augridge.detequiv import (compute_second_order, equivalents,
+                               solve_fixed_point)
 from augridge.features import apply_features, identity_map, random_mlp_map
 from augridge.moments import (
     DRAWS,
     InsufficientSamplesError,
+    MomentSet,
     batch_sample_moments,
     closed_population_moment_set,
     estimate_moment_set,
@@ -124,9 +128,11 @@ def test_estimate_identity_augmentation_blocks_collapse():
     )
     assert np.allclose(ms.SigmaPrime, ms.Sigma)
     assert np.allclose(ms.SigmaDoublePrime, ms.Sigma)
-    assert np.allclose(ms.G2, ms.G1) and np.allclose(ms.G3, ms.G1)
-    assert np.allclose(ms.G4, ms.G1)
-    assert np.allclose(ms.PsiSecond[0], ms.PsiSecond[0][0, 0])
+    assert np.allclose(ms.G3, ms.G1)
+    # conditioned labels: E[Y^2] = theta*^T Sigma theta* + sigma2 over the
+    # same columns
+    theta = spec.theta_star
+    assert np.allclose(ms.EY2, theta @ ms.Sigma @ theta + 0.1)
 
 
 def test_estimate_sigma_consistency():
@@ -214,20 +220,16 @@ def test_estimate_reads_fixed_data_in_chunks():
     ms = estimate_moment_set(fm, None, masking(0.7), take, n, rng)
     assert seen == [(0, 512), (512, 1024), (1024, 1100)]
     assert ms.provenance == "empirical-plugin" and ms.n_mc_used == n
-    MuX, MuY, Lam, Om, _ = batch_sample_moments(masking(0.7), fm, X, Y, 2,
-                                                rng)
+    MuX, _, Lam, Om, _ = batch_sample_moments(masking(0.7), fm, X, Y, 2,
+                                              rng)
     expected = {
         "Sigma": X @ X.T / n, "SigmaPrime": X @ MuX.T / n,
         "SigmaDoublePrime": MuX @ MuX.T / n, "G1": X @ Y.T / n,
-        "G2": X @ MuY.T / n, "G3": MuX @ Y.T / n, "G4": MuX @ MuY.T / n,
+        "G3": MuX @ Y.T / n, "EY2": np.sum(Y * Y, 1) / n,
         "LambdaBar": Lam, "OmegaBar": Om,
     }
     for name, M in expected.items():
         assert np.allclose(getattr(ms, name), M, rtol=0, atol=1e-12), name
-    psi = [[np.sum(Y * Y, 1), np.sum(Y * MuY, 1)],
-           [np.sum(MuY * Y, 1), np.sum(MuY * MuY, 1)]]
-    assert np.allclose(ms.PsiSecond, np.moveaxis(np.array(psi), 2, 0) / n,
-                       rtol=0, atol=1e-12)
 
 
 def test_estimate_needs_two_columns_before_reading():
@@ -239,8 +241,8 @@ def test_estimate_needs_two_columns_before_reading():
                             _rng())
 
 
-def test_estimate_psi_second_shape():
-    # q outputs give a symmetric, C-contiguous (q, 2, 2) PsiSecond
+def test_estimate_ey2_shape():
+    # q outputs give a float64 EY2 of length q, one E[Y^2] per output
     d, q, n = 3, 5, 600
     rng = _rng(9)
     X = rng.standard_normal((d, n))
@@ -248,9 +250,7 @@ def test_estimate_psi_second_shape():
     fm = random_mlp_map(d, [4], 3, seed=1)
     ms = estimate_moment_set(fm, None, additive_noise(0.3),
                              lambda a, b: (X[:, a:b], Y[:, a:b]), n, rng)
-    psi = ms.PsiSecond
-    assert psi.shape == (q, 2, 2) and psi.flags.c_contiguous
-    assert np.array_equal(psi, psi.transpose(0, 2, 1))
+    assert ms.EY2.shape == (q,) and ms.EY2.dtype == np.float64
 
 
 def test_psd_clip_warns_and_clips():
@@ -262,13 +262,13 @@ def test_psd_clip_warns_and_clips():
     # the clip the fuzzed configs hit: a real negative mass, whatever the
     # scale of the moment set
     with pytest.warns(UserWarning, match="-2.440e-01"):
-        psd_clip(np.diag([0.0156, -0.244]), 1.0)
-    # a block that is zero up to rounding, in a moment set of unit scale:
-    # clipped, but without a warning
+        psd_clip(np.diag([0.0156, -0.244]), 1e-8)
+    # a block that is zero up to rounding, in a moment set of unit scale
+    # (a float64 floor of 1e-8): clipped, but without a warning
     noise = np.diag([2.115e-16, -6.049e-16])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = psd_clip(noise, 1.0)
+        out = psd_clip(noise, 1e-8)
     assert np.linalg.eigvalsh(out)[0] >= 0.0
     # on its own scale the same block still warns
     with pytest.warns(UserWarning):
@@ -286,7 +286,7 @@ def test_closed_population_masking_blocks():
     assert np.allclose(ms.G1, (Sigma @ theta)[:, None])
     assert np.allclose(ms.G3, 0.8 * ms.G1)
     ey2 = theta @ Sigma @ theta + 0.1
-    assert np.allclose(ms.PsiSecond[0], ey2)
+    assert np.allclose(ms.EY2, ey2)
 
 
 _S_X = np.array([[1.0, 0.0], [0.5, -1.0], [0.0, 2.0]])
@@ -313,9 +313,9 @@ def test_closed_population_blocks(scheme, c, lam, om):
     assert np.allclose(ms.LambdaBar, lam)
     assert np.allclose(ms.OmegaBar, om)
     assert np.allclose(ms.G1, (Sigma @ theta)[:, None])
-    assert np.allclose(ms.G2, ms.G1) and np.allclose(ms.G3, c * ms.G1)
+    assert np.allclose(ms.G3, c * ms.G1)
     ey2 = theta @ Sigma @ theta + 0.1
-    assert np.allclose(ms.PsiSecond[0], ey2)
+    assert np.allclose(ms.EY2, ey2)
 
 
 def test_conditioned_labels_carry_the_truth():
@@ -337,7 +337,7 @@ def test_conditioned_labels_carry_the_truth():
     np.testing.assert_allclose(ms.G1[:, 0], Phi @ PhiStar.T @ theta_star / N,
                                rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(
-        ms.PsiSecond[0, 0, 0] - sigma2,
+        ms.EY2[0] - sigma2,
         theta_star @ PhiStar @ PhiStar.T @ theta_star / N,
         rtol=1e-12, atol=0.0)
 
@@ -358,8 +358,8 @@ def test_closed_population_mixture_matches_estimate():
     groups = [estimate_moment_set(identity_map(d), identity_map(d), mix,
                                   _draws(spec, rng), 5000, rng)
               for _ in range(20)]
-    for name in ("Sigma", "SigmaPrime", "SigmaDoublePrime", "G1", "G2", "G3",
-                 "G4", "PsiSecond", "LambdaBar", "OmegaBar"):
+    for name in ("Sigma", "SigmaPrime", "SigmaDoublePrime", "G1", "G3",
+                 "EY2", "LambdaBar", "OmegaBar"):
         est = np.stack([getattr(ms, name) for ms in groups])
         se = est.std(axis=0, ddof=1) / np.sqrt(len(groups))
         gap = np.abs(est.mean(axis=0) - getattr(exact, name))
@@ -373,8 +373,8 @@ def _linear_image(exact, W):
         "Sigma", "SigmaPrime", "SigmaDoublePrime", "LambdaBar")}
     blocks = {name: W @ M @ W.T for name, M in blocks.items()}
     blocks.update({name: W @ getattr(exact, name)
-                   for name in ("G1", "G2", "G3", "G4", "OmegaBar")})
-    blocks.update(PsiSecond=exact.PsiSecond)
+                   for name in ("G1", "G3", "OmegaBar")})
+    blocks.update(EY2=exact.EY2)
     return blocks
 
 
@@ -387,7 +387,7 @@ def test_estimate_at_draws_matches_linear_features(scheme):
     # (SigmaDoublePrime = c^2 W Sigma W^T, LambdaBar = W Lambda_x W^T, ...);
     # the Monte-Carlo set at DRAWS draws a column, debiased, must match
     # them: every block within 4 grouped SEs over 40 groups of 2048
-    # columns. Heteroskedastic labels reach the G4 and E[mu_y^2] debias.
+    # columns. Heteroskedastic labels are read and reach OmegaBar.
     d, p = 5, 3
     fm = random_mlp_map(d, [], p, seed=3)
     spec = SyntheticSpec(d=d, n=1, theta_star=np.ones(d) / 2.0,
@@ -406,6 +406,78 @@ def test_estimate_at_draws_matches_linear_features(scheme):
         se = est.std(axis=0, ddof=1) / np.sqrt(len(groups))
         gap = np.abs(est.mean(axis=0) - M)
         assert np.all(gap <= 4 * se + 1e-12), name
+
+
+_HET_LINEAR = heteroskedastic(_S_X[[0, 1, 2, 0, 1]], _S_Y)
+
+
+def _het_linear_sets(groups, rng):
+    """The heteroskedastic case of the test above: groups Monte-Carlo sets
+    of 2048 columns under the linear map phi(x) = W x (5 -> 3), where
+    LambdaBar = W s_x s_x^T W^T has rank 2 of 3."""
+    d = 5
+    fm = random_mlp_map(d, [], 3, seed=3)
+    spec = SyntheticSpec(d=d, n=1, theta_star=np.ones(d) / 2.0,
+                         truth_map=identity_map(d), noise_sigma2=0.3,
+                         q_seed=6)
+    return [estimate_moment_set(fm, identity_map(d), _HET_LINEAR,
+                                _draws(spec, rng), 2048, rng,
+                                theta_star=spec.theta_star, noise_sigma2=0.3)
+            for _ in range(groups)]
+
+
+def test_psd_clip_floor_of_the_float32_kernel(monkeypatch):
+    # the float32 kernel rounds LambdaBar's null eigenvalue to about 1e-7
+    # of the moment set's size, below its sqrt(CHUNK * DRAWS) float32
+    # epsilons: no warning (a 1e-8 floor warned on 17 of 40 such sets)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _het_linear_sets(20, _rng(15))
+    # a Monte-Carlo LambdaBar whose null eigenvalue is pushed to -1e-4 of
+    # the moment set's size (Sigma's largest eigenvalue) still warns
+    W = random_mlp_map(5, [], 3, seed=3).weights[0]
+    v = np.linalg.svd(W @ _HET_LINEAR.s_x)[0][:, -1]  # LambdaBar's null space
+    size = np.linalg.eigvalsh(_het_linear_sets(1, _rng(15))[0].Sigma)[-1]
+    kernel = moments.batch_sample_moments
+
+    def shifted(*args):
+        MuX, MuY, Lam, Om, draws = kernel(*args)
+        return MuX, MuY, Lam - 1e-4 * size * np.outer(v, v), Om, draws
+
+    monkeypatch.setattr(moments, "batch_sample_moments", shifted)
+    with pytest.warns(UserWarning, match="clipping eigenvalue -"):
+        _het_linear_sets(1, _rng(15))
+
+
+def test_label_noise_reaches_the_equivalents_only_through_omega():
+    # mu_y = y: heteroskedastic label noise enters a moment set only
+    # through OmegaBar. The same read labels and draws with and without
+    # s_y give bit-identical blocks once OmegaBar is shared, and so
+    # bit-identical equivalents
+    d, N = 6, 1100
+    fm = random_mlp_map(d, [7], 5, seed=1)
+    rng = _rng(24)
+    X = rng.standard_normal((d, N))
+    Y = (rng.standard_normal((1, d)) @ X / np.sqrt(d)
+         + 0.5 * rng.standard_normal((1, N)))
+    s_x = rng.standard_normal((d, 2)) / np.sqrt(d)
+    noisy, clean = (
+        estimate_moment_set(fm, None, scheme,
+                            lambda a, b: (X[:, a:b], Y[:, a:b]), N, _rng(25))
+        for scheme in (heteroskedastic(s_x, np.array([[0.8, -0.3]])),
+                       heteroskedastic(s_x)))
+    assert np.abs(noisy.OmegaBar).max() > 1e-2
+    clean = replace(clean, OmegaBar=noisy.OmegaBar)
+    for f in fields(MomentSet):
+        assert np.array_equal(getattr(noisy, f.name),
+                              getattr(clean, f.name)), f.name
+    reports = []
+    for ms in (noisy, clean):
+        st = solve_fixed_point(ms, 0.5, 0.1, 200)
+        reports.append(equivalents(st, compute_second_order(st, ms), ms,
+                                   0.25))
+    for name in ("g_bar_mean", "chi_bar_mean", "overlap_bar_mean"):
+        assert getattr(reports[0], name) == getattr(reports[1], name), name
 
 
 def test_batch_kernel_peak_memory():

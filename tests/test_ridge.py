@@ -354,7 +354,7 @@ def test_quadratic_terms_match_per_column_loop(q):
                                           theta_star, 0.2)
     ms = replace(closed,
                  G1=closed.G1 + 0.3 * rng.standard_normal((p, q)) / np.sqrt(p),
-                 PsiSecond=closed.PsiSecond + rng.uniform(0.0, 1.0, (q, 1, 1)))
+                 EY2=closed.EY2 + rng.uniform(0.0, 1.0, q))
     theta = theta_star + 0.1 * rng.standard_normal((p, q)) / np.sqrt(p)
     chi, overlap = quadratic_terms(theta, ms)
     g = population_risk(chi, overlap, ms)
@@ -365,7 +365,7 @@ def test_quadratic_terms_match_per_column_loop(q):
     overlap_loop = np.array([ms.G1[:, j] @ theta[:, j] for j in range(q)])
     chi_loop = loop(theta, Sigma, theta)
     for got, want in ((chi, chi_loop), (overlap, overlap_loop),
-                      (g, ms.PsiSecond[:, 0, 0] - 2.0 * overlap_loop
+                      (g, ms.EY2 - 2.0 * overlap_loop
                        + chi_loop)):
         assert got.shape == (q,)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

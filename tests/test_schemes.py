@@ -8,7 +8,6 @@ from augridge.schemes import (
     additive_noise,
     closed_moments,
     heteroskedastic,
-    label_variance,
     masking,
     mixture,
     salt_and_pepper,
@@ -169,24 +168,25 @@ def test_mixture_monte_carlo_oracle():
     assert np.all(np.abs(D.mean(axis=1) - np.r_[c * x, y]) <= 4 * mean_se)
 
 
-def test_label_variance_monte_carlo_oracle():
-    # the per-output label variance against 100 000 draws of two outputs,
-    # within 4 grouped SEs: heteroskedastic labels alone and in a mixture
-    # with a label-preserving kind, which adds none
+def test_every_scheme_keeps_the_mean_label():
+    # mu_y = E[tau_y] = y for every kind, which the moment set rests on:
+    # the mean of 100 000 augmented labels of two outputs is y within 4
+    # grouped SEs (exactly y where the label is kept), label noise alone
+    # and in a mixture with a label-preserving kind
     het = heteroskedastic(np.array([[0.5, 0.0], [1.0, 0.3]]),
                           np.array([[0.8, -0.2], [0.0, 1.5]]))
     x, y = np.array([1.0, -2.0]), np.array([0.5, -1.0])
     N, groups = 100_000, 20
     rng = np.random.default_rng(13)
-    for scheme in (het, mixture([masking(0.3), het], [0.6, 0.4])):
+    for scheme in (additive_noise(0.7), masking(0.3),
+                   salt_and_pepper(0.5, 1.0), heteroskedastic(het.s_x), het,
+                   mixture([masking(0.3), het], [0.6, 0.4])):
         _, Ya = sample_augmented_batch(scheme, x[:, None], y[:, None], N, rng)
-        var = np.stack([g.var(axis=1, ddof=1)
-                        for g in np.split(Ya, groups, axis=1)])
-        se = var.std(axis=0, ddof=1) / np.sqrt(groups)
-        gap = np.abs(Ya.var(axis=1, ddof=1) - label_variance(scheme, 2))
-        assert np.all(gap <= 4 * se)
-    assert np.array_equal(label_variance(salt_and_pepper(0.5, 1.0), 2),
-                          np.zeros(2))
+        means = np.stack([g.mean(axis=1)
+                          for g in np.split(Ya, groups, axis=1)])
+        se = means.std(axis=0, ddof=1) / np.sqrt(groups)
+        gap = np.abs(Ya.mean(axis=1) - y)
+        assert np.all(gap <= 4 * se), scheme.kind
 
 
 def test_mixture_bad_weights():
