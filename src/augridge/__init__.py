@@ -38,7 +38,6 @@ from .moments import (
     estimate_moment_set,
 )
 from .ridge import (
-    AugmentedDesign,
     assemble_design,
     chi_stat,
     empirical_generalization,

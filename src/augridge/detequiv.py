@@ -3,14 +3,16 @@ second-order companion, and the predicted risk and bias/variance split.
 
 The fixed point is the symmetric 2x2 matrix B with B = F(B):
 
-    Sigma_bar(B) = b11 Sigma + b12 (Sigma' + Sigma'^T) + b22 Sigma''
     R_bar = M(B)^{-1},  M(B) = Sigma_bar(B) + alpha LambdaBar + lam I
     A = [[tr(Sigma R_bar), tr(Sigma' R_bar)],
          [tr(Sigma' R_bar), tr(Sigma'' R_bar)]]
     F(B) = W (I_2 + n^{-1} W A W)^{-1} W,  W = Diag(sqrt(1-alpha), sqrt(alpha))
 
-(slot 1 weights the true data, slot 2 the augmented means). It is solved
-by safeguarded Newton on the free entries of B, starting from the
+(slot 1 weights the true data, slot 2 the augmented means), and
+Sigma_bar(B) + alpha LambdaBar the matrix of ridge.normal_equations, the
+one builder of every system: the fixed point's and the equivalents' at B
+and D, and a fit's at B = W^2 on its sample's moment set. It is solved by
+safeguarded Newton on the free entries of B, starting from the
 infinite-data limit B = W^2: b11 alone at alpha = 0, b22 alone at
 alpha = 1, (b11, b12, b22) otherwise. A step factors M(B) = L L^T once and
 whitens the blocks X = (Sigma, sym Sigma', Sigma'') into
@@ -42,11 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import NotConvergedError, PreconditionViolationError
-from .moments import symmetrize
-from .ridge import (_cholesky, _solve, population_risk, quadratic_form,
-                    quadratic_terms)
-from .schemes import InvalidParameterError
+from .errors import (InvalidParameterError, NotConvergedError,
+                     NumericalFailureError, PreconditionViolationError)
+from .ridge import (_cholesky, fit, normal_equations, population_risk,
+                    quadratic_form, quadratic_terms)
 
 
 @dataclass(frozen=True)
@@ -116,17 +117,6 @@ def _solve_linearized(F, T, free, n, rhs):
     return x
 
 
-def _sigma_bar_of(B, ms):
-    return (B[0, 0] * ms.Sigma
-            + B[0, 1] * (ms.SigmaPrime + ms.SigmaPrime.T)
-            + B[1, 1] * ms.SigmaDoublePrime)
-
-
-def _gamma_bar_of(B, ms):
-    # mu_y = y: E[phi mu_y^T] = G1 and E[mu_x mu_y^T] = G3
-    return (B[0, 0] * ms.G1 + B[0, 1] * (ms.G1 + ms.G3) + B[1, 1] * ms.G3)
-
-
 def _whiten(L, X):
     """The lower triangle of L^{-1} X L^{-T}, for a symmetric X given by
     its lower triangle, by one LAPACK dsygst on a copy of X. dsygst leaves
@@ -182,9 +172,14 @@ class _DilationMap:
             self.X[k] = np.asfortranarray(np.tril(X))
 
     def at(self, b, what=None):
-        """The point b, or None when M(B) is not positive definite (and
-        `what` is None, see _cholesky)."""
-        M = _sigma_bar_of(_sym2(b), self.ms) + self.alpha * self.ms.LambdaBar
+        """The point b, or None when M(B) is not finite or not positive
+        definite (and `what` is None, see _cholesky)."""
+        try:
+            M = normal_equations(self.ms, _sym2(b), self.alpha)[0]
+        except NumericalFailureError:
+            if what is None:
+                return None
+            raise
         M.flat[::M.shape[0] + 1] += self.lam
         L = _cholesky(M, what)
         if L is None:
@@ -282,20 +277,16 @@ def equivalents(state, D, moment_set, sigma2) -> EquivalentReport:
     """Deterministic equivalents of theta_hat, chi, risk, and the
     bias/variance split, per output and output-averaged.
 
+    theta_bar is the fit of the normal_equations system at B, and
+    Sigma_bar(D), Gamma_bar(D) are that system's blocks weighted by D.
     Both risks are ridge.population_risk at the overlap G1^T theta_bar:
     g_bar at chi_bar, and the bias^2 at theta_bar^T Sigma theta_bar, less
     the label noise sigma2, which enters nothing else.
     """
-    alpha = state.alpha
     ms = moment_set
     B = state.B
-    M = symmetrize(_sigma_bar_of(B, ms) + alpha * ms.LambdaBar)
-    theta_bar = _solve(M, state.lam,
-                       _gamma_bar_of(B, ms) + alpha * ms.OmegaBar,
-                       "equivalents: Sigma_bar + alpha LambdaBar + lam I")
-
-    Sigma_bar_prime = _sigma_bar_of(D, ms)
-    Gamma_bar_prime = _gamma_bar_of(D, ms)
+    theta_bar = fit(normal_equations(ms, B, state.alpha), state.lam)
+    Sigma_bar_prime, Gamma_bar_prime = normal_equations(ms, D, 0.0)
     gamma_bar = D.sum() * ms.EY2  # every second moment of (y, mu_y = y)
 
     quad = quadratic_form(theta_bar, Sigma_bar_prime + ms.Sigma, theta_bar)
@@ -344,9 +335,9 @@ def wellspecified_reduction(state, D, moment_set, theta_star, sigma2):
             )
     beta = float(state.B.sum())
     delta = float(D.sum())
-    M = symmetrize(beta * ms.Sigma + alpha * ms.LambdaBar)
-    theta_bar = _solve(M, state.lam, beta * ms.G1 + alpha * ms.OmegaBar,
-                       "beta Sigma + alpha LambdaBar + lam I")
+    # beta Sigma + alpha LambdaBar and beta G1 + alpha OmegaBar
+    theta_bar = fit(normal_equations(ms, np.diag([beta, 0.0]), alpha),
+                    state.lam)
     diff = theta_bar - th
     g_simple = (1.0 + delta) * (
         quadratic_form(diff, ms.Sigma, diff) + sigma2

@@ -472,16 +472,18 @@ class _Subsamples:
 
 def _replicate(source, fmap, scheme, n_mc_aug, alpha_grid, seed_seq, n_list):
     """One replicate from its seed: per n, draw data from the source, take
-    its per-sample moments and assemble one design (debiased by the draw
-    count the moments carry); yields (n, alpha, system) for each alpha,
-    the normal_equations system every lambda shares."""
+    its per-sample moments and assemble the sample's moment set (debiased
+    by the draw count the moments carry); yields (n, alpha, system) for
+    each alpha, the normal_equations system at B = W^2 every lambda
+    shares."""
     rng = np.random.default_rng(seed_seq)
     for n in n_list:
         X, Y = source.draw(rng, n)
         psm = batch_sample_moments(scheme, fmap, X, Y, n_mc_aug, rng)
         design = ridge.assemble_design(X, Y, fmap, psm)
         for alpha in alpha_grid:
-            yield n, alpha, ridge.normal_equations(design, alpha)
+            yield n, alpha, ridge.normal_equations(
+                design, np.diag([1.0 - alpha, alpha]), alpha)
 
 
 _worker_payload = None  # set once in each pool worker by _init_worker

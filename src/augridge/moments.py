@@ -10,9 +10,9 @@ Monte-Carlo estimation notes:
 - per-sample covariances use the unbiased 1/(n_mc - 1) normalization and
   explicit symmetrization;
 - the estimated mean mu_hat over n_mc draws satisfies
-  E[mu_hat mu_hat^T] = mu mu^T + Lambda/n_mc, so second-moment blocks built
-  from mu_hat are debiased by subtracting LambdaBar/n_mc (and OmegaBar/n_mc
-  in a replicate's H');
+  E[mu_hat mu_hat^T] = mu mu^T + Lambda/n_mc, so SigmaDoublePrime, the one
+  block built from two estimated means, is debiased by subtracting
+  LambdaBar/n_mc; the label blocks read y itself and need no debias;
 - label-preserving schemes use mu_y = y exactly and Omega = 0 without
   sampling; every scheme has mu_y = y in population, so the moment set
   reads its label blocks from y alone;
@@ -62,13 +62,14 @@ def psd_clip(M, floor=0.0):
 def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
     """Vectorized per-sample moments of all columns of (X, Y).
 
-    Returns (MuX: p x n, MuY: q x n, LambdaBar: p x p, OmegaBar: p x q,
-    draws) where LambdaBar, OmegaBar are the empirical averages over the n
-    samples (unbiased per-sample normalization). Identity features take
-    the closed form of schemes.closed_moments, with the batch's coordinate
-    second moments and second-moment matrix, and draws = 0; otherwise
-    draws = n_mc Monte-Carlo draws per sample, pushed through the feature
-    map in one batch. One column gives the moments of one datum.
+    Returns (MuX: p x n, LambdaBar: p x p, OmegaBar: p x q, draws) where
+    LambdaBar, OmegaBar are the empirical averages over the n samples
+    (unbiased per-sample normalization); mu_y = y is not estimated.
+    Identity features take the closed form of schemes.closed_moments, with
+    the batch's coordinate second moments and second-moment matrix, and
+    draws = 0; otherwise draws = n_mc Monte-Carlo draws per sample, pushed
+    through the feature map in one batch. One column gives the moments of
+    one datum.
 
     The draws and the feature map run in float32 (the kernel's values
     carry a Monte-Carlo error far above its rounding). The means are
@@ -85,7 +86,7 @@ def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
     if feature_map.kind == "identity":
         c, LambdaBar, OmegaBar = closed_moments(
             scheme, (X * X).mean(1), lambda: X @ X.T / n, q)
-        return c * X, Y.copy(), LambdaBar, OmegaBar, 0
+        return c * X, LambdaBar, OmegaBar, 0
     if n_mc < 2:
         raise InsufficientSamplesError(
             "n_mc >= 2 required without a closed form"
@@ -100,7 +101,6 @@ def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
     M = MuX @ MuX.T / n
     LambdaBar = symmetrize(n_mc / (n_mc - 1) * (S - M))
     if scheme.label_preserving:
-        MuY = Y.copy()
         OmegaBar = np.zeros((p, q))
     else:
         MuY = Ya.reshape(q, n, n_mc).mean(axis=2)
@@ -108,22 +108,28 @@ def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
         Sxy = (Pa @ Ya.T.astype(np.float32)).astype(float) / (n * n_mc)
         Mxy = MuX @ MuY.T / n
         OmegaBar = n_mc / (n_mc - 1) * (Sxy - Mxy)
-    return MuX, MuY, LambdaBar, OmegaBar, n_mc
+    return MuX, LambdaBar, OmegaBar, n_mc
 
 
 @dataclass
 class MomentSet:
-    """Population first/second-order blocks feeding the equivalents.
+    """First/second-order blocks of a population, feeding the equivalents,
+    or of a replicate's n columns (ridge.assemble_design), feeding its fit.
 
-    G1 = E[phi(X) Y^T], G3 = E[mu_x Y^T] and EY2 = E[Y^2] (length q). Every
-    scheme has mu_y = y (schemes), so E[phi mu_y^T] = G1,
-    E[mu_x mu_y^T] = G3 and every second moment of (Y, mu_y) is EY2. The
-    truth enters only through G1 and EY2: the risk of any theta is
+    Sigma = E[phi phi^T], SigmaPrime = E[phi mu_x^T], SigmaDoublePrime =
+    E[mu_x mu_x^T], G1 = E[phi(X) Y^T], G3 = E[mu_x Y^T] and EY2 = E[Y^2]
+    (length q). Every scheme has mu_y = y (schemes), so E[phi mu_y^T] =
+    G1, E[mu_x mu_y^T] = G3 and every second moment of (Y, mu_y) is EY2.
+    The truth enters only through G1 and EY2: the risk of any theta is
     E[Y^2] - 2 G1^T theta + theta^T Sigma theta, whatever the data source.
+    Sigma, SigmaDoublePrime and LambdaBar are exactly symmetric.
+
+    A replicate's set has SigmaPrime = None: its fit's system, at
+    B = W^2, has b12 = 0, and forming it would cost a p x n x p product.
     """
 
     Sigma: np.ndarray
-    SigmaPrime: np.ndarray
+    SigmaPrime: np.ndarray | None
     SigmaDoublePrime: np.ndarray
     G1: np.ndarray
     G3: np.ndarray
@@ -176,22 +182,19 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total, rng,
     the chunks report, so every block is unbiased. The label blocks read Y
     itself: mu_y = y for every scheme.
 
-    When theta_star and noise_sigma2 are given (synthetic well-known truth)
-    and the scheme is label-preserving, label noise is integrated out
-    analytically: Y is its conditional mean theta_star^T phi_star(X), and
-    EY2 adds noise_sigma2 exactly. This removes the label-noise
-    Monte-Carlo error without changing the estimand. Labels of a
-    label-changing scheme, or without a truth map, are read from the
-    data, so G1, G3 and EY2 carry their Monte-Carlo error.
+    When theta_star and noise_sigma2 are given (synthetic well-known truth),
+    label noise is integrated out analytically: Y is its conditional mean
+    theta_star^T phi_star(X), and EY2 adds noise_sigma2 exactly. This
+    removes the label-noise Monte-Carlo error without changing the
+    estimand, for every scheme: the blocks read Y, never the augmented
+    labels, and tau_x does not depend on the label noise. Without a truth
+    map the labels are read from the data, so G1, G3 and EY2 carry their
+    Monte-Carlo error.
     """
     if total < 2:
         raise InsufficientSamplesError("n_mc_data >= 2 required")
-    condition_labels = (
-        theta_star is not None
-        and truth_map is not None
-        and noise_sigma2 is not None
-        and scheme.label_preserving
-    )
+    condition_labels = all(v is not None for v in
+                           (theta_star, truth_map, noise_sigma2))
     if condition_labels:
         theta_star = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
     sums = {}  # MomentSet field -> sum over the columns read so far
@@ -204,7 +207,7 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total, rng,
     for a in range(0, total, CHUNK):
         X, Y = take(a, min(a + CHUNK, total))
         Phi = apply_features(feature_map, X)
-        MuX, _, Lam_c, Om_c, draws = batch_sample_moments(
+        MuX, Lam_c, Om_c, draws = batch_sample_moments(
             scheme, feature_map, X, Y, DRAWS, rng)
         if condition_labels:
             Y = theta_star.T @ apply_features(truth_map, X)
@@ -241,13 +244,14 @@ def closed_population_moment_set(Sigma, scheme, theta_star, sigma2):
     """Exact population MomentSet for identity features, identity truth
     map and centered data with covariance Sigma, for any scheme.
 
+    Sigma is symmetrized first (Q diag(e) Q^T is not exactly symmetric).
     schemes.closed_moments gives (c, LambdaBar, OmegaBar) with
     v = diag Sigma and S = Sigma; then Sigma' = c Sigma, Sigma'' = c^2 Sigma,
     G1 = Sigma theta*, G3 = c G1 and EY2 = theta*^T Sigma theta* + sigma2.
     Every block is an exact formula, so no Monte-Carlo error enters the
     equivalents.
     """
-    Sigma = np.asarray(Sigma, dtype=float)
+    Sigma = symmetrize(np.asarray(Sigma, dtype=float))
     theta = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
     q = theta.shape[1]
     c, LambdaBar, OmegaBar = closed_moments(scheme, np.diag(Sigma),

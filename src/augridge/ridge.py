@@ -1,62 +1,55 @@
-"""Empirical augmented ridge: design assembly, the closed-form fit, the
-shifted resolvent and its quadratic statistic, and generalization error.
+"""Empirical augmented ridge: a replicate's moment set, the one builder
+of every ridge system, the closed-form fit, the shifted resolvent and its
+quadratic statistic, and generalization error.
 
-The estimator solves
+normal_equations(ms, B, a) builds, from a MomentSet and 2x2 weights B,
 
-    theta_hat = ((1-a) C + a C' + a Lambda(Z) + lam I)^{-1} H_a,
-    H_a = (1-a) H + a H' + a Omega(Z),
+    M = Sigma_bar(B) + a LambdaBar,  H = Gamma_bar(B) + a OmegaBar,
+    Sigma_bar(B) = b11 Sigma + b12 (Sigma' + Sigma'^T) + b22 Sigma'',
+    Gamma_bar(B) = b11 G1 + b12 (G1 + G3) + b22 G3.
 
-with C = phi(X) phi(X)^T / n, C' = mu_x(Z) mu_x(Z)^T / n, H = phi(X) Y^T / n,
-H' = mu_x(Z) mu_y(Z)^T / n. assemble_design symmetrizes C, C' and Lambda,
-so normal_equations, called once per (design, alpha), builds an exactly
-symmetric M_a and checks (M_a, H_a) finite there, once for every lambda.
-_solve, the one regularized solve (the equivalents' too), then costs one
-copy of M_a per lambda, lam added to its diagonal in place, and LAPACK's
-dpotrf (in place) and dpotrs for all q output columns; only a shifted
-solve symmetrizes.
+A fit is the deterministic equivalents' system at their infinite-data
+dilation B = W^2 = Diag(1-a, a), built on its sample's MomentSet
+(assemble_design): theta_hat = (M + lam I)^{-1} H with M = (1-a) C +
+a C'' + a Lambda and H = (1-a) G1 + a G3 + a Omega. detequiv builds its
+systems with the same function on the population's set. A set's Sigma,
+SigmaDoublePrime and LambdaBar are exactly symmetric, so M is. _solve,
+the one regularized solve, costs one copy of M per lambda, lam added to
+its diagonal in place, and LAPACK's dpotrf (in place) and dpotrs for all
+q output columns; only a shifted solve symmetrizes.
 
 The population risk of theta is g = E[Y^2] - 2 G1^T theta +
 theta^T Sigma theta per output, for every data source: the truth enters
-only through the moment set's G1 = E[phi(X) Y^T] and EY2 = E[Y^2], and
-the label noise sigma2 is part of E[Y^2], not a term of its own.
-population_risk is that one formula, from the terms quadratic_terms
-forms; the fits, their mean and the deterministic equivalents all go
-through it, and sigma2 is subtracted only where a bias^2 is split from
-the variance. theta^T Sigma theta is quadratic_form: one GEMM
-Sigma @ theta and a column sum of its product with theta.
+only through G1 = E[phi(X) Y^T] and EY2 = E[Y^2], and the label noise
+sigma2 is part of E[Y^2]. population_risk is that one formula, from the
+terms quadratic_terms forms; the fits, their mean and the deterministic
+equivalents all go through it, and sigma2 is subtracted only where a
+bias^2 is split from the variance. theta^T Sigma theta is
+quadratic_form: one GEMM Sigma @ theta and a column sum of its product
+with theta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import EmptyInputError, NumericalFailureError
-from .features import InvalidDimensionError, apply_features
-from .moments import symmetrize
-from .schemes import InvalidParameterError
-
-
-@dataclass(frozen=True)
-class AugmentedDesign:
-    C: np.ndarray
-    Cprime: np.ndarray
-    H: np.ndarray
-    Hprime: np.ndarray
-    LambdaEmp: np.ndarray
-    OmegaEmp: np.ndarray
-    n: int
+from .errors import (EmptyInputError, InvalidDimensionError,
+                     InvalidParameterError, NumericalFailureError)
+from .features import apply_features
+from .moments import MomentSet, symmetrize
 
 
 def assemble_design(X, Y, feature_map, sample_moments):
-    """Build the six design blocks with 1/n normalization.
+    """The MomentSet of the n columns of (X, Y): Sigma = phi phi^T / n,
+    SigmaDoublePrime = mu_x mu_x^T / n, G1 = phi Y^T / n, G3 =
+    mu_x Y^T / n, EY2 the mean of Y^2, the averaged LambdaBar and OmegaBar,
+    no SigmaPrime, n_mc_used = n and provenance "sample".
 
-    sample_moments is the (MuX, MuY, LambdaBar, OmegaBar, draws) tuple
-    from moments.batch_sample_moments. When the per-sample means were
-    estimated from draws > 0 augmentations, the O(1/draws) bias of Cprime
-    and Hprime (outer products of estimated means) is removed.
+    sample_moments is the (MuX, LambdaBar, OmegaBar, draws) tuple from
+    moments.batch_sample_moments. When the per-sample means were
+    estimated from draws > 0 augmentations, the O(1/draws) bias of
+    SigmaDoublePrime (an outer product of estimated means) is removed.
     """
     X = np.asarray(X, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -66,20 +59,19 @@ def assemble_design(X, Y, feature_map, sample_moments):
     if Y.shape[1] != n:
         raise InvalidDimensionError("X and Y column counts differ")
     Phi = apply_features(feature_map, X)
-    MuX, MuY, LambdaEmp, OmegaEmp, draws = sample_moments
-    MuY = np.atleast_2d(MuY)
+    MuX, LambdaBar, OmegaBar, draws = sample_moments
     if MuX.shape[1] != n:
         raise InvalidDimensionError("per-sample moments do not match n")
-    C = symmetrize(Phi @ Phi.T / n)
-    Cprime = symmetrize(MuX @ MuX.T / n)
-    H = Phi @ Y.T / n
-    Hprime = MuX @ MuY.T / n
+    Sigma = symmetrize(Phi @ Phi.T / n)
+    SigmaDoublePrime = symmetrize(MuX @ MuX.T / n)
+    LambdaBar = symmetrize(LambdaBar)
     if draws:
-        Cprime = symmetrize(Cprime - LambdaEmp / draws)
-        Hprime = Hprime - OmegaEmp / draws
-    return AugmentedDesign(
-        C=C, Cprime=Cprime, H=H, Hprime=Hprime,
-        LambdaEmp=symmetrize(LambdaEmp), OmegaEmp=OmegaEmp, n=n,
+        SigmaDoublePrime -= LambdaBar / draws
+    return MomentSet(
+        Sigma=Sigma, SigmaPrime=None,
+        SigmaDoublePrime=SigmaDoublePrime, G1=Phi @ Y.T / n,
+        G3=MuX @ Y.T / n, EY2=(Y * Y).mean(1), LambdaBar=LambdaBar,
+        OmegaBar=OmegaBar, n_mc_used=n, provenance="sample",
     )
 
 
@@ -108,23 +100,32 @@ def _cholesky(M, what=None):
     raise _not_positive_definite(M, what)
 
 
-def normal_equations(design, alpha):
-    """The system (M_a, H_a) = ((1-a)C + aC' + aLambda, (1-a)H + aH' +
-    aOmega) of one (design, alpha), which every lambda shares. M_a is
-    built by in-place scaled adds from the design's symmetrized blocks, so
-    it is exactly symmetric; both arrays are checked finite here, once per
-    system, and not again per lambda."""
+def normal_equations(moment_set, B, alpha):
+    """The system (Sigma_bar(B) + alpha LambdaBar, Gamma_bar(B) + alpha
+    OmegaBar) of a moment set at symmetric 2x2 weights B (see the module
+    docstring), which every lambda shares. After the b11 term, a term of
+    weight 0 is skipped: its block is neither read nor formed (a sample's
+    SigmaPrime at b12 = 0). Both arrays are checked finite here, once per
+    system."""
     if not 0.0 <= alpha <= 1.0:
         raise InvalidParameterError(f"alpha must be in [0,1], got {alpha}")
+    ms = moment_set
+    b11, b12, b22 = B[0, 0], B[0, 1], B[1, 1]
     system = []
-    for name, (A, B, D) in (
-        ("regularized matrix", (design.C, design.Cprime, design.LambdaEmp)),
-        ("right-hand side", (design.H, design.Hprime, design.OmegaEmp)),
+    for name, first, terms in (
+        ("regularized matrix", ms.Sigma,
+         ((b12, lambda: ms.SigmaPrime + ms.SigmaPrime.T),
+          (b22, lambda: ms.SigmaDoublePrime), (alpha, lambda: ms.LambdaBar))),
+        ("right-hand side", ms.G1,
+         ((b12, lambda: ms.G1 + ms.G3), (b22, lambda: ms.G3),
+          (alpha, lambda: ms.OmegaBar))),
     ):
-        S = (1.0 - alpha) * A
-        T = alpha * B
-        S += T
-        S += np.multiply(alpha, D, out=T)
+        S = b11 * first
+        T = None  # one buffer for every later term
+        for w, block in terms:
+            if w != 0.0:
+                T = np.multiply(w, block(), out=T)
+                S += T
         if not np.isfinite(S).all():
             raise NumericalFailureError(f"{name} is not finite")
         system.append(S)
@@ -141,12 +142,12 @@ def _regularized(M, lam, shift):
 def _solve(M, lam, rhs, what, shift=None):
     """(M + lam I + shift)^{-1} rhs, `what` naming the matrix in a failure.
 
-    M is exactly symmetric (a normal_equations system, or symmetrized by
-    the caller) and finite, as is rhs; neither is changed, so every
-    lambda can reuse them. Without a shift this is one copy of M that
-    takes lam on its diagonal in place, factored in place by dpotrf and
-    solved for every column of rhs by dpotrs. A shift, which need not be
-    symmetric, is added to that copy and the sum symmetrized."""
+    M is exactly symmetric and finite (a normal_equations system), as is
+    rhs; neither is changed, so every lambda can reuse them. Without a
+    shift this is one copy of M that takes lam on its diagonal in place,
+    factored in place by dpotrf and solved for every column of rhs by
+    dpotrs. A shift, which need not be symmetric, is added to that copy
+    and the sum symmetrized."""
     A = _regularized(M, lam, shift)
     # A is exactly symmetric, so A.T is it in the Fortran order that
     # dpotrf overwrites without a copy

@@ -43,15 +43,15 @@ def _draws(spec, rng):
 def _one_column(scheme, fm, z, n_mc, rng):
     """The moments of one datum: a one-column batch_sample_moments call."""
     x, y = z
-    mu_x, mu_y, lam, om, _ = batch_sample_moments(scheme, fm, x[:, None],
-                                                  y[:, None], n_mc, rng)
-    return mu_x[:, 0], mu_y[:, 0], lam, om
+    mu_x, lam, om, _ = batch_sample_moments(scheme, fm, x[:, None],
+                                            y[:, None], n_mc, rng)
+    return mu_x[:, 0], lam, om
 
 
 def test_per_sample_closed_zero_noise():
     fm = identity_map(3)
     z = (np.array([1.0, 2.0, 3.0]), np.array([0.5]))
-    mu_x, _, lam, om = _one_column(additive_noise(0.0), fm, z, 10, _rng())
+    mu_x, lam, om = _one_column(additive_noise(0.0), fm, z, 10, _rng())
     assert np.array_equal(mu_x, z[0])
     assert np.allclose(lam, 0.0) and np.allclose(om, 0.0)
 
@@ -59,7 +59,7 @@ def test_per_sample_closed_zero_noise():
 def test_per_sample_closed_additive():
     fm = identity_map(2)
     z = (np.array([1.0, -1.0]), np.array([2.0]))
-    mu_x, _, lam, _ = _one_column(additive_noise(0.5), fm, z, 10, _rng())
+    mu_x, lam, _ = _one_column(additive_noise(0.5), fm, z, 10, _rng())
     assert np.allclose(lam, 0.25 * np.eye(2))
     assert np.array_equal(mu_x, z[0])
 
@@ -77,8 +77,8 @@ def test_per_sample_mc_linear_feature_oracle():
     W = fm.weights[0]
     sigma = 0.4
     z = (np.array([1.0, 2.0, -1.0]), np.array([0.0]))
-    mu_x, _, lam, _ = _one_column(additive_noise(sigma), fm, z, 40_000,
-                                  _rng(1))
+    mu_x, lam, _ = _one_column(additive_noise(sigma), fm, z, 40_000,
+                               _rng(1))
     assert np.allclose(mu_x, W @ z[0], atol=0.02)
     assert np.allclose(lam, sigma ** 2 * W @ W.T, atol=0.02)
 
@@ -86,7 +86,7 @@ def test_per_sample_mc_linear_feature_oracle():
 def test_per_sample_lambda_symmetric_psd():
     fm = random_mlp_map(4, [5], 3, seed=1)
     z = (np.ones(4), np.zeros(1))
-    _, _, lam, _ = _one_column(salt_and_pepper(0.5, 1.0), fm, z, 500, _rng(2))
+    _, lam, _ = _one_column(salt_and_pepper(0.5, 1.0), fm, z, 500, _rng(2))
     assert np.allclose(lam, lam.T, atol=1e-10)
     w = np.linalg.eigvalsh(lam)
     assert w[0] >= -1e-8 * max(w[-1], 1.0)
@@ -107,7 +107,7 @@ def test_empirical_average_shrinks_like_root_n():
         for rep in range(60):
             rng = _rng(1000 * n + rep)
             X = spec.covariance_sqrt() @ rng.standard_normal((d, n))
-            _, _, lam_bar, _, _ = batch_sample_moments(
+            _, lam_bar, _, _ = batch_sample_moments(
                 scheme, fm, X, np.zeros((1, n)), 2, rng)
             dev.append(np.linalg.norm(lam_bar - ms.LambdaBar))
         errs[n] = np.mean(dev)
@@ -220,8 +220,7 @@ def test_estimate_reads_fixed_data_in_chunks():
     ms = estimate_moment_set(fm, None, masking(0.7), take, n, rng)
     assert seen == [(0, 512), (512, 1024), (1024, 1100)]
     assert ms.provenance == "empirical-plugin" and ms.n_mc_used == n
-    MuX, _, Lam, Om, _ = batch_sample_moments(masking(0.7), fm, X, Y, 2,
-                                              rng)
+    MuX, Lam, Om, _ = batch_sample_moments(masking(0.7), fm, X, Y, 2, rng)
     expected = {
         "Sigma": X @ X.T / n, "SigmaPrime": X @ MuX.T / n,
         "SigmaDoublePrime": MuX @ MuX.T / n, "G1": X @ Y.T / n,
@@ -318,7 +317,7 @@ def test_closed_population_blocks(scheme, c, lam, om):
     assert np.allclose(ms.EY2, ey2)
 
 
-def test_conditioned_labels_carry_the_truth():
+def _assert_conditioned_labels(scheme):
     # the risk reads the truth only from G1 and E[Y^2]; with conditioned
     # labels they are the truth's cross and self products over the same
     # columns: G1 = Phi Phi*^T theta*/N and E[Y^2] - sigma2 =
@@ -330,7 +329,7 @@ def test_conditioned_labels_carry_the_truth():
     X = rng.standard_normal((d, N))
     theta_star = rng.standard_normal(4)
     ms = estimate_moment_set(
-        fm, truth, salt_and_pepper(0.5, 0.7), lambda a, b: (
+        fm, truth, scheme, lambda a, b: (
             X[:, a:b], rng.standard_normal((1, b - a))),
         N, rng, theta_star=theta_star, noise_sigma2=sigma2)
     Phi, PhiStar = apply_features(fm, X), apply_features(truth, X)
@@ -340,6 +339,17 @@ def test_conditioned_labels_carry_the_truth():
         ms.EY2[0] - sigma2,
         theta_star @ PhiStar @ PhiStar.T @ theta_star / N,
         rtol=1e-12, atol=0.0)
+
+
+def test_conditioned_labels_carry_the_truth():
+    _assert_conditioned_labels(salt_and_pepper(0.5, 0.7))
+
+
+def test_label_changing_scheme_conditions_its_labels():
+    # the blocks never read the augmented labels, so a scheme that changes
+    # them is conditioned on the truth too
+    _assert_conditioned_labels(heteroskedastic(np.full((6, 2), 0.3),
+                                               np.array([[0.8, -0.3]])))
 
 
 def test_closed_population_mixture_matches_estimate():
@@ -441,8 +451,8 @@ def test_psd_clip_floor_of_the_float32_kernel(monkeypatch):
     kernel = moments.batch_sample_moments
 
     def shifted(*args):
-        MuX, MuY, Lam, Om, draws = kernel(*args)
-        return MuX, MuY, Lam - 1e-4 * size * np.outer(v, v), Om, draws
+        MuX, Lam, Om, draws = kernel(*args)
+        return MuX, Lam - 1e-4 * size * np.outer(v, v), Om, draws
 
     monkeypatch.setattr(moments, "batch_sample_moments", shifted)
     with pytest.warns(UserWarning, match="clipping eigenvalue -"):
@@ -517,7 +527,7 @@ def test_batch_kernel_is_float32_with_float64_blocks(scheme):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(M.dtype == np.float64 for M in out[:4])
+    assert all(M.dtype == np.float64 for M in out[:3])
     assert peak <= (5 * d + 4 * p + 8 * q) * n * T + 10 * 8 * p * p + 2 ** 20
 
 
@@ -531,7 +541,7 @@ def _float64_moments(scheme, fm, X, Y, n_mc, rng):
     MuX = Pa.reshape(p, n, n_mc).mean(axis=2)
     Lam = symmetrize(n_mc / (n_mc - 1)
                      * (Pa @ Pa.T / (n * n_mc) - MuX @ MuX.T / n))
-    return MuX, np.atleast_2d(Y).copy(), Lam, np.zeros((p, Y.shape[0])), n_mc
+    return MuX, Lam, np.zeros((p, Y.shape[0])), n_mc
 
 
 def _rel(a, b):
@@ -542,7 +552,8 @@ def test_float32_kernel_rounding_below_monte_carlo_error(monkeypatch):
     # the same draws through the float32 kernel and a float64 reference,
     # at the criterion-1 size (200 -> 200 -> 150 tanh, salt-and-pepper,
     # n 300, 200 draws a sample) and a moment set of 2048 columns: MuX,
-    # LambdaBar, the debiased C' and SigmaDoublePrime each differ by less
+    # LambdaBar, a replicate's debiased SigmaDoublePrime and the moment
+    # set's SigmaDoublePrime each differ by less
     # than 1e-3 of the Monte-Carlo error 1/sqrt(columns), relative
     d, n, T, total = 200, 300, 200, 2048
     spec = SyntheticSpec(d=d, n=n, theta_star=np.ones(d) / np.sqrt(d),
@@ -554,9 +565,9 @@ def test_float32_kernel_rounding_below_monte_carlo_error(monkeypatch):
     ref = _float64_moments(scheme, fm, X, Y, T, _rng(2))
     bound = 1e-3 / np.sqrt(n * T)
     assert _rel(new[0], ref[0]) < bound
-    assert _rel(new[2], ref[2]) < bound
-    assert _rel(assemble_design(X, Y, fm, new).Cprime,
-                assemble_design(X, Y, fm, ref).Cprime) < bound
+    assert _rel(new[1], ref[1]) < bound
+    assert _rel(assemble_design(X, Y, fm, new).SigmaDoublePrime,
+                assemble_design(X, Y, fm, ref).SigmaDoublePrime) < bound
 
     def moment_set():
         rng = _rng(4)

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky
 
-from augridge.errors import NumericalFailureError
-from augridge.features import identity_map, random_mlp_map
+from augridge.datasets import SyntheticSpec
+from augridge.detequiv import (compute_second_order, equivalents,
+                               solve_fixed_point)
+from augridge.errors import InvalidParameterError, NumericalFailureError
+from augridge.features import apply_features, identity_map, random_mlp_map
 from augridge.moments import (
     batch_sample_moments,
     closed_population_moment_set,
@@ -27,7 +30,6 @@ from augridge.ridge import (
     xi_derivative_fd,
 )
 from augridge.schemes import (
-    InvalidParameterError,
     additive_noise,
     heteroskedastic,
     salt_and_pepper,
@@ -40,8 +42,17 @@ def _design(X, Y, fmap, scheme, n_mc=200, seed=0):
     return assemble_design(X, Y, fmap, psm)
 
 
+def _w2(alpha):
+    """B = W^2, the infinite-data dilation that weights a fit's system."""
+    return np.diag([1.0 - alpha, alpha])
+
+
+def _system(design, alpha):
+    return normal_equations(design, _w2(alpha), alpha)
+
+
 def _fit(design, alpha, lam):
-    return fit(normal_equations(design, alpha), lam)
+    return fit(_system(design, alpha), lam)
 
 
 def test_assemble_identity_augmentation_collapses():
@@ -50,17 +61,17 @@ def test_assemble_identity_augmentation_collapses():
     X = rng.standard_normal((3, 10))
     Y = rng.standard_normal((1, 10))
     d = _design(X, Y, fm, additive_noise(0.0))
-    assert np.allclose(d.Cprime, d.C)
-    assert np.allclose(d.Hprime, d.H)
-    assert np.allclose(d.LambdaEmp, 0.0) and np.allclose(d.OmegaEmp, 0.0)
+    assert np.allclose(d.SigmaDoublePrime, d.Sigma)
+    assert np.allclose(d.G3, d.G1)
+    assert np.allclose(d.LambdaBar, 0.0) and np.allclose(d.OmegaBar, 0.0)
 
 
 def test_assemble_tiny_arithmetic():
     fm = identity_map(1)
     d = _design(np.array([[2.0]]), np.array([[3.0]]), fm, additive_noise(0.0))
-    assert d.C[0, 0] == pytest.approx(4.0)
-    assert d.H[0, 0] == pytest.approx(6.0)
-    assert d.n == 1
+    assert d.Sigma[0, 0] == pytest.approx(4.0)
+    assert d.G1[0, 0] == pytest.approx(6.0)
+    assert d.n_mc_used == 1
 
 
 def test_assemble_additive_lambda_closed():
@@ -68,7 +79,7 @@ def test_assemble_additive_lambda_closed():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((2, 5))
     d = _design(X, np.zeros((1, 5)), fm, additive_noise(0.5))
-    assert np.allclose(d.LambdaEmp, 0.25 * np.eye(2))
+    assert np.allclose(d.LambdaBar, 0.25 * np.eye(2))
 
 
 def test_fit_classic_ridge_hand_computed():
@@ -84,7 +95,8 @@ def test_fit_full_augmentation_hand_computed():
     X = np.array([[1.0, -1.0]])
     Y = np.array([[2.0, 0.0]])
     d = _design(X, Y, fm, additive_noise(1.0))
-    # mu_x = x so C' = C = 1, H' = H = 1, Lambda = 1: theta = 1/(1+1+1)
+    # mu_x = x so Sigma'' = Sigma = 1, G3 = G1 = 1, Lambda = 1:
+    # theta = 1/(1+1+1)
     assert _fit(d, 1.0, 1.0)[0, 0] == pytest.approx(1.0 / 3.0)
 
 
@@ -95,7 +107,7 @@ def test_fit_huge_lambda_shrinks():
     Y = rng.standard_normal((1, 20))
     d = _design(X, Y, fm, additive_noise(0.0))
     theta = _fit(d, 0.0, 1e6)
-    assert np.linalg.norm(theta) <= np.linalg.norm(d.H) / 1e6 * 1.001
+    assert np.linalg.norm(theta) <= np.linalg.norm(d.G1) / 1e6 * 1.001
 
 
 def test_fit_rejects_bad_parameters():
@@ -104,7 +116,7 @@ def test_fit_rejects_bad_parameters():
     with pytest.raises(InvalidParameterError):
         _fit(d, 0.0, 0.0)
     with pytest.raises(InvalidParameterError):
-        normal_equations(d, 1.5)
+        normal_equations(d, np.eye(2), 1.5)
 
 
 def test_shared_system_is_reused_unchanged():
@@ -114,7 +126,7 @@ def test_shared_system_is_reused_unchanged():
     X = rng.standard_normal((6, 20))
     Y = rng.standard_normal((2, 20))
     d = _design(X, Y, identity_map(6), salt_and_pepper(0.6, 0.5))
-    system = normal_equations(d, 0.5)
+    system = _system(d, 0.5)
     before = [a.copy() for a in system]
     first, _, again = (fit(system, lam) for lam in (0.3, 2.0, 0.3))
     assert np.array_equal(first, again)
@@ -130,7 +142,7 @@ def test_fit_matches_reference_cholesky_at_blocked_size():
     X = rng.standard_normal((p, 150))
     Y = rng.standard_normal((2, 150))
     d = _design(X, Y, identity_map(p), salt_and_pepper(0.6, 0.5))
-    system = normal_equations(d, 0.5)
+    system = _system(d, 0.5)
     before = [a.copy() for a in system]
     M, H = system
     for lam in (1e-5, 1e-2, 1.0, 100.0):
@@ -140,7 +152,8 @@ def test_fit_matches_reference_cholesky_at_blocked_size():
 
 
 @pytest.mark.parametrize("block,name", [
-    ("Cprime", "regularized matrix"), ("OmegaEmp", "right-hand side"),
+    ("SigmaDoublePrime", "regularized matrix"),
+    ("OmegaBar", "right-hand side"),
 ])
 def test_non_finite_design_raises(block, name):
     rng = np.random.default_rng(12)
@@ -149,31 +162,33 @@ def test_non_finite_design_raises(block, name):
     bad = getattr(d, block).copy()
     bad[1, 0] = np.inf
     with pytest.raises(NumericalFailureError, match=f"{name} is not finite"):
-        normal_equations(replace(d, **{block: bad}), 0.5)
+        _system(replace(d, **{block: bad}), 0.5)
 
 
 def test_indefinite_system_names_smallest_eigenvalue():
-    # n = 4 < p = 6: debiasing C' by Lambda / n_mc = 0.125 I leaves it two
-    # eigenvalues of -0.125, which a small lambda does not lift
+    # n = 4 < p = 6: debiasing Sigma'' by Lambda / n_mc = 0.125 I leaves it
+    # two eigenvalues of -0.125, which a small lambda does not lift
     rng = np.random.default_rng(13)
     X = rng.standard_normal((6, 4))
     fm = identity_map(6)
     psm = batch_sample_moments(additive_noise(0.5), fm, X, np.ones((1, 4)),
                                2, rng)
     # exact means that claim 2 draws: assemble_design debiases by them
-    d = assemble_design(X, np.ones((1, 4)), fm, psm[:4] + (2,))
+    d = assemble_design(X, np.ones((1, 4)), fm, psm[:3] + (2,))
     lam = 1e-3
-    smallest = float(np.linalg.eigvalsh(d.Cprime + lam * np.eye(6))[0])
+    smallest = float(np.linalg.eigvalsh(d.SigmaDoublePrime
+                                        + lam * np.eye(6))[0])
     assert smallest == pytest.approx(-0.125 + lam)
     with pytest.raises(NumericalFailureError,
                        match=f"regularized matrix not positive definite "
                              f"\\(smallest eigenvalue {smallest:.3e}\\)"):
-        fit((d.Cprime, d.H), lam)
+        fit((d.SigmaDoublePrime, d.G1), lam)
 
 
 def test_design_debiases_by_the_draw_count():
-    # random-MLP means estimated from T draws: C' and H' lose Lambda/T and
-    # Omega/T, and no argument asks for it
+    # random-MLP means estimated from T draws: Sigma'' loses Lambda/T, and
+    # no argument asks for it; G3 reads Y itself (mu_y = y), so nothing of
+    # Omega is subtracted
     rng = np.random.default_rng(14)
     n, T = 9, 7
     X = rng.standard_normal((3, n))
@@ -182,12 +197,12 @@ def test_design_debiases_by_the_draw_count():
     scheme = heteroskedastic(rng.standard_normal((3, 2)),
                              rng.standard_normal((1, 2)))
     psm = batch_sample_moments(scheme, fm, X, Y, T, rng)
-    MuX, MuY, Lam, Om, draws = psm
+    MuX, Lam, Om, draws = psm
     assert draws == T and np.any(Om != 0)
     d = assemble_design(X, Y, fm, psm)
-    assert np.array_equal(d.Cprime,
+    assert np.array_equal(d.SigmaDoublePrime,
                           symmetrize(symmetrize(MuX @ MuX.T / n) - Lam / T))
-    assert np.array_equal(d.Hprime, MuX @ MuY.T / n - Om / T)
+    assert np.array_equal(d.G3, MuX @ Y.T / n)
 
 
 def test_identity_design_is_not_debiased():
@@ -197,11 +212,11 @@ def test_identity_design_is_not_debiased():
     Y = rng.standard_normal((1, 6))
     psm = batch_sample_moments(additive_noise(0.5), identity_map(4), X, Y,
                                7, rng)
-    MuX, MuY, _, _, draws = psm
+    MuX, _, _, draws = psm
     assert draws == 0
     d = assemble_design(X, Y, identity_map(4), psm)
-    assert np.array_equal(d.Cprime, symmetrize(MuX @ MuX.T / 6))
-    assert np.array_equal(d.Hprime, MuX @ MuY.T / 6)
+    assert np.array_equal(d.SigmaDoublePrime, symmetrize(MuX @ MuX.T / 6))
+    assert np.array_equal(d.G3, MuX @ Y.T / 6)
 
 
 @settings(max_examples=20, deadline=None)
@@ -215,9 +230,9 @@ def test_normal_equation_residual(seed, alpha, lam):
     Y = rng.standard_normal((2, 12))
     d = _design(X, Y, fm, salt_and_pepper(0.6, 0.5), seed=seed)
     theta = _fit(d, alpha, lam)
-    M = ((1 - alpha) * d.C + alpha * d.Cprime + alpha * d.LambdaEmp
-         + lam * np.eye(4))
-    Ha = (1 - alpha) * d.H + alpha * d.Hprime + alpha * d.OmegaEmp
+    M = ((1 - alpha) * d.Sigma + alpha * d.SigmaDoublePrime
+         + alpha * d.LambdaBar + lam * np.eye(4))
+    Ha = (1 - alpha) * d.G1 + alpha * d.G3 + alpha * d.OmegaBar
     res = np.linalg.norm(M @ theta - Ha)
     assert res <= 1e-8 * max(np.linalg.norm(Ha), 1e-30)
 
@@ -241,12 +256,10 @@ def test_coordinatewise_equivalence():
     Y = rng.standard_normal((3, 25))
     d = _design(X, Y, fm, salt_and_pepper(0.7, 0.3))
     joint = _fit(d, 0.5, 0.2)
-    from augridge.ridge import AugmentedDesign
     for j in range(3):
         # scalar fit on the same design restricted to output j
-        dj = AugmentedDesign(C=d.C, Cprime=d.Cprime, H=d.H[:, [j]],
-                             Hprime=d.Hprime[:, [j]], LambdaEmp=d.LambdaEmp,
-                             OmegaEmp=d.OmegaEmp[:, [j]], n=d.n)
+        dj = replace(d, G1=d.G1[:, [j]], G3=d.G3[:, [j]], EY2=d.EY2[[j]],
+                     OmegaBar=d.OmegaBar[:, [j]])
         single = _fit(dj, 0.5, 0.2)[:, 0]
         assert np.max(np.abs(joint[:, j] - single)) <= 1e-10
 
@@ -257,8 +270,9 @@ def test_resolvent_zero_shift_matches_fit_matrix():
     X = rng.standard_normal((3, 15))
     Y = rng.standard_normal((1, 15))
     d = _design(X, Y, fm, additive_noise(0.3))
-    R = resolvent_shifted(normal_equations(d, 0.5), 0.7)
-    M = 0.5 * d.C + 0.5 * d.Cprime + 0.5 * d.LambdaEmp + 0.7 * np.eye(3)
+    R = resolvent_shifted(_system(d, 0.5), 0.7)
+    M = (0.5 * d.Sigma + 0.5 * d.SigmaDoublePrime + 0.5 * d.LambdaBar
+         + 0.7 * np.eye(3))
     assert np.allclose(R @ M, np.eye(3), atol=1e-10)
 
 
@@ -266,8 +280,9 @@ def test_resolvent_scalar_closed_form():
     fm = identity_map(1)
     d = _design(np.array([[2.0]]), np.array([[1.0]]), fm, additive_noise(1.0))
     Sigma = np.array([[3.0]])
-    R = resolvent_shifted(normal_equations(d, 0.5), 0.25, 2.0 * Sigma)
-    denom = 0.5 * d.C[0, 0] + 0.5 * d.Cprime[0, 0] + 0.5 * 1.0 + 0.25 + 6.0
+    R = resolvent_shifted(_system(d, 0.5), 0.25, 2.0 * Sigma)
+    denom = (0.5 * d.Sigma[0, 0] + 0.5 * d.SigmaDoublePrime[0, 0] + 0.5 * 1.0
+             + 0.25 + 6.0)
     assert R[0, 0] == pytest.approx(1.0 / denom)
 
 
@@ -279,7 +294,7 @@ def test_xi_derivative_identity():
     d = _design(X, Y, fm, salt_and_pepper(0.5, 0.5))
     Sigma = closed_population_moment_set(
         np.eye(5), salt_and_pepper(0.5, 0.5), np.zeros(5), 0.0).Sigma
-    system = normal_equations(d, 0.5)
+    system = _system(d, 0.5)
     theta = fit(system, 0.3)[:, 0]
     fd = xi_derivative_fd(system, 0.3, Sigma)
     exact = -float(theta @ Sigma @ theta)
@@ -369,3 +384,75 @@ def test_quadratic_terms_match_per_column_loop(q):
                        + chi_loop)):
         assert got.shape == (q,)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _hand_built_system(X, Y, fm, psm, alpha):
+    """A fit's system written out from the per-sample moments: M =
+    (1-a) C + a C'' + a Lambda and H = (1-a) G1 + a G3 + a Omega, with
+    C'' debiased by Lambda / draws, each summed left to right."""
+    MuX, Lam, Om, draws = psm
+    n = X.shape[1]
+    Phi = apply_features(fm, X)
+    C2 = symmetrize(MuX @ MuX.T / n)
+    if draws:
+        C2 = symmetrize(C2 - Lam / draws)
+    system = []
+    for A, B, D in ((symmetrize(Phi @ Phi.T / n), C2, symmetrize(Lam)),
+                    (Phi @ Y.T / n, MuX @ Y.T / n, Om)):
+        S = (1.0 - alpha) * A
+        S += alpha * B
+        S += alpha * D
+        system.append(S)
+    return system
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("case", ["identity-additive", "mlp-salt-and-pepper",
+                                  "mlp-heteroskedastic-sy"])
+def test_fit_system_matches_the_hand_built_formula(case, alpha):
+    # normal_equations at B = W^2 on a sample's moment set is, bit for
+    # bit, the fit's formula; the set has no SigmaPrime, which b12 = 0
+    # never reads
+    rng = np.random.default_rng(16)
+    d, n, T = 5, 12, 6
+    X = rng.standard_normal((d, n))
+    Y = rng.standard_normal((2, n))
+    mlp = random_mlp_map(d, [7], 6, seed=1)
+    fm, scheme = {
+        "identity-additive": (identity_map(d), additive_noise(0.5)),
+        "mlp-salt-and-pepper": (mlp, salt_and_pepper(0.6, 0.5)),
+        "mlp-heteroskedastic-sy": (mlp, heteroskedastic(
+            rng.standard_normal((d, 2)), rng.standard_normal((2, 2)))),
+    }[case]
+    psm = batch_sample_moments(scheme, fm, X, Y, T, rng)
+    assert psm[3] == (0 if case == "identity-additive" else T)
+    if case == "mlp-heteroskedastic-sy":
+        assert np.any(psm[2] != 0)
+    design = assemble_design(X, Y, fm, psm)
+    assert design.SigmaPrime is None
+    for got, want in zip(_system(design, alpha),
+                         _hand_built_system(X, Y, fm, psm, alpha)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+def test_fit_is_the_equivalents_at_infinite_data(alpha):
+    # as n grows the dilation B tends to W^2, and the equivalents'
+    # theta_bar to the fit of the W^2 system on the same moment set. The
+    # power-law covariance is not exactly symmetric as built; the closed
+    # set symmetrizes it, as the solves need
+    p, lam = 40, 0.1
+    spec = SyntheticSpec(d=p, n=1, theta_star=np.ones(p) / np.sqrt(p),
+                         truth_map=identity_map(p))
+    Sigma = spec.covariance()
+    assert not np.array_equal(Sigma, Sigma.T)
+    ms = closed_population_moment_set(Sigma, salt_and_pepper(0.6, 0.5),
+                                      spec.theta_star, 0.25)
+    assert np.array_equal(ms.Sigma, ms.Sigma.T)
+    state = solve_fixed_point(ms, alpha, lam, 10 ** 12)
+    assert state.converged
+    assert np.abs(state.B - _w2(alpha)).max() <= 1e-9
+    report = equivalents(state, compute_second_order(state, ms), ms, 0.25)
+    theta = fit(normal_equations(ms, _w2(alpha), alpha), lam)
+    assert (np.linalg.norm(report.theta_bar - theta)
+            <= 1e-8 * np.linalg.norm(theta))
