@@ -86,7 +86,7 @@ class EquivalentReport:
 
 
 # free entry k of B, as (b11, b12, b22): its slot in B, and the weight of
-# its block in M(B) (b12 multiplies Sigma' + Sigma'^T = 2 sym Sigma')
+# its block in M(B) (b12 multiplies 2 Sigma', stored symmetric)
 _SLOT = ((0, 0), (0, 1), (1, 1))
 _WEIGHT = (1.0, 2.0, 1.0)
 _MAX_HALVINGS = 30
@@ -163,13 +163,11 @@ class _DilationMap:
         self.free = _free(alpha)
         # the blocks that enter (Sigma always: C_bar needs it at alpha = 1)
         # as their lower triangles over zeros, in the Fortran order dsygst
-        # copies without a transpose; only sym Sigma' enters A
-        self.X = {}
-        for k in sorted({0, *self.free}):
-            X = (ms.Sigma, ms.SigmaPrime, ms.SigmaDoublePrime)[k]
-            if k == 1:
-                X = 0.5 * (X + X.T)
-            self.X[k] = np.asfortranarray(np.tril(X))
+        # copies without a transpose; the set stores Sigma' symmetric
+        block = (lambda: ms.Sigma, ms.sigma_prime,
+                 lambda: ms.SigmaDoublePrime)
+        self.X = {k: np.asfortranarray(np.tril(block[k]()))
+                  for k in sorted({0, *self.free})}
 
     def at(self, b, what=None):
         """The point b, or None when M(B) is not finite or not positive
@@ -323,7 +321,7 @@ def wellspecified_reduction(state, D, moment_set, theta_star, sigma2):
     th = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
     scale = max(float(np.linalg.norm(ms.Sigma)), 1e-300)
     for name, M, ref in (
-        ("SigmaPrime", ms.SigmaPrime, ms.Sigma),
+        ("SigmaPrime", ms.sigma_prime(), ms.Sigma),
         ("SigmaDoublePrime", ms.SigmaDoublePrime, ms.Sigma),
         ("G1", ms.G1, ms.Sigma @ th),
         ("G3", ms.G3, ms.G1),

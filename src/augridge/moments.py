@@ -2,8 +2,9 @@
 
 Per-sample moments are mu_x(z) = E[phi(tau_x(z, eta))], mu_y(z) =
 E[tau_y(z, eta)] and the covariances Lambda(z) = Cov[phi(tau_x)],
-Omega(z) = Cov[phi(tau_x), tau_y]. The MomentSet gathers every population
-block the deterministic-equivalent engine consumes.
+Omega(z) = Cov[phi(tau_x), tau_y]. The MomentSet gathers the blocks of a
+population or of a replicate's sample, and checks their shapes,
+finiteness and exact symmetry where it is made, so no reader repeats it.
 
 Monte-Carlo estimation notes:
 
@@ -25,11 +26,12 @@ Monte-Carlo estimation notes:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientSamplesError, NumericalFailureError
+from .errors import (InsufficientSamplesError, InvalidDimensionError,
+                     NumericalFailureError, PreconditionViolationError)
 from .features import apply_features
 from .schemes import closed_moments, sample_augmented_batch
 
@@ -111,21 +113,32 @@ def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
     return MuX, LambdaBar, OmegaBar, n_mc
 
 
-@dataclass
+# the largest magnitude whose square is finite
+_LARGEST = float(np.sqrt(np.finfo(float).max))
+# each block's shape in p (features) and q (outputs); "pp" is symmetric
+_SHAPES = dict(Sigma="pp", SigmaPrime="pp", SigmaDoublePrime="pp", G1="pq",
+               G3="pq", EY2="q", LambdaBar="pp", OmegaBar="pq")
+
+
+@dataclass(frozen=True)
 class MomentSet:
     """First/second-order blocks of a population, feeding the equivalents,
     or of a replicate's n columns (ridge.assemble_design), feeding its fit.
 
-    Sigma = E[phi phi^T], SigmaPrime = E[phi mu_x^T], SigmaDoublePrime =
-    E[mu_x mu_x^T], G1 = E[phi(X) Y^T], G3 = E[mu_x Y^T] and EY2 = E[Y^2]
-    (length q). Every scheme has mu_y = y (schemes), so E[phi mu_y^T] =
-    G1, E[mu_x mu_y^T] = G3 and every second moment of (Y, mu_y) is EY2.
-    The truth enters only through G1 and EY2: the risk of any theta is
+    Sigma = E[phi phi^T], SigmaPrime = sym E[phi mu_x^T] (the systems
+    read only b12 (Sigma' + Sigma'^T)), SigmaDoublePrime = E[mu_x mu_x^T],
+    G1 = E[phi(X) Y^T], G3 = E[mu_x Y^T] and EY2 = E[Y^2] (length q).
+    Every scheme has mu_y = y (schemes), so E[phi mu_y^T] = G1,
+    E[mu_x mu_y^T] = G3 and every second moment of (Y, mu_y) is EY2. The
+    truth enters only through G1 and EY2: the risk of any theta is
     E[Y^2] - 2 G1^T theta + theta^T Sigma theta, whatever the data source.
-    Sigma, SigmaDoublePrime and LambdaBar are exactly symmetric.
 
-    A replicate's set has SigmaPrime = None: its fit's system, at
-    B = W^2, has b12 = 0, and forming it would cost a p x n x p product.
+    Frozen, the set checks itself where it is made and in replace: p x p,
+    p x q and length-q shapes (InvalidDimensionError), every entry and
+    its square finite (NumericalFailureError) and the p x p blocks exactly
+    symmetric (PreconditionViolationError). Only a replicate's set
+    ("sample") has SigmaPrime = None, read through sigma_prime(): its
+    fit's system has b12 = 0, and forming it costs a p x n x p product.
     """
 
     Sigma: np.ndarray
@@ -139,9 +152,35 @@ class MomentSet:
     n_mc_used: int = 0
     provenance: str = "closed-form"
 
+    def __post_init__(self):
+        if self.SigmaPrime is None and self.provenance != "sample":
+            raise PreconditionViolationError(
+                f"a {self.provenance} moment set needs SigmaPrime")
+        size = dict(zip("pq", np.shape(self.G1)))
+        for name, form in _SHAPES.items():
+            M, shape = getattr(self, name), tuple(size.get(c, 0) for c in form)
+            if M is None:
+                continue
+            what = f"moment set block {name}"
+            if 0 in shape or np.shape(M) != shape:
+                raise InvalidDimensionError(
+                    f"{what} has shape {np.shape(M)}, not {shape}")
+            if not (M.min() >= -_LARGEST and M.max() <= _LARGEST):
+                raise NumericalFailureError(
+                    f"{what} has a non-finite entry or square")
+            if form == "pp" and not np.array_equal(M, M.T):
+                raise PreconditionViolationError(f"{what} is not symmetric")
+
     @property
     def q(self):
         return self.G1.shape[1]
+
+    def sigma_prime(self):
+        """SigmaPrime, which a replicate's set does not have."""
+        if self.SigmaPrime is None:
+            raise PreconditionViolationError(
+                "a sample moment set has no SigmaPrime (b12 = 0 only)")
+        return self.SigmaPrime
 
 
 CHUNK = 512  # data columns per estimation block
@@ -151,21 +190,6 @@ DRAWS = 10  # augmentations per data column of a Monte-Carlo moment set
 # features, sgemm products) a chunk sums, each rounded within float32's
 # epsilon, add up as a random walk to sqrt(CHUNK * DRAWS) eps = 8.5e-6
 _KERNEL_ROUNDING = float(np.sqrt(CHUNK * DRAWS) * np.finfo(np.float32).eps)
-
-
-# the largest magnitude whose square is finite
-_LARGEST = float(np.sqrt(np.finfo(float).max))
-
-
-def _check_finite(blocks):
-    """Raise NumericalFailureError naming the first block with an entry
-    that is not finite or whose square is not (an overflow near 1e308 in
-    the data or the truth): the risk statistics square quantities of a
-    block's size, such as E[Y^2] in the replicates' spread."""
-    for name, M in blocks.items():
-        if not np.abs(M).max() <= _LARGEST:
-            raise NumericalFailureError(
-                f"moment set block {name} has a non-finite entry or square")
 
 
 def estimate_moment_set(feature_map, truth_map, scheme, take, total, rng,
@@ -226,18 +250,18 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total, rng,
         sums["SigmaDoublePrime"] -= sums["LambdaBar"] / draws
     if condition_labels:
         sums["EY2"] += float(noise_sigma2)
-    _check_finite(sums)
-    sums["Sigma"] = psd_clip(sums["Sigma"])
+    sums["SigmaPrime"] = symmetrize(sums["SigmaPrime"])
+    # the set checks its blocks finite before eigh reads them
+    ms = MomentSet(**sums, n_mc_used=total, provenance="empirical-plugin"
+                   if truth_map is None else "monte-carlo")
+    del sums  # each clip below then frees the block it replaces
+    ms = replace(ms, Sigma=psd_clip(ms.Sigma))
     # the other blocks' rounding is relative to the size of Sigma
     floor = ((_KERNEL_ROUNDING if draws else 1e-8)
-             * float(np.linalg.eigvalsh(sums["Sigma"])[-1]))
+             * float(np.linalg.eigvalsh(ms.Sigma)[-1]))
     for name in ("SigmaDoublePrime", "LambdaBar"):
-        sums[name] = psd_clip(sums[name], floor)
-    return MomentSet(
-        **sums,
-        n_mc_used=total,
-        provenance="empirical-plugin" if truth_map is None else "monte-carlo",
-    )
+        ms = replace(ms, **{name: psd_clip(getattr(ms, name), floor)})
+    return ms
 
 
 def closed_population_moment_set(Sigma, scheme, theta_star, sigma2):
@@ -259,9 +283,8 @@ def closed_population_moment_set(Sigma, scheme, theta_star, sigma2):
     G1 = Sigma @ theta
     # theta^T Sigma theta per output: ridge.quadratic_form with its GEMM
     # already done as G1
-    blocks = dict(Sigma=Sigma, SigmaPrime=c * Sigma,
-                  SigmaDoublePrime=c * c * Sigma, G1=G1, G3=c * G1,
-                  EY2=np.einsum("ij,ij->j", theta, G1) + sigma2,
-                  LambdaBar=LambdaBar, OmegaBar=OmegaBar)
-    _check_finite(blocks)
-    return MomentSet(**blocks, n_mc_used=0, provenance="closed-form")
+    return MomentSet(Sigma=Sigma, SigmaPrime=c * Sigma,
+                     SigmaDoublePrime=c * c * Sigma, G1=G1, G3=c * G1,
+                     EY2=np.einsum("ij,ij->j", theta, G1) + sigma2,
+                     LambdaBar=LambdaBar, OmegaBar=OmegaBar,
+                     n_mc_used=0, provenance="closed-form")

@@ -5,18 +5,18 @@ quadratic statistic, and generalization error.
 normal_equations(ms, B, a) builds, from a MomentSet and 2x2 weights B,
 
     M = Sigma_bar(B) + a LambdaBar,  H = Gamma_bar(B) + a OmegaBar,
-    Sigma_bar(B) = b11 Sigma + b12 (Sigma' + Sigma'^T) + b22 Sigma'',
+    Sigma_bar(B) = b11 Sigma + 2 b12 Sigma' + b22 Sigma'',
     Gamma_bar(B) = b11 G1 + b12 (G1 + G3) + b22 G3.
 
 A fit is the deterministic equivalents' system at their infinite-data
 dilation B = W^2 = Diag(1-a, a), built on its sample's MomentSet
 (assemble_design): theta_hat = (M + lam I)^{-1} H with M = (1-a) C +
 a C'' + a Lambda and H = (1-a) G1 + a G3 + a Omega. detequiv builds its
-systems with the same function on the population's set. A set's Sigma,
-SigmaDoublePrime and LambdaBar are exactly symmetric, so M is. _solve,
-the one regularized solve, costs one copy of M per lambda, lam added to
-its diagonal in place, and LAPACK's dpotrf (in place) and dpotrs for all
-q output columns; only a shifted solve symmetrizes.
+systems with the same function on the population's set. A MomentSet's
+p x p blocks are exactly symmetric (Sigma' is stored so), so M is.
+_solve, the one regularized solve, costs one copy of M per lambda, lam
+added to its diagonal in place, and LAPACK's dpotrf (in place) and
+dpotrs for all q output columns; only a shifted solve symmetrizes.
 
 The population risk of theta is g = E[Y^2] - 2 G1^T theta +
 theta^T Sigma theta per output, for every data source: the truth enters
@@ -62,9 +62,9 @@ def assemble_design(X, Y, feature_map, sample_moments):
     MuX, LambdaBar, OmegaBar, draws = sample_moments
     if MuX.shape[1] != n:
         raise InvalidDimensionError("per-sample moments do not match n")
-    Sigma = symmetrize(Phi @ Phi.T / n)
-    SigmaDoublePrime = symmetrize(MuX @ MuX.T / n)
-    LambdaBar = symmetrize(LambdaBar)
+    # numpy's A @ A.T mirrors one triangle: exactly symmetric, as required
+    Sigma = Phi @ Phi.T / n
+    SigmaDoublePrime = MuX @ MuX.T / n
     if draws:
         SigmaDoublePrime -= LambdaBar / draws
     return MomentSet(
@@ -105,8 +105,8 @@ def normal_equations(moment_set, B, alpha):
     OmegaBar) of a moment set at symmetric 2x2 weights B (see the module
     docstring), which every lambda shares. After the b11 term, a term of
     weight 0 is skipped: its block is neither read nor formed (a sample's
-    SigmaPrime at b12 = 0). Both arrays are checked finite here, once per
-    system."""
+    missing SigmaPrime at b12 = 0). A finite set can overflow at a large
+    B, so both arrays are checked finite here, once per system."""
     if not 0.0 <= alpha <= 1.0:
         raise InvalidParameterError(f"alpha must be in [0,1], got {alpha}")
     ms = moment_set
@@ -114,7 +114,7 @@ def normal_equations(moment_set, B, alpha):
     system = []
     for name, first, terms in (
         ("regularized matrix", ms.Sigma,
-         ((b12, lambda: ms.SigmaPrime + ms.SigmaPrime.T),
+         ((2.0 * b12, ms.sigma_prime),
           (b22, lambda: ms.SigmaDoublePrime), (alpha, lambda: ms.LambdaBar))),
         ("right-hand side", ms.G1,
          ((b12, lambda: ms.G1 + ms.G3), (b22, lambda: ms.G3),
@@ -142,12 +142,12 @@ def _regularized(M, lam, shift):
 def _solve(M, lam, rhs, what, shift=None):
     """(M + lam I + shift)^{-1} rhs, `what` naming the matrix in a failure.
 
-    M is exactly symmetric and finite (a normal_equations system), as is
-    rhs; neither is changed, so every lambda can reuse them. Without a
-    shift this is one copy of M that takes lam on its diagonal in place,
-    factored in place by dpotrf and solved for every column of rhs by
-    dpotrs. A shift, which need not be symmetric, is added to that copy
-    and the sum symmetrized."""
+    M and rhs are a normal_equations system: finite, and M is exactly
+    symmetric (a MomentSet's p x p blocks are); neither is changed, so
+    every lambda can reuse them. Without a shift this is one copy of M
+    that takes lam on its diagonal in place, factored in place by dpotrf
+    and solved for every column of rhs by dpotrs. A shift, which need not
+    be symmetric, is added to that copy and the sum symmetrized."""
     A = _regularized(M, lam, shift)
     # A is exactly symmetric, so A.T is it in the Fortran order that
     # dpotrf overwrites without a copy

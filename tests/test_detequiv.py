@@ -15,8 +15,11 @@ from augridge.detequiv import (
     solve_fixed_point,
     wellspecified_reduction,
 )
-from augridge.features import random_mlp_map
-from augridge.moments import closed_population_moment_set, estimate_moment_set
+from augridge.features import identity_map, random_mlp_map
+from augridge.moments import (batch_sample_moments,
+                              closed_population_moment_set,
+                              estimate_moment_set)
+from augridge.ridge import assemble_design, normal_equations
 from augridge.schemes import (
     InvalidParameterError,
     additive_noise,
@@ -331,24 +334,56 @@ def test_second_order_from_stored_traces_matches_direct():
 
 def test_whitened_traces_match_two_triangular_solves():
     # three distinct blocks, the diagonal blocks and sym Sigma' of one
-    # joint covariance, with Sigma' not symmetric; the reference whitens
-    # each full symmetric block by two dtrsm calls and takes its trace
-    # and Frobenius products
+    # joint covariance (a set stores Sigma' symmetric); the reference
+    # whitens each full symmetric block by two dtrsm calls and takes its
+    # trace and Frobenius products
     p = 200
     rng = np.random.default_rng(43)
     G = rng.standard_normal((2 * p, 2 * p)) / np.sqrt(2 * p)
     K = G @ G.T
     ms = replace(_aniso_masking_ms(p, seed=6), Sigma=K[:p, :p],
-                 SigmaPrime=K[:p, p:], SigmaDoublePrime=K[p:, p:])
+                 SigmaPrime=0.5 * (K[:p, p:] + K[p:, :p]),
+                 SigmaDoublePrime=K[p:, p:])
     alpha, lam, n = 0.5, 0.05, 150
     state = solve_fixed_point(ms, alpha, lam, n)
     assert state.converged
     P = _DilationMap(ms, alpha, lam, n).at(state.B[[0, 0, 1], [0, 1, 1]])
-    X = (ms.Sigma, 0.5 * (ms.SigmaPrime + ms.SigmaPrime.T),
-         ms.SigmaDoublePrime)
+    X = (ms.Sigma, ms.SigmaPrime, ms.SigmaDoublePrime)
     Z = [blas.dtrsm(1.0, P.L, blas.dtrsm(1.0, P.L, Xi, lower=1),
                     side=1, lower=1, trans_a=1) for Xi in X]
     a = np.array([np.trace(Zi) for Zi in Z])
     T = np.array([[np.sum(Zi * Zj) for Zj in Z] for Zi in Z])
     np.testing.assert_allclose(P.a, a, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(P.T, T, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), alpha=st.floats(0.01, 0.99),
+       b12=st.floats(0.01, 1.0),
+       call=st.sampled_from(["fixed-point", "normal-equations",
+                             "wellspecified"]))
+def test_sample_set_refuses_every_reader_of_sigma_prime(seed, alpha, b12,
+                                                        call):
+    # a replicate's set has no SigmaPrime: a fixed point at 0 < alpha < 1,
+    # a system at b12 != 0 and the well-specified reduction each raise a
+    # PreconditionViolationError (exit 2) that names it, before any
+    # factorization; an alpha = 0 fixed point never reads it
+    rng = np.random.default_rng(seed)
+    p, n = 4, 10
+    theta = rng.standard_normal(p)
+    X = rng.standard_normal((p, n))
+    Y = theta[None, :] @ X
+    fm = identity_map(p)
+    ms = assemble_design(X, Y, fm, batch_sample_moments(
+        additive_noise(0.5), fm, X, Y, 2, rng))
+    state = solve_fixed_point(ms, 0.0, 0.1, n)
+    with pytest.raises(PreconditionViolationError,
+                       match="SigmaPrime") as raised:
+        if call == "fixed-point":
+            solve_fixed_point(ms, alpha, 0.1, n)
+        elif call == "normal-equations":
+            normal_equations(ms, np.array([[0.5, b12], [b12, 0.5]]), alpha)
+        else:
+            wellspecified_reduction(state, compute_second_order(state, ms),
+                                    ms, theta, 0.0)
+    assert raised.value.exit_code == 2

@@ -4,11 +4,15 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from augridge import moments
 from augridge.datasets import SyntheticSpec, sample_synthetic
 from augridge.detequiv import (compute_second_order, equivalents,
                                solve_fixed_point)
+from augridge.errors import (InvalidDimensionError, NumericalFailureError,
+                             PreconditionViolationError)
 from augridge.features import apply_features, identity_map, random_mlp_map
 from augridge.moments import (
     DRAWS,
@@ -583,3 +587,50 @@ def test_float32_kernel_rounding_below_monte_carlo_error(monkeypatch):
     ms_ref = moment_set()
     assert (_rel(ms.SigmaDoublePrime, ms_ref.SigmaDoublePrime)
             < 1e-3 / np.sqrt(total * DRAWS))
+
+
+_SYMMETRIC_BLOCKS = ("Sigma", "SigmaPrime", "SigmaDoublePrime", "LambdaBar")
+_BLOCKS = _SYMMETRIC_BLOCKS + ("G1", "G3", "EY2", "OmegaBar")
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.integers(2, 6), q=st.integers(1, 3), seed=st.integers(0, 2**16),
+       fault=st.sampled_from(["shape", "nan", "overflow", "asymmetric",
+                              "no-sigma-prime"]),
+       data=st.data())
+def test_a_broken_moment_set_is_refused_where_it_is_made(p, q, seed, fault,
+                                                        data):
+    # one field of a valid population set made wrong: a shape, a NaN, an
+    # entry whose square overflows, one asymmetric ulp in a symmetric
+    # block, or no SigmaPrime on a set that is not a sample. Each is a
+    # package error with its exit code, never a bare numpy, scipy or
+    # attribute error, whether from the set or from a solve on it
+    rng = _rng(seed)
+    A = rng.standard_normal((p, p))
+    ms = closed_population_moment_set(
+        A @ A.T / p + 0.1 * np.eye(p),
+        heteroskedastic(0.3 * rng.standard_normal((p, 2)),
+                        0.3 * rng.standard_normal((q, 2))),
+        rng.standard_normal((p, q)), 0.1)
+    field = data.draw(st.sampled_from(
+        _SYMMETRIC_BLOCKS if fault == "asymmetric" else _BLOCKS))
+    M = getattr(ms, field).copy()
+    entry = data.draw(st.integers(0, M.size - 1))
+    if fault == "shape":
+        change = {field: np.concatenate([M, M[..., -1:]], axis=-1)}
+        error = InvalidDimensionError
+    elif fault in ("nan", "overflow"):
+        M.flat[entry] = np.nan if fault == "nan" else -1e155
+        change, error = {field: M}, NumericalFailureError
+    elif fault == "asymmetric":
+        M[0, 1] = np.nextafter(M[0, 1], np.inf)
+        change, error = {field: M}, PreconditionViolationError
+    else:
+        change = dict(SigmaPrime=None, provenance=data.draw(st.sampled_from(
+            ["closed-form", "monte-carlo", "empirical-plugin"])))
+        error = PreconditionViolationError
+    with pytest.raises(error) as raised:
+        bad = replace(ms, **change)
+        state = solve_fixed_point(bad, 0.5, 0.1, 10)
+        equivalents(state, compute_second_order(state, bad), bad, 0.1)
+    assert raised.value.exit_code == error.exit_code

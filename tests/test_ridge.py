@@ -156,13 +156,24 @@ def test_fit_matches_reference_cholesky_at_blocked_size():
     ("OmegaBar", "right-hand side"),
 ])
 def test_non_finite_design_raises(block, name):
+    # the set refuses a non-finite block where it is made, naming it; a
+    # finite set (entries near 1e154, their squares finite) whose system
+    # overflows at a large b11 is refused by normal_equations, naming the
+    # array whose b11 block overflows
     rng = np.random.default_rng(12)
     d = _design(rng.standard_normal((4, 10)), rng.standard_normal((1, 10)),
                 identity_map(4), additive_noise(0.5))
     bad = getattr(d, block).copy()
     bad[1, 0] = np.inf
-    with pytest.raises(NumericalFailureError, match=f"{name} is not finite"):
-        _system(replace(d, **{block: bad}), 0.5)
+    with pytest.raises(NumericalFailureError,
+                       match=f"moment set block {block} has a non-finite"):
+        replace(d, **{block: bad})
+    first = {"regularized matrix": "Sigma", "right-hand side": "G1"}[name]
+    M = getattr(d, first)
+    huge = replace(d, **{first: 1e154 / np.abs(M).max() * M})
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericalFailureError, match=f"{name} is not finite"):
+        normal_equations(huge, np.diag([1e200, 0.0]), 0.5)
 
 
 def test_indefinite_system_names_smallest_eigenvalue():
