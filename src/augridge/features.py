@@ -78,6 +78,19 @@ def random_mlp_map(d, hidden_sizes, p_out, activation="tanh", seed=0) -> Feature
 COLS = 4096  # columns per block of the MLP's hidden activations
 
 
+def block_columns(smallest):
+    """Columns per block of an MLP whose smallest layer has `smallest`
+    weights; the last block of apply_features takes the remainder, so it
+    has fewer than twice this many.
+
+    A block gives the bits of the full-width product only where BLAS
+    multiplies both alike. Block edges fall on whole register tiles
+    (multiples of COLS), and each block has at least 2**20 multiply-adds
+    in its smallest layer: OpenBLAS multiplies products of up to 1e6 with
+    a small-matrix kernel that rounds the odd last columns otherwise."""
+    return COLS * -(-2 ** 20 // (COLS * smallest))
+
+
 def apply_features(fmap: FeatureMap, M):
     """Apply fmap to every column of the d x n matrix M (a vector is a
     single column); returns p x n (or a length-p vector) in M's float
@@ -102,14 +115,7 @@ def apply_features(fmap: FeatureMap, M):
         *hidden, readout = (W.astype(M.dtype, copy=False)
                             for W in fmap.weights)
         n = M.shape[1]
-        # A block gives the bits of the full-width product only where BLAS
-        # multiplies both alike. Block edges fall on whole register tiles
-        # (multiples of COLS), and each block has at least 2**20
-        # multiply-adds in its smallest layer: OpenBLAS multiplies products
-        # of up to 1e6 with a small-matrix kernel that rounds the odd last
-        # columns otherwise. The last block takes the remainder.
-        smallest = min(W.size for W in fmap.weights)
-        cols = COLS * -(-2 ** 20 // (COLS * smallest))
+        cols = block_columns(min(W.size for W in fmap.weights))
         edges = [i * cols for i in range(max(1, n // cols))] + [n]
         out = np.empty((fmap.output_dim, n), dtype=M.dtype)
         for a, b in zip(edges, edges[1:]):

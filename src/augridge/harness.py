@@ -31,7 +31,8 @@ from .datasets import (
 )
 from .errors import (ConfigError, DataError, InvalidDimensionError,
                      NumericalFailureError)
-from .features import FeatureMap, identity_map, random_mlp_map
+from .features import (FeatureMap, block_columns, identity_map,
+                       random_mlp_map)
 from .moments import (
     CHUNK,
     DRAWS,
@@ -358,27 +359,36 @@ def _peak_terms(config):
     sizes maps the config keys the term grows with to their sizes. Python
     integers, so no estimate overflows."""
     d = config.data_dim()
-    p, p_key = _layers(config, "features")[-1]
+    layers = _layers(config, "features")
+    p, p_key = layers[-1]
     n = max(config.n_grid or (config.data.get("n", 1),))
     n_key = "n_grid" if config.n_grid else "data.n"
     # identity features draw nothing: their moments are closed forms
     T = config.n_mc_aug if config.features["kind"] == "random-mlp" else 1
-    workers = min(config.workers, os.cpu_count() or 1)
-    # one augmented column: a float32 x', its boolean mask and a float32
-    # phi(x')
-    col = 5 * d + 4 * p
-    col_key = "data.d" if 5 * d >= 4 * p else p_key
+    workers = min(config.workers, schemes.usable_cpus())
+    q = 1 if config.data["kind"] == "synthetic" else PATCH_SIDE * PATCH_SIDE
+    # a batch of augmented columns holds, per column, a float32 x', its
+    # float32 phi(x') and its float64 repeated labels, and the MLP's
+    # hidden activations of one block of columns
+    col = 4 * d + 4 * p + 8 * q
+    col_key = "data.d" if d >= p else p_key
+    hidden = sum(h for h, _ in layers[1:-1])  # 0 for the identity
+    block = 2 * block_columns(min((a * b for (a, _), (b, _)
+                                   in zip(layers, layers[1:])), default=1))
+
+    def batch(cols):
+        return col * cols + 4 * hidden * min(cols, block)
+
     # the replicate batches, one in each worker, or a moment-set block,
     # which runs alone before the pool starts
-    batch = n * T * workers
+    peak = workers * batch(n * T)
     sizes = {col_key: col, n_key: n, "n_mc_aug": T, "workers": workers}
-    if batch < CHUNK * DRAWS:
-        batch, sizes = CHUNK * DRAWS, {col_key: col}
+    if peak < batch(CHUNK * DRAWS):
+        peak, sizes = batch(CHUNK * DRAWS), {col_key: col}
     cells = (len(config.n_grid or (n,)) * len(config.lambda_grid)
              * len(config.alpha_grid))
-    q = 1 if config.data["kind"] == "synthetic" else PATCH_SIDE * PATCH_SIDE
     terms = [
-        (col * batch, sizes),
+        (peak, sizes),
         (8 * d * d, {"data.d": d}),
         (6 * 8 * p * p, {p_key: p}),  # the moment set's p x p blocks
         (8 * config.replicates * cells * p * q,  # the kept theta_hat
@@ -519,8 +529,8 @@ def _run_units(payload, units, workers):
     """The units' results in unit order, serially or in a process pool that
     receives the payload once per worker, not once per chunk. The pool
     starts all its processes at once, so it has no more than there are
-    units or CPUs."""
-    workers = min(workers, len(units), os.cpu_count() or 1)
+    units or usable CPUs."""
+    workers = min(workers, len(units), schemes.usable_cpus())
     if workers <= 1:
         return [_run_unit(u, payload) for u in units]
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,

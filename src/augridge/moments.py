@@ -20,7 +20,12 @@ Monte-Carlo estimation notes:
 - a replicate draws the config's n_mc_aug augmentations per sample, which
   define its estimator; a population moment set draws DRAWS per data
   column: the debias keeps every block unbiased at any n_mc >= 2, so few
-  draws add only Monte-Carlo error, which the data columns average out.
+  draws add only Monte-Carlo error, which the data columns average out;
+- each data column's draws come from a child generator spawned from the
+  caller's (schemes.sample_augmented_batch): the caller's bits do not
+  advance, so the data draws that share its generator are the same
+  whatever the augmentation draws, and no block depends on the
+  sampler's thread count or task size.
 """
 
 from __future__ import annotations
@@ -118,6 +123,7 @@ _LARGEST = float(np.sqrt(np.finfo(float).max))
 # each block's shape in p (features) and q (outputs); "pp" is symmetric
 _SHAPES = dict(Sigma="pp", SigmaPrime="pp", SigmaDoublePrime="pp", G1="pq",
                G3="pq", EY2="q", LambdaBar="pp", OmegaBar="pq")
+PROVENANCES = ("closed-form", "monte-carlo", "empirical-plugin", "sample")
 
 
 @dataclass(frozen=True)
@@ -135,10 +141,11 @@ class MomentSet:
 
     Frozen, the set checks itself where it is made and in replace: p x p,
     p x q and length-q shapes (InvalidDimensionError), every entry and
-    its square finite (NumericalFailureError) and the p x p blocks exactly
-    symmetric (PreconditionViolationError). Only a replicate's set
-    ("sample") has SigmaPrime = None, read through sigma_prime(): its
-    fit's system has b12 = 0, and forming it costs a p x n x p product.
+    its square finite (NumericalFailureError), and the p x p blocks
+    exactly symmetric and the provenance one of PROVENANCES
+    (PreconditionViolationError). Only a replicate's set ("sample") has
+    SigmaPrime = None, read through sigma_prime(): its fit's system has
+    b12 = 0, and forming it costs a p x n x p product.
     """
 
     Sigma: np.ndarray
@@ -153,6 +160,10 @@ class MomentSet:
     provenance: str = "closed-form"
 
     def __post_init__(self):
+        if self.provenance not in PROVENANCES:
+            raise PreconditionViolationError(
+                f"moment set provenance {self.provenance!r} is not one of "
+                f"{', '.join(PROVENANCES)}")
         if self.SigmaPrime is None and self.provenance != "sample":
             raise PreconditionViolationError(
                 f"a {self.provenance} moment set needs SigmaPrime")

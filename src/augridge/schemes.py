@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -130,74 +132,157 @@ def _factor(name, s):
     return s
 
 
+def usable_cpus():
+    """The number of CPUs this process may run on: its affinity mask, which
+    a container or taskset may set below os.cpu_count()."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# draws x data dimension per task of the sampler's thread pool: a task
+# outweighs its dispatch, and each thread's temporaries stay well under
+# a megabyte, so per-thread malloc arenas keep little
+TASK_ENTRIES = 1 << 17
+# draws x data dimension per column below which the columns run in the
+# calling thread: a column holds the interpreter lock for a few dozen
+# microseconds of numpy calls, and below this its lock-free draws take
+# no longer, so threads would only take turns (on 2 cores, 2000 entries
+# a column ran slower on two threads than on one, 8000 faster)
+POOL_COLUMN_ENTRIES = 1 << 12
+
+
 def sample_augmented_batch(scheme, X, Y, n_draws, rng):
     """n_draws augmentations of every column of (X, Y) in one call.
 
     Returns (Xa, Ya) of shapes (d, n*n_draws) and (q, n*n_draws); the draws
     for sample i occupy columns i*n_draws .. (i+1)*n_draws - 1. Xa is
-    float32, drawn from float32 uniforms and normals: its values carry a
+    float32, the transpose of a row-major (n*n_draws, d) array, so each
+    sample's draws are one contiguous block; its values carry a
     Monte-Carlo error far above float32 rounding, and the moments built
     from them are summed in float64 (moments.batch_sample_moments). Ya is
     float64.
+
+    Every data column draws from its own child generator, spawned once per
+    call (rng.spawn(n)); the caller's bit generator does not advance. So
+    no value depends on how the columns are grouped into tasks of about
+    TASK_ENTRIES entries, or on how many threads run them. When a column
+    has at least POOL_COLUMN_ENTRIES entries, the tasks run on a pool as
+    wide as usable_cpus(), which lives only for the call; smaller columns
+    run in the calling thread. The pool runs random draws and elementwise
+    numpy only; the one matrix product, a heteroskedastic scheme's s_x eta
+    (and s_y eta), runs after it in the calling thread.
     """
     X = np.asarray(X, dtype=np.float32)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     T = int(n_draws)
     if T < 1:
         raise InvalidParameterError("n_draws must be >= 1")
-    Yr = np.repeat(Y, T, axis=1)
-    return _batch_constant(scheme, X, T, Yr, rng), Yr
-
-
-def _batch_constant(scheme, X, T, Yr, rng):
-    """T draws for every column of X, without repeating X: the result's
-    columns i*T .. (i+1)*T - 1 are the draws of column i, against the
-    broadcast view X[:, :, None]. Label noise lands in Yr (already
-    repeated). Masks stay boolean, u < keep_prob on float32 uniforms in
-    [0, 1), so keep_prob 0 and 1 are exact; every draw has the shape and
-    order of one draw per column of X repeated T times."""
     d, n = X.shape
-    shape = (d, n * T)
-    X3 = X[:, :, None]
+    XT = np.ascontiguousarray(X.T)
+    Yr = np.repeat(Y, T, axis=1)
+    Xa = np.empty((n * T, d), dtype=np.float32)
+    # each heteroskedastic component's normals, and the rows it drew
+    het = {id(c): (c, np.empty((n * T, c.s_x.shape[1]), dtype=np.float32),
+                   np.zeros(n * T, dtype=bool))
+           for c in _leaves(scheme) if c.kind == "heteroskedastic"}
+    gens = rng.spawn(n)
+    per = max(1, TASK_ENTRIES // (T * d))
 
-    def draws(A):  # the (d, n, T) view of a (d, n*T) array
-        return A.reshape(d, n, T)
+    def task(a):
+        for i in range(a, min(a + per, n)):
+            rows = slice(i * T, (i + 1) * T)
+            _batch_constant(scheme, XT[i], Xa[rows], rows, gens[i], het)
 
+    starts = range(0, n, per)
+    width = 1
+    if T * d >= POOL_COLUMN_ENTRIES:
+        width = min(usable_cpus(), len(starts))
+    if width <= 1:
+        for a in starts:
+            task(a)
+    else:
+        with ThreadPoolExecutor(max_workers=width) as pool:
+            list(pool.map(task, starts))
+    for c, eta, drew in het.values():
+        rows = np.flatnonzero(drew)
+        Xa[rows] = eta[rows] @ c.s_x.astype(np.float32).T + XT[rows // T]
+        if c.s_y is not None:
+            Yr[:, rows] += c.s_y @ eta[rows].T
+    return Xa.T, Yr
+
+
+def _leaves(scheme):
+    """The scheme's components that are not mixtures, depth first."""
+    if scheme.kind != "mixture":
+        return [scheme]
+    return [leaf for c in scheme.components for leaf in _leaves(c)]
+
+
+def _batch_constant(scheme, x, out, rows, gen, het):
+    """Fill out, a contiguous (m, d) float32 block, with m draws of the
+    augmented datum x (length d), from the column's generator gen; rows
+    are the block's rows of the batch.
+
+    - Masks come from raw bits: 32-bit integers, two per 64-bit draw,
+      compared with keep_prob * 2**32. keep_prob 0 and 1 draw no bits and
+      are exact.
+    - Normals are drawn only where an entry is replaced: x is copied by a
+      broadcast, then the scaled normals are written into the replaced
+      entries by their flat indices.
+    - A heteroskedastic component draws only its normals eta, into its
+      buffer in het, and marks its rows; the caller forms s_x eta.
+    - A mixture draws a component index per draw by inverse CDF on the
+      weights, from float32 uniforms, then fills each component's draws.
+    """
+    m, d = out.shape
     if scheme.kind == "additive-noise":
-        Xa = rng.standard_normal(shape, dtype=np.float32)
-        Xa *= scheme.sigma_aug
-        np.add(draws(Xa), X3, out=draws(Xa))
-    elif scheme.kind == "masking":
-        M = rng.random(shape, dtype=np.float32) < scheme.keep_prob
-        Xa = np.empty(shape, dtype=np.float32)
-        np.multiply(X3, draws(M), out=draws(Xa))
-    elif scheme.kind == "salt-and-pepper":
-        M = rng.random(shape, dtype=np.float32) < scheme.keep_prob
-        Xa = rng.standard_normal(shape, dtype=np.float32)
-        Xa *= scheme.replacement
-        np.copyto(draws(Xa), X3, where=draws(M))
+        gen.standard_normal(out=out, dtype=np.float32)
+        out *= scheme.sigma_aug
+        out += x
+    elif scheme.kind in ("masking", "salt-and-pepper"):
+        drop = _dropped(gen, m * d, scheme.keep_prob)
+        np.copyto(out, x)
+        fill = 0.0
+        if scheme.kind == "salt-and-pepper":
+            fill = gen.standard_normal(drop.size, dtype=np.float32)
+            fill *= scheme.replacement
+        out.reshape(-1)[drop] = fill
     elif scheme.kind == "heteroskedastic":
-        eta = rng.standard_normal((scheme.s_x.shape[1], shape[1]),
-                                  dtype=np.float32)
-        Xa = scheme.s_x.astype(np.float32) @ eta
-        np.add(draws(Xa), X3, out=draws(Xa))
-        if scheme.s_y is not None:
-            Yr += scheme.s_y @ eta
+        _, eta, drew = het[id(scheme)]
+        eta[rows] = gen.standard_normal((m, eta.shape[1]), dtype=np.float32)
+        drew[rows] = True
     elif scheme.kind == "mixture":
-        u = rng.random(shape[1], dtype=np.float32)
+        u = gen.random(m, dtype=np.float32)
         idx = np.searchsorted(np.cumsum(scheme.weights), u, side="right")
         idx = np.minimum(idx, len(scheme.components) - 1)
-        Xa = np.empty(shape, dtype=np.float32)
+        if isinstance(rows, slice):
+            rows = np.arange(rows.start, rows.stop)
         for j, comp in enumerate(scheme.components):
-            cols = np.flatnonzero(idx == j)
-            if cols.size == 0:
+            sel = np.flatnonzero(idx == j)
+            if sel.size == 0:
                 continue
-            Ysub = np.ascontiguousarray(Yr[:, cols])
-            Xa[:, cols] = _batch_constant(comp, X[:, cols // T], 1, Ysub, rng)
-            Yr[:, cols] = Ysub
+            sub = np.empty((sel.size, d), dtype=np.float32)
+            _batch_constant(comp, x, sub, rows[sel], gen, het)
+            out[sel] = sub
     else:
         raise InvalidParameterError(f"unknown scheme kind {scheme.kind!r}")
-    return Xa
+
+
+def _dropped(gen, size, keep_prob):
+    """The flat indices of the dropped entries among size masked ones. An
+    entry is kept when a 32-bit integer from the generator's raw bits is
+    below keep_prob * 2**32, rounded and held inside [1, 2**32 - 1] so
+    that 0 < keep_prob < 1 keeps a chance of either outcome; keep_prob 0
+    and 1 draw no bits."""
+    if keep_prob >= 1.0:
+        return np.arange(0)
+    if keep_prob <= 0.0:
+        return np.arange(size)
+    bits = gen.bit_generator.random_raw(-(-size // 2)).view(np.uint32)
+    cut = min(max(round(keep_prob * 2 ** 32), 1), 2 ** 32 - 1)
+    return np.flatnonzero(bits[:size] >= np.uint32(cut))
 
 
 def closed_moments(scheme, v, S, q):

@@ -410,10 +410,6 @@ def _worst_ratios(rows, ms, sigma2, R):
     return worst, worst_no_omega
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the moment set's 8192-column data draw puts the lambda 1, alpha 1 "
-    "overlap cell at 1.055 of the band; at 65536 columns the worst cell "
-    "is 0.732"))
 def test_label_changing_augmentation_monte_carlo_moments():
     # criterion 12's label-changing scheme on random-MLP features
     # (40 -> 40 -> 30 tanh): every block is estimated from 8192 columns

@@ -4,8 +4,10 @@ every malformed config exits with its family's code, never a traceback."""
 import copy
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 from augridge import harness
 from augridge.cli import main as cli_main
 from augridge.harness import CONFIG_TABLE, ExperimentConfig
-from augridge.moments import CHUNK, DRAWS
+from augridge.features import block_columns
+from augridge.moments import CHUNK, DRAWS, batch_sample_moments
 from test_acceptance import CR1_CFG
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -147,13 +150,30 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, capsys, path,
 def test_preflight_batch_term():
     # the Monte-Carlo batch term is the larger of a replicate batch,
     # n * n_mc_aug columns in each worker, and a moment-set block of
-    # CHUNK * DRAWS columns, which runs before the pool starts
-    d, p, n, n_mc_aug = 200, 150, 300, 200
-    term = harness._peak_terms(ExperimentConfig.from_dict(CR1_CFG))[0]
-    assert term[0] == (5 * d + 4 * p) * n * n_mc_aug
-    col = 5 * 6 + 4 * 4
+    # CHUNK * DRAWS columns, which runs before the pool starts. Each
+    # column holds a float32 x' and phi(x') and a float64 label, and the
+    # MLP one block of hidden activations, of fewer than twice
+    # block_columns columns. At CR1_CFG's size the term bounds the traced
+    # peak of one replicate batch from above, within 5%
+    d, h, p, n, n_mc_aug = 200, 200, 150, 300, 200
+    config = ExperimentConfig.from_dict(CR1_CFG)
+    term = harness._peak_terms(config)[0][0]
+    assert term == ((4 * d + 4 * p + 8) * n * n_mc_aug
+                    + 4 * h * 2 * block_columns(h * p))
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((d, n))
+    tracemalloc.start()
+    try:
+        batch_sample_moments(config.build_scheme(),
+                             config.build_feature_map(), X, X[:1], n_mc_aug,
+                             rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= term <= 1.05 * peak
+    col = 4 * 6 + 4 * 4 + 8
     assert harness._peak_terms(ExperimentConfig.from_dict(TINY_MLP))[0] == (
-        col * CHUNK * DRAWS, {"data.d": col})
+        col * CHUNK * DRAWS + 4 * 5 * CHUNK * DRAWS, {"data.d": col})
 
 
 _SCALAR = (st.none() | st.booleans() | st.integers(-3, 4) | st.floats()

@@ -3,12 +3,13 @@ import importlib.util
 import json
 import re
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from augridge import detequiv, harness
+from augridge import detequiv, harness, schemes
 from augridge.cli import main as cli_main
 from augridge.errors import NumericalFailureError
 from augridge.harness import (
@@ -22,7 +23,13 @@ from augridge.harness import (
     write_csv,
 )
 from augridge.moments import closed_population_moment_set
-from augridge.schemes import additive_noise
+from augridge.schemes import (
+    additive_noise,
+    heteroskedastic,
+    masking,
+    mixture,
+    salt_and_pepper,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -137,6 +144,46 @@ def test_sweep_deterministic_and_worker_invariant(tmp_path):
     write_csv(r1, p1)
     write_csv(r2, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+_SX = np.linspace(-1.0, 1.0, 24).reshape(8, 3) / 3.0
+_KERNEL_SCHEMES = {
+    "additive": lambda: additive_noise(0.3),
+    "masking": lambda: masking(0.6),
+    "salt-and-pepper": lambda: salt_and_pepper(0.5, 0.7),
+    "heteroskedastic": lambda: heteroskedastic(_SX),
+    "heteroskedastic-sy": lambda: heteroskedastic(_SX, 0.2 * np.ones((1, 3))),
+    "mixture-heteroskedastic": lambda: mixture(
+        [masking(0.7), heteroskedastic(_SX, 0.2 * np.ones((1, 3))),
+         salt_and_pepper(0.5, 0.2)], [0.3, 0.4, 0.3]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_SCHEMES))
+def test_sweep_rows_do_not_depend_on_kernel_threads(monkeypatch, case):
+    # every data column draws its augmentations from its own child
+    # generator, so neither the width of the sampler's thread pool nor
+    # the size of its tasks moves a bit of any row, at the default BLAS
+    # threads; the pool lives only for the call. A task of 80 or 280
+    # entries holds 1-7 columns of the replicates (d 8, 5 draws) and of
+    # the moment set (10 draws), and with no floor on a column's entries
+    # two threads share each batch
+    scheme = _KERNEL_SCHEMES[case]()
+    monkeypatch.setattr(harness, "_build_scheme", lambda cfg: scheme)
+    monkeypatch.setattr(schemes, "POOL_COLUMN_ENTRIES", 0)
+    config = ExperimentConfig.from_dict(_tiny_cfg(
+        features={"kind": "random-mlp", "hidden_sizes": [6],
+                  "output_dim": 5},
+        n_mc_aug=5, n_mc_data=600))
+    runs = []
+    for threads, entries in ((1, schemes.TASK_ENTRIES), (2, 80), (2, 280),
+                             (1, 80)):
+        monkeypatch.setattr(schemes, "usable_cpus", lambda t=threads: t)
+        monkeypatch.setattr(schemes, "TASK_ENTRIES", entries)
+        alive = threading.active_count()
+        runs.append([r.to_list() for r in run_sweep(config)])
+        assert threading.active_count() == alive
+    assert all(rows == runs[0] for rows in runs[1:])
 
 
 def test_sweep_seed_changes_results():
@@ -427,7 +474,7 @@ def test_worker_pool_capped(monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(harness, "_worker_payload", None)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(schemes, "usable_cpus", lambda: 4)
     for replicates, pool in ((3, 3), (6, 4)):
         serial = run_sweep(ExperimentConfig.from_dict(
             _tiny_cfg(replicates=replicates)))

@@ -16,6 +16,7 @@ from augridge.errors import (InvalidDimensionError, NumericalFailureError,
 from augridge.features import apply_features, identity_map, random_mlp_map
 from augridge.moments import (
     DRAWS,
+    PROVENANCES,
     InsufficientSamplesError,
     MomentSet,
     batch_sample_moments,
@@ -519,8 +520,8 @@ def test_batch_kernel_is_float32_with_float64_blocks(scheme):
     # the kernel's draws and features are float32 and every block it
     # returns is float64; labels that change (a float64 Ya) must not
     # promote the features to a full-width float64 copy in Pa @ Ya^T, which
-    # would add 8 p n T bytes. Bound: the float32 draws, mask and features
-    # and the float64 labels, ten p x p float64 temporaries and 1 MB.
+    # would add 8 p n T bytes. Bound: the float32 draws and features and
+    # the float64 labels, ten p x p float64 temporaries and 1 MB.
     d, hidden, p, q, n, T = 8, 8, 256, 1, 64, 256
     fm = random_mlp_map(d, [hidden], p, seed=1)
     X = _rng(1).standard_normal((d, n))
@@ -532,7 +533,7 @@ def test_batch_kernel_is_float32_with_float64_blocks(scheme):
     finally:
         tracemalloc.stop()
     assert all(M.dtype == np.float64 for M in out[:3])
-    assert peak <= (5 * d + 4 * p + 8 * q) * n * T + 10 * 8 * p * p + 2 ** 20
+    assert peak <= (4 * d + 4 * p + 8 * q) * n * T + 10 * 8 * p * p + 2 ** 20
 
 
 def _float64_moments(scheme, fm, X, Y, n_mc, rng):
@@ -596,15 +597,16 @@ _BLOCKS = _SYMMETRIC_BLOCKS + ("G1", "G3", "EY2", "OmegaBar")
 @settings(max_examples=80, deadline=None)
 @given(p=st.integers(2, 6), q=st.integers(1, 3), seed=st.integers(0, 2**16),
        fault=st.sampled_from(["shape", "nan", "overflow", "asymmetric",
-                              "no-sigma-prime"]),
+                              "no-sigma-prime", "provenance"]),
        data=st.data())
 def test_a_broken_moment_set_is_refused_where_it_is_made(p, q, seed, fault,
                                                         data):
     # one field of a valid population set made wrong: a shape, a NaN, an
     # entry whose square overflows, one asymmetric ulp in a symmetric
-    # block, or no SigmaPrime on a set that is not a sample. Each is a
-    # package error with its exit code, never a bare numpy, scipy or
-    # attribute error, whether from the set or from a solve on it
+    # block, no SigmaPrime on a set that is not a sample, or a provenance
+    # that is not one of the four names in use. Each is a package error
+    # with its exit code, never a bare numpy, scipy or attribute error,
+    # whether from the set or from a solve on it
     rng = _rng(seed)
     A = rng.standard_normal((p, p))
     ms = closed_population_moment_set(
@@ -625,9 +627,13 @@ def test_a_broken_moment_set_is_refused_where_it_is_made(p, q, seed, fault,
     elif fault == "asymmetric":
         M[0, 1] = np.nextafter(M[0, 1], np.inf)
         change, error = {field: M}, PreconditionViolationError
-    else:
+    elif fault == "no-sigma-prime":
         change = dict(SigmaPrime=None, provenance=data.draw(st.sampled_from(
             ["closed-form", "monte-carlo", "empirical-plugin"])))
+        error = PreconditionViolationError
+    else:
+        change = dict(provenance=data.draw(
+            st.text(max_size=20).filter(lambda s: s not in PROVENANCES)))
         error = PreconditionViolationError
     with pytest.raises(error) as raised:
         bad = replace(ms, **change)

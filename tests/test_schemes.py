@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from augridge import schemes
 from augridge.schemes import (
     InvalidParameterError,
     additive_noise,
@@ -266,52 +269,79 @@ def test_batch_matches_single_draw_layout():
 
 
 _STREAM_D, _STREAM_Q = 4, 2
+_SX = np.arange(12.0).reshape(4, 3) / 5.0
 _STREAM_CASES = {
     "additive": lambda: additive_noise(0.3),
     "masking": lambda: masking(0.6),
     "salt-and-pepper": lambda: salt_and_pepper(0.6, 0.7),
-    "heteroskedastic": lambda: heteroskedastic(
-        np.arange(12.0).reshape(4, 3) / 5.0),
-    "heteroskedastic-sy": lambda: heteroskedastic(
-        np.arange(12.0).reshape(4, 3) / 5.0, np.ones((2, 3))),
+    "heteroskedastic": lambda: heteroskedastic(_SX),
+    "heteroskedastic-sy": lambda: heteroskedastic(_SX, np.ones((2, 3))),
     "mixture": lambda: mixture([additive_noise(0.5), masking(0.7),
                                 salt_and_pepper(0.5, 0.2)], [0.2, 0.5, 0.3]),
+    "mixture-heteroskedastic": lambda: mixture(
+        [masking(0.7), heteroskedastic(_SX, np.ones((2, 3))),
+         mixture([additive_noise(0.4), salt_and_pepper(0.3, 0.6)],
+                 [0.5, 0.5])], [0.3, 0.4, 0.3]),
 }
 
 
-def _repeated_batch(scheme, Xr, Yr, rng):
-    """The kernel written plainly: float32 columns repeated by np.repeat,
-    float32 uniforms and normals, float masks. The oracle of the
-    stream-pinning test."""
-    shape, f32 = Xr.shape, np.float32
+def _column_draws(scheme, x, rows, gen, etas):
+    """m = len(rows) draws of the float32 datum x, written plainly from the
+    column's generator: masks from raw 32-bit integers against
+    keep_prob * 2**32 (no bits at keep_prob 0 or 1), replacement normals
+    put in with np.place, mixtures by inverse CDF on float32 uniforms. A
+    heteroskedastic component keeps its normals in etas by row and
+    returns zeros."""
+    m, d, f32 = len(rows), x.size, np.float32
     if scheme.kind == "additive-noise":
-        Xa = Xr + scheme.sigma_aug * rng.standard_normal(shape, dtype=f32)
-    elif scheme.kind == "masking":
-        M = (rng.random(shape, dtype=f32) < scheme.keep_prob).astype(f32)
-        Xa = Xr * M
-    elif scheme.kind == "salt-and-pepper":
-        M = (rng.random(shape, dtype=f32) < scheme.keep_prob).astype(f32)
-        noise = rng.standard_normal(shape, dtype=f32) * (1.0 - M)
-        Xa = Xr * M + scheme.replacement * noise
-    elif scheme.kind == "heteroskedastic":
-        eta = rng.standard_normal((scheme.s_x.shape[1], shape[1]), dtype=f32)
-        Xa = Xr + scheme.s_x.astype(f32) @ eta
-        if scheme.s_y is not None:
-            Yr += scheme.s_y @ eta
-    else:  # mixture
-        idx = np.searchsorted(np.cumsum(scheme.weights),
-                              rng.random(shape[1], dtype=f32), side="right")
-        idx = np.minimum(idx, len(scheme.components) - 1)
-        Xa = np.empty_like(Xr)
-        for j, comp in enumerate(scheme.components):
-            cols = np.flatnonzero(idx == j)
-            if cols.size == 0:
-                continue
-            Xsub = np.ascontiguousarray(Xr[:, cols])
-            Ysub = np.ascontiguousarray(Yr[:, cols])
-            Xa[:, cols] = _repeated_batch(comp, Xsub, Ysub, rng)
-            Yr[:, cols] = Ysub
-    return Xa
+        return x + scheme.sigma_aug * gen.standard_normal((m, d), dtype=f32)
+    if scheme.kind in ("masking", "salt-and-pepper"):
+        keep = np.full((m, d), scheme.keep_prob == 1.0)
+        if 0.0 < scheme.keep_prob < 1.0:
+            bits = gen.bit_generator.random_raw(-(-m * d // 2))
+            u = bits.view(np.uint32)[:m * d].reshape(m, d)
+            keep = u < round(scheme.keep_prob * 2 ** 32)
+        out = np.where(keep, x, f32(0.0))
+        if scheme.kind == "salt-and-pepper":
+            z = gen.standard_normal(int((~keep).sum()), dtype=f32)
+            np.place(out, ~keep, scheme.replacement * z)
+        return out
+    if scheme.kind == "heteroskedastic":
+        eta = gen.standard_normal((m, scheme.s_x.shape[1]), dtype=f32)
+        _, eta_of = etas.setdefault(id(scheme), (scheme, {}))
+        eta_of.update(zip(rows, eta))
+        return np.zeros((m, d), f32)
+    idx = np.searchsorted(np.cumsum(scheme.weights),
+                          gen.random(m, dtype=f32), side="right")
+    idx = np.minimum(idx, len(scheme.components) - 1)
+    out = np.empty((m, d), f32)
+    for j, comp in enumerate(scheme.components):
+        sel = np.flatnonzero(idx == j)
+        if sel.size:
+            out[sel] = _column_draws(comp, x, [rows[k] for k in sel], gen,
+                                     etas)
+    return out
+
+
+def _per_column_batch(scheme, X, Y, T, rng):
+    """The kernel written plainly, one data column at a time from its own
+    child generator: the oracle of the stream-pinning test. A
+    heteroskedastic component's s_x eta and s_y eta are formed over all
+    the rows it drew, as the kernel forms them."""
+    X32 = X.astype(np.float32)
+    d, n = X.shape
+    Xa, Yr, etas = np.empty((d, n * T), np.float32), np.repeat(Y, T, 1), {}
+    for i, gen in enumerate(rng.spawn(n)):
+        rows = list(range(i * T, (i + 1) * T))
+        Xa[:, rows] = _column_draws(scheme, X32[:, i], rows, gen, etas).T
+    for comp, eta_of in etas.values():
+        rows = sorted(eta_of)
+        eta = np.array([eta_of[r] for r in rows])
+        Xa[:, rows] = (eta @ comp.s_x.astype(np.float32).T
+                       + X32.T[np.array(rows) // T]).T
+        if comp.s_y is not None:
+            Yr[:, rows] += comp.s_y @ eta.T
+    return Xa, Yr
 
 
 @pytest.mark.parametrize("n_draws", [1, 7])
@@ -325,53 +355,66 @@ def test_streamed_batch_keeps_the_random_stream(case, n_draws):
     Y = data.standard_normal((_STREAM_Q, 9))
     r1, r2 = np.random.default_rng(13), np.random.default_rng(13)
     Xa, Ya = sample_augmented_batch(scheme, X, Y, n_draws, r1)
-    Yr = np.repeat(Y, n_draws, axis=1)
-    Xr = _repeated_batch(scheme, np.repeat(X.astype(np.float32), n_draws,
-                                           axis=1), Yr, r2)
+    Xr, Yr = _per_column_batch(scheme, X, Y, n_draws, r2)
     assert Xa.dtype == np.float32 and Ya.dtype == np.float64
     for new, old in ((Xa, Xr), (Ya, Yr)):
         assert np.array_equal(new, old)
         assert np.array_equal(np.signbit(new), np.signbit(old))
-    assert r1.random() == r2.random()
+    # the children are spawned, so the caller's bits do not advance, and
+    # its next spawn gives the same children on both sides
+    assert r1.bit_generator.state == r2.bit_generator.state
+    assert r1.spawn(1)[0].random() == r2.spawn(1)[0].random()
 
 
-class _FixedUniforms:
-    """A generator whose uniforms all take one value; its normals come
-    from a real generator of the given seed."""
-
-    def __init__(self, value, seed):
-        self.value, self.normals = value, np.random.default_rng(seed)
-
-    def random(self, size, dtype=np.float64):
-        return np.full(size, self.value, dtype=dtype)
-
-    def standard_normal(self, size, dtype=np.float64):
-        return self.normals.standard_normal(size, dtype=dtype)
+def test_threads_write_disjoint_rows(monkeypatch):
+    # more threads than cores, one column a task and a thread switch every
+    # microsecond: each task writes only its own rows of the batch and of
+    # a heteroskedastic component's normals, so no write is lost and the
+    # batch equals the one-thread batch
+    scheme = _STREAM_CASES["mixture-heteroskedastic"]()
+    data = np.random.default_rng(4)
+    X = data.standard_normal((_STREAM_D, 64))
+    Y = data.standard_normal((_STREAM_Q, 64))
+    monkeypatch.setattr(schemes, "TASK_ENTRIES", 1)
+    monkeypatch.setattr(schemes, "POOL_COLUMN_ENTRIES", 0)
+    batches = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for threads in (1, 8):
+            monkeypatch.setattr(schemes, "usable_cpus", lambda t=threads: t)
+            batches.append(sample_augmented_batch(
+                scheme, X, Y, 9, np.random.default_rng(13)))
+    finally:
+        sys.setswitchinterval(interval)
+    for one, many in zip(*batches):
+        assert np.array_equal(one, many)
 
 
 def test_masks_exact_at_the_ends_of_the_range():
-    # float32 uniforms lie on a 2**-24 grid in [0, 1) that includes 0:
-    # u < keep_prob keeps nothing at keep_prob 0 even when u = 0, and
-    # everything at keep_prob 1 even at the largest uniform
+    # keep_prob 0 and 1 draw no bits: a 32-bit threshold of 0 would keep
+    # nothing, but 2**32 does not fit in 32 bits. So masking at 0 keeps
+    # nothing, salt-and-pepper at 0 replaces every entry with each
+    # column's own first normals, and masking at 1 keeps everything,
+    # sign bits included
     X = np.random.default_rng(4).standard_normal((_STREAM_D, 9))
     Y = np.zeros((1, 9))
-    shape = (_STREAM_D, 9 * 7)
-    Xr = np.repeat(X.astype(np.float32), 7, axis=1)
-    Xa, _ = sample_augmented_batch(masking(0.0), X, Y, 7,
-                                   _FixedUniforms(0.0, 5))
+    shape, T = (_STREAM_D, 9 * 7), 7
+    Xr = np.repeat(X.astype(np.float32), T, axis=1)
+    Xa, _ = sample_augmented_batch(masking(0.0), X, Y, T,
+                                   np.random.default_rng(5))
     assert np.array_equal(Xa, np.zeros(shape, np.float32))
-    Xa, _ = sample_augmented_batch(salt_and_pepper(0.0, 0.7), X, Y, 7,
-                                   _FixedUniforms(0.0, 5))
-    noise = np.random.default_rng(5).standard_normal(shape, dtype=np.float32)
-    assert np.array_equal(Xa, noise * 0.7)
-    top = np.nextafter(np.float32(1.0), np.float32(0.0))
-    Xa, _ = sample_augmented_batch(masking(1.0), X, Y, 7,
-                                   _FixedUniforms(top, 5))
-    assert np.array_equal(Xa, Xr)
-    Xa, _ = sample_augmented_batch(masking(1.0), X, Y, 7,
-                                   np.random.default_rng(6))
-    assert np.array_equal(Xa, Xr)
-    assert np.array_equal(np.signbit(Xa), np.signbit(Xr))
+    Xa, _ = sample_augmented_batch(salt_and_pepper(0.0, 0.7), X, Y, T,
+                                   np.random.default_rng(5))
+    noise = np.concatenate(
+        [g.standard_normal((T, _STREAM_D), dtype=np.float32).T
+         for g in np.random.default_rng(5).spawn(9)], axis=1)
+    assert np.array_equal(Xa, noise * np.float32(0.7))
+    for seed in (5, 6):
+        Xa, _ = sample_augmented_batch(masking(1.0), X, Y, T,
+                                       np.random.default_rng(seed))
+        assert np.array_equal(Xa, Xr)
+        assert np.array_equal(np.signbit(Xa), np.signbit(Xr))
 
 
 def test_schemes_compare_field_by_field():
