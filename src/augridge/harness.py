@@ -364,27 +364,33 @@ def _peak_terms(config):
     n = max(config.n_grid or (config.data.get("n", 1),))
     n_key = "n_grid" if config.n_grid else "data.n"
     # identity features draw nothing: their moments are closed forms
-    T = config.n_mc_aug if config.features["kind"] == "random-mlp" else 1
+    drawn = config.features["kind"] == "random-mlp"
+    T = config.n_mc_aug if drawn else 1
     workers = min(config.workers, schemes.usable_cpus())
     q = 1 if config.data["kind"] == "synthetic" else PATCH_SIDE * PATCH_SIDE
     # a batch of augmented columns holds, per column, a float32 x', its
     # float32 phi(x') and its float64 repeated labels, and the MLP's
-    # hidden activations of one block of columns
+    # hidden activations of one block of columns; each sampler thread
+    # holds the temporaries of one column of draws
     col = 4 * d + 4 * p + 8 * q
     col_key = "data.d" if d >= p else p_key
     hidden = sum(h for h, _ in layers[1:-1])  # 0 for the identity
     block = 2 * block_columns(min((a * b for (a, _), (b, _)
                                    in zip(layers, layers[1:])), default=1))
 
-    def batch(cols):
-        return col * cols + 4 * hidden * min(cols, block)
+    def batch(cols, draws, threads):
+        return (col * cols * draws + 4 * hidden * min(cols * draws, block)
+                + drawn * threads * schemes.THREAD_BYTES_PER_ENTRY * draws * d)
 
-    # the replicate batches, one in each worker, or a moment-set block,
-    # which runs alone before the pool starts
-    peak = workers * batch(n * T)
+    # the replicate batches, one in each worker, which runs one sampler
+    # thread, or a moment-set block, which runs alone before the pool
+    # starts
+    threads = 1 if workers > 1 else schemes.sampler_width(n, T, d)
+    peak = workers * batch(n, T, threads)
     sizes = {col_key: col, n_key: n, "n_mc_aug": T, "workers": workers}
-    if peak < batch(CHUNK * DRAWS):
-        peak, sizes = batch(CHUNK * DRAWS), {col_key: col}
+    block_peak = batch(CHUNK, DRAWS, schemes.sampler_width(CHUNK, DRAWS, d))
+    if peak < block_peak:
+        peak, sizes = block_peak, {col_key: col}
     cells = (len(config.n_grid or (n,)) * len(config.lambda_grid)
              * len(config.alpha_grid))
     terms = [
@@ -486,7 +492,11 @@ def _replicate(source, fmap, scheme, n_mc_aug, alpha_grid, seed_seq, n_list):
     by the draw count the moments carry); yields (n, alpha, system) for
     each alpha, the normal_equations system at B = W^2 every lambda
     shares."""
-    rng = np.random.default_rng(seed_seq)
+    # a copy of the seed: the sampler spawns its children from the
+    # generator's seed sequence, which counts them, and _Subsamples hands
+    # one seed to a unit per n
+    rng = np.random.default_rng(np.random.SeedSequence(
+        seed_seq.entropy, spawn_key=seed_seq.spawn_key))
     for n in n_list:
         X, Y = source.draw(rng, n)
         psm = batch_sample_moments(scheme, fmap, X, Y, n_mc_aug, rng)
@@ -523,6 +533,7 @@ def _run_unit(unit, payload=None):
 def _init_worker(payload):
     global _worker_payload
     _worker_payload = payload
+    schemes.SAMPLER_THREADS = 1
 
 
 def _run_units(payload, units, workers):

@@ -151,6 +151,39 @@ TASK_ENTRIES = 1 << 17
 # no longer, so threads would only take turns (on 2 cores, 2000 entries
 # a column ran slower on two threads than on one, 8000 faster)
 POOL_COLUMN_ENTRIES = 1 << 12
+# the width of the sampler's thread pool; None for usable_cpus(). A
+# process-pool worker sets it to 1, so k workers run k sampler threads,
+# not k times the cores
+SAMPLER_THREADS = None
+# bytes a sampler thread holds per entry of the column it draws: the raw
+# mask bits (4), their comparison (1), the dropped entries' indices (8)
+# and, under a mixture, a component's block (4)
+THREAD_BYTES_PER_ENTRY = 17
+
+
+def _columns_per_task(entries):
+    return max(1, TASK_ENTRIES // entries)
+
+
+def sampler_width(n, n_draws, d):
+    """The threads that sample_augmented_batch runs n columns of n_draws
+    draws of d entries on, for a scheme without a heteroskedastic
+    component: 1 (the calling thread) when a column has fewer than
+    POOL_COLUMN_ENTRIES entries, else SAMPLER_THREADS (None:
+    usable_cpus()), and no more than there are tasks."""
+    entries = n_draws * d
+    if entries < POOL_COLUMN_ENTRIES:
+        return 1
+    tasks = -(-n // _columns_per_task(entries))
+    return min(SAMPLER_THREADS or usable_cpus(), tasks)
+
+
+def _has_product(scheme):
+    """Whether the scheme draws through a matrix product: a
+    heteroskedastic kind, alone or in a mixture."""
+    if scheme.kind == "mixture":
+        return any(_has_product(c) for c in scheme.components)
+    return scheme.kind == "heteroskedastic"
 
 
 def sample_augmented_batch(scheme, X, Y, n_draws, rng):
@@ -165,14 +198,14 @@ def sample_augmented_batch(scheme, X, Y, n_draws, rng):
     float64.
 
     Every data column draws from its own child generator, spawned once per
-    call (rng.spawn(n)); the caller's bit generator does not advance. So
-    no value depends on how the columns are grouped into tasks of about
-    TASK_ENTRIES entries, or on how many threads run them. When a column
-    has at least POOL_COLUMN_ENTRIES entries, the tasks run on a pool as
-    wide as usable_cpus(), which lives only for the call; smaller columns
-    run in the calling thread. The pool runs random draws and elementwise
-    numpy only; the one matrix product, a heteroskedastic scheme's s_x eta
-    (and s_y eta), runs after it in the calling thread.
+    call (rng.spawn(n)); the caller's bit generator does not advance, but
+    its seed sequence counts the children, so two generators must not
+    share one seed sequence object. No value depends on how the columns
+    are grouped into tasks of about TASK_ENTRIES entries, or on how many
+    threads run them. The tasks run on a pool of sampler_width threads,
+    which lives only for the call. The pool runs random draws and
+    elementwise numpy only: a scheme with a heteroskedastic component,
+    whose s_x eta is a matrix product, runs in the calling thread.
     """
     X = np.asarray(X, dtype=np.float32)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -183,47 +216,30 @@ def sample_augmented_batch(scheme, X, Y, n_draws, rng):
     XT = np.ascontiguousarray(X.T)
     Yr = np.repeat(Y, T, axis=1)
     Xa = np.empty((n * T, d), dtype=np.float32)
-    # each heteroskedastic component's normals, and the rows it drew
-    het = {id(c): (c, np.empty((n * T, c.s_x.shape[1]), dtype=np.float32),
-                   np.zeros(n * T, dtype=bool))
-           for c in _leaves(scheme) if c.kind == "heteroskedastic"}
     gens = rng.spawn(n)
-    per = max(1, TASK_ENTRIES // (T * d))
+    per = _columns_per_task(T * d)
 
     def task(a):
         for i in range(a, min(a + per, n)):
             rows = slice(i * T, (i + 1) * T)
-            _batch_constant(scheme, XT[i], Xa[rows], rows, gens[i], het)
+            _batch_constant(scheme, XT[i], Xa[rows], Yr[:, rows], gens[i])
 
     starts = range(0, n, per)
-    width = 1
-    if T * d >= POOL_COLUMN_ENTRIES:
-        width = min(usable_cpus(), len(starts))
+    width = 1 if _has_product(scheme) else sampler_width(n, T, d)
     if width <= 1:
         for a in starts:
             task(a)
     else:
         with ThreadPoolExecutor(max_workers=width) as pool:
             list(pool.map(task, starts))
-    for c, eta, drew in het.values():
-        rows = np.flatnonzero(drew)
-        Xa[rows] = eta[rows] @ c.s_x.astype(np.float32).T + XT[rows // T]
-        if c.s_y is not None:
-            Yr[:, rows] += c.s_y @ eta[rows].T
     return Xa.T, Yr
 
 
-def _leaves(scheme):
-    """The scheme's components that are not mixtures, depth first."""
-    if scheme.kind != "mixture":
-        return [scheme]
-    return [leaf for c in scheme.components for leaf in _leaves(c)]
-
-
-def _batch_constant(scheme, x, out, rows, gen, het):
+def _batch_constant(scheme, x, out, y, gen):
     """Fill out, a contiguous (m, d) float32 block, with m draws of the
-    augmented datum x (length d), from the column's generator gen; rows
-    are the block's rows of the batch.
+    augmented datum x (length d) from the column's generator gen, and add
+    their label noise to y, the (q, m) block of the datum's repeated
+    labels.
 
     - Masks come from raw bits: 32-bit integers, two per 64-bit draw,
       compared with keep_prob * 2**32. keep_prob 0 and 1 draw no bits and
@@ -231,8 +247,8 @@ def _batch_constant(scheme, x, out, rows, gen, het):
     - Normals are drawn only where an entry is replaced: x is copied by a
       broadcast, then the scaled normals are written into the replaced
       entries by their flat indices.
-    - A heteroskedastic component draws only its normals eta, into its
-      buffer in het, and marks its rows; the caller forms s_x eta.
+    - A heteroskedastic kind draws its normals eta and forms x + s_x eta,
+      and adds s_y eta to y.
     - A mixture draws a component index per draw by inverse CDF on the
       weights, from float32 uniforms, then fills each component's draws.
     """
@@ -250,22 +266,22 @@ def _batch_constant(scheme, x, out, rows, gen, het):
             fill *= scheme.replacement
         out.reshape(-1)[drop] = fill
     elif scheme.kind == "heteroskedastic":
-        _, eta, drew = het[id(scheme)]
-        eta[rows] = gen.standard_normal((m, eta.shape[1]), dtype=np.float32)
-        drew[rows] = True
+        eta = gen.standard_normal((m, scheme.s_x.shape[1]), dtype=np.float32)
+        np.matmul(eta, scheme.s_x.T.astype(np.float32), out=out)
+        out += x
+        if scheme.s_y is not None:
+            y += scheme.s_y @ eta.T
     elif scheme.kind == "mixture":
         u = gen.random(m, dtype=np.float32)
         idx = np.searchsorted(np.cumsum(scheme.weights), u, side="right")
         idx = np.minimum(idx, len(scheme.components) - 1)
-        if isinstance(rows, slice):
-            rows = np.arange(rows.start, rows.stop)
         for j, comp in enumerate(scheme.components):
             sel = np.flatnonzero(idx == j)
             if sel.size == 0:
                 continue
-            sub = np.empty((sel.size, d), dtype=np.float32)
-            _batch_constant(comp, x, sub, rows[sel], gen, het)
-            out[sel] = sub
+            sub, ysub = np.empty((sel.size, d), dtype=np.float32), y[:, sel]
+            _batch_constant(comp, x, sub, ysub, gen)
+            out[sel], y[:, sel] = sub, ysub
     else:
         raise InvalidParameterError(f"unknown scheme kind {scheme.kind!r}")
 

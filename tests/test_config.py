@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from augridge import harness
+from augridge import harness, schemes
 from augridge.cli import main as cli_main
 from augridge.harness import CONFIG_TABLE, ExperimentConfig
 from augridge.features import block_columns
@@ -147,19 +147,26 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, capsys, path,
     assert not (tmp_path / "out").exists()
 
 
-def test_preflight_batch_term():
+def test_preflight_batch_term(monkeypatch):
     # the Monte-Carlo batch term is the larger of a replicate batch,
     # n * n_mc_aug columns in each worker, and a moment-set block of
     # CHUNK * DRAWS columns, which runs before the pool starts. Each
-    # column holds a float32 x' and phi(x') and a float64 label, and the
-    # MLP one block of hidden activations, of fewer than twice
-    # block_columns columns. At CR1_CFG's size the term bounds the traced
-    # peak of one replicate batch from above, within 5%
+    # column holds a float32 x' and phi(x') and a float64 label, the MLP
+    # one block of hidden activations, of fewer than twice block_columns
+    # columns, and each sampler thread one column's temporaries (a pool
+    # worker runs one). With the CPU count pinned at 4, at CR1_CFG's size
+    # the term bounds the traced peak of one replicate batch from above,
+    # within 5%, wherever the test runs
+    monkeypatch.setattr(schemes, "usable_cpus", lambda: 4)
     d, h, p, n, n_mc_aug = 200, 200, 150, 300, 200
+    batch = (4 * d + 4 * p + 8) * n * n_mc_aug + 4 * h * 2 * block_columns(
+        h * p)
+    thread = schemes.THREAD_BYTES_PER_ENTRY * n_mc_aug * d
     config = ExperimentConfig.from_dict(CR1_CFG)
     term = harness._peak_terms(config)[0][0]
-    assert term == ((4 * d + 4 * p + 8) * n * n_mc_aug
-                    + 4 * h * 2 * block_columns(h * p))
+    assert term == batch + 4 * thread
+    assert harness._peak_terms(ExperimentConfig.from_dict(
+        dict(CR1_CFG, workers=2)))[0][0] == 2 * (batch + thread)
     rng = np.random.default_rng(0)
     X = rng.standard_normal((d, n))
     tracemalloc.start()
@@ -173,7 +180,8 @@ def test_preflight_batch_term():
     assert peak <= term <= 1.05 * peak
     col = 4 * 6 + 4 * 4 + 8
     assert harness._peak_terms(ExperimentConfig.from_dict(TINY_MLP))[0] == (
-        col * CHUNK * DRAWS + 4 * 5 * CHUNK * DRAWS, {"data.d": col})
+        col * CHUNK * DRAWS + 4 * 5 * CHUNK * DRAWS
+        + schemes.THREAD_BYTES_PER_ENTRY * DRAWS * 6, {"data.d": col})
 
 
 _SCALAR = (st.none() | st.booleans() | st.integers(-3, 4) | st.floats()

@@ -475,6 +475,8 @@ def test_worker_pool_capped(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(harness, "_worker_payload", None)
     monkeypatch.setattr(schemes, "usable_cpus", lambda: 4)
+    # a pool worker runs one sampler thread; restored after the test
+    monkeypatch.setattr(schemes, "SAMPLER_THREADS", None)
     for replicates, pool in ((3, 3), (6, 4)):
         serial = run_sweep(ExperimentConfig.from_dict(
             _tiny_cfg(replicates=replicates)))
@@ -483,6 +485,7 @@ def test_worker_pool_capped(monkeypatch):
         assert sizes[-1] == pool
         assert [r.to_list() for r in pooled] == [r.to_list() for r in serial]
     assert len(sizes) == 2
+    assert schemes.SAMPLER_THREADS == 1
 
 
 def _spans_module():
@@ -654,13 +657,20 @@ def _mnist_fixture(tmp_path, **over):
 
 
 def test_mnist_pipeline_worker_invariant(tmp_path):
-    c1 = _mnist_fixture(tmp_path)
-    c2 = _mnist_fixture(tmp_path, workers=2)
-    r1 = mnist_pipeline(c1)
-    r2 = mnist_pipeline(c2)
-    assert len(r1) == len(r2) == 2
-    for a, b in zip(r1, r2):
-        assert a.to_list() == b.to_list()
+    # identity features draw nothing; random-MLP features draw
+    # augmentations, and each replicate's seed serves one work unit per
+    # n: the sampler spawns children from the replicate's generator, so
+    # every unit must start from its own copy of the seed, or the second
+    # n's draws depend on which units share a process
+    drawn = {"features": {"kind": "random-mlp", "hidden_sizes": [8],
+                          "output_dim": 6, "seed": 1},
+             "n_grid": [20, 30]}
+    for over, cells in (({}, 2), (drawn, 4)):
+        r1 = mnist_pipeline(_mnist_fixture(tmp_path, **over))
+        r2 = mnist_pipeline(_mnist_fixture(tmp_path, workers=2, **over))
+        assert len(r1) == len(r2) == cells
+        for a, b in zip(r1, r2):
+            assert a.to_list() == b.to_list()
 
 
 def test_mnist_subsample_larger_than_training_set(tmp_path, monkeypatch):

@@ -285,16 +285,16 @@ _STREAM_CASES = {
 }
 
 
-def _column_draws(scheme, x, rows, gen, etas):
-    """m = len(rows) draws of the float32 datum x, written plainly from the
-    column's generator: masks from raw 32-bit integers against
-    keep_prob * 2**32 (no bits at keep_prob 0 or 1), replacement normals
-    put in with np.place, mixtures by inverse CDF on float32 uniforms. A
-    heteroskedastic component keeps its normals in etas by row and
-    returns zeros."""
-    m, d, f32 = len(rows), x.size, np.float32
+def _column_draws(scheme, x, y, gen):
+    """m draws of the float32 datum x and of its float64 labels y (q x m),
+    written plainly from the column's generator: masks from raw 32-bit
+    integers against keep_prob * 2**32 (no bits at keep_prob 0 or 1),
+    replacement normals put in with np.place, heteroskedastic draws as
+    x + s_x eta and y + s_y eta, mixtures by inverse CDF on float32
+    uniforms."""
+    m, d, f32 = y.shape[1], x.size, np.float32
     if scheme.kind == "additive-noise":
-        return x + scheme.sigma_aug * gen.standard_normal((m, d), dtype=f32)
+        return x + scheme.sigma_aug * gen.standard_normal((m, d), dtype=f32), y
     if scheme.kind in ("masking", "salt-and-pepper"):
         keep = np.full((m, d), scheme.keep_prob == 1.0)
         if 0.0 < scheme.keep_prob < 1.0:
@@ -305,42 +305,32 @@ def _column_draws(scheme, x, rows, gen, etas):
         if scheme.kind == "salt-and-pepper":
             z = gen.standard_normal(int((~keep).sum()), dtype=f32)
             np.place(out, ~keep, scheme.replacement * z)
-        return out
+        return out, y
     if scheme.kind == "heteroskedastic":
         eta = gen.standard_normal((m, scheme.s_x.shape[1]), dtype=f32)
-        _, eta_of = etas.setdefault(id(scheme), (scheme, {}))
-        eta_of.update(zip(rows, eta))
-        return np.zeros((m, d), f32)
+        out = eta @ scheme.s_x.astype(f32).T + x
+        return out, y if scheme.s_y is None else y + scheme.s_y @ eta.T
     idx = np.searchsorted(np.cumsum(scheme.weights),
                           gen.random(m, dtype=f32), side="right")
     idx = np.minimum(idx, len(scheme.components) - 1)
-    out = np.empty((m, d), f32)
+    out, y = np.empty((m, d), f32), y.copy()
     for j, comp in enumerate(scheme.components):
         sel = np.flatnonzero(idx == j)
         if sel.size:
-            out[sel] = _column_draws(comp, x, [rows[k] for k in sel], gen,
-                                     etas)
-    return out
+            out[sel], y[:, sel] = _column_draws(comp, x, y[:, sel], gen)
+    return out, y
 
 
 def _per_column_batch(scheme, X, Y, T, rng):
     """The kernel written plainly, one data column at a time from its own
-    child generator: the oracle of the stream-pinning test. A
-    heteroskedastic component's s_x eta and s_y eta are formed over all
-    the rows it drew, as the kernel forms them."""
+    child generator: the oracle of the stream-pinning test."""
     X32 = X.astype(np.float32)
     d, n = X.shape
-    Xa, Yr, etas = np.empty((d, n * T), np.float32), np.repeat(Y, T, 1), {}
+    Xa, Yr = np.empty((d, n * T), np.float32), np.repeat(Y, T, 1)
     for i, gen in enumerate(rng.spawn(n)):
-        rows = list(range(i * T, (i + 1) * T))
-        Xa[:, rows] = _column_draws(scheme, X32[:, i], rows, gen, etas).T
-    for comp, eta_of in etas.values():
-        rows = sorted(eta_of)
-        eta = np.array([eta_of[r] for r in rows])
-        Xa[:, rows] = (eta @ comp.s_x.astype(np.float32).T
-                       + X32.T[np.array(rows) // T]).T
-        if comp.s_y is not None:
-            Yr[:, rows] += comp.s_y @ eta.T
+        rows = slice(i * T, (i + 1) * T)
+        out, Yr[:, rows] = _column_draws(scheme, X32[:, i], Yr[:, rows], gen)
+        Xa[:, rows] = out.T
     return Xa, Yr
 
 
@@ -368,10 +358,9 @@ def test_streamed_batch_keeps_the_random_stream(case, n_draws):
 
 def test_threads_write_disjoint_rows(monkeypatch):
     # more threads than cores, one column a task and a thread switch every
-    # microsecond: each task writes only its own rows of the batch and of
-    # a heteroskedastic component's normals, so no write is lost and the
-    # batch equals the one-thread batch
-    scheme = _STREAM_CASES["mixture-heteroskedastic"]()
+    # microsecond: each task writes only its own rows of the batch, so no
+    # write is lost and the batch equals the one-thread batch
+    scheme = _STREAM_CASES["mixture"]()
     data = np.random.default_rng(4)
     X = data.standard_normal((_STREAM_D, 64))
     Y = data.standard_normal((_STREAM_Q, 64))
@@ -389,6 +378,26 @@ def test_threads_write_disjoint_rows(monkeypatch):
         sys.setswitchinterval(interval)
     for one, many in zip(*batches):
         assert np.array_equal(one, many)
+
+
+@pytest.mark.parametrize("case", ["heteroskedastic-sy",
+                                  "mixture-heteroskedastic"])
+def test_matrix_products_stay_in_the_calling_thread(monkeypatch, case):
+    # a heteroskedastic component's s_x eta is a BLAS call, so a scheme
+    # holding one never starts the sampler's thread pool
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool started")
+
+    monkeypatch.setattr(schemes, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(schemes, "TASK_ENTRIES", 1)
+    monkeypatch.setattr(schemes, "POOL_COLUMN_ENTRIES", 0)
+    monkeypatch.setattr(schemes, "usable_cpus", lambda: 8)
+    X = np.random.default_rng(4).standard_normal((_STREAM_D, 64))
+    sample_augmented_batch(_STREAM_CASES[case](), X, X[:_STREAM_Q], 9,
+                           np.random.default_rng(13))
+    with pytest.raises(AssertionError, match="thread pool started"):
+        sample_augmented_batch(_STREAM_CASES["mixture"](), X, X[:_STREAM_Q],
+                               9, np.random.default_rng(13))
 
 
 def test_masks_exact_at_the_ends_of_the_range():
