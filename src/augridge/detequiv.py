@@ -15,17 +15,17 @@ and D, and a fit's at B = W^2 on its sample's moment set. It is solved by
 safeguarded Newton on the free entries of B, starting from the
 infinite-data limit B = W^2: b11 alone at alpha = 0, b22 alone at
 alpha = 1, (b11, b12, b22) otherwise. A step factors M(B) = L L^T once and
-whitens the blocks X = (Sigma, sym Sigma', Sigma'') into
-Z_i = L^{-1} X_i L^{-T} by one LAPACK dsygst per block, so
-tr(X_i R_bar) = tr Z_i. dsygst reads and writes only the lower triangle,
-so each Z_i is kept as its lower triangle over zeros. Through
-dR_bar = -R_bar dM R_bar and dF = -n^{-1} F dA F, the exact Jacobian of F
-needs only T_ij = tr(X_i R_bar X_j R_bar) = <Z_i, Z_j>_F, read from the
-lower triangles as 2 <tril Z_i, tril Z_j> - <diag Z_i, diag Z_j>. A step
-is halved while M(B) is not positive definite or the residual
-||F(B) - B||_F grows; it is not held inside the Loewner box
-0 <= B <= W^2, because with a nearly rank-one A (masking) the fixed
-point lies on its boundary.
+whitens each distinct block of X = (Sigma, sym Sigma', Sigma'') (Sigma
+alone on a set of scale c, whose X_i = c^i Sigma) into Z = L^{-1} X L^{-T}
+by one LAPACK dsygst, so tr(X_i R_bar) = tr Z_i. dsygst reads and writes
+only the lower triangle, so each Z_i is kept as its lower triangle over
+zeros. Through dR_bar = -R_bar dM R_bar and dF = -n^{-1} F dA F, the
+exact Jacobian of F needs only T_ij = tr(X_i R_bar X_j R_bar) =
+<Z_i, Z_j>_F, read from the lower triangles as 2 <tril Z_i, tril Z_j> -
+<diag Z_i, diag Z_j>. A step is halved while M(B) is not positive
+definite or the residual ||F(B) - B||_F grows; it is not held inside the
+Loewner box 0 <= B <= W^2, because with a nearly rank-one A (masking) the
+fixed point lies on its boundary.
 
 The random resolvent expectation is closed with R_bar itself, the only
 deterministic closure available; its validity is what the Monte-Carlo
@@ -39,6 +39,7 @@ with kappa = n^{-1} p beta^2 / (beta + lam)^2, where d0 alone gives kappa.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,32 +118,6 @@ def _solve_linearized(F, T, free, n, rhs):
     return x
 
 
-def _whiten(L, X):
-    """The lower triangle of L^{-1} X L^{-T}, for a symmetric X given by
-    its lower triangle, by one LAPACK dsygst on a copy of X. dsygst leaves
-    the strict upper triangle as X has it: zeros for _DilationMap's
-    blocks."""
-    return lapack.dsygst(X, L, itype=1, lower=1)[0]
-
-
-def _traces(Z):
-    """tr Z_i and <Z_i, Z_j>_F over the whitened blocks, 0 elsewhere. Each
-    Z_i holds a symmetric matrix as its lower triangle over zeros, so the
-    Frobenius product of two such matrices is twice that of the stored
-    arrays less that of their diagonals."""
-    a = np.zeros(3)
-    T = np.zeros((3, 3))
-    flat = {k: z.ravel(order="K") for k, z in Z.items()}
-    diag = {k: np.diagonal(z) for k, z in Z.items()}
-    for i in flat:
-        a[i] = diag[i].sum()
-        for j in flat:
-            if j >= i:
-                T[i, j] = T[j, i] = (2.0 * np.dot(flat[i], flat[j])
-                                     - np.dot(diag[i], diag[j]))
-    return a, T
-
-
 @dataclass
 class _Point:
     b: np.ndarray  # (b11, b12, b22)
@@ -161,13 +136,41 @@ class _DilationMap:
         self.ms, self.alpha, self.lam, self.n = ms, alpha, lam, n
         self.W = np.diag([np.sqrt(1.0 - alpha), np.sqrt(alpha)])
         self.free = _free(alpha)
-        # the blocks that enter (Sigma always: C_bar needs it at alpha = 1)
-        # as their lower triangles over zeros, in the Fortran order dsygst
-        # copies without a transpose; the set stores Sigma' symmetric
+        # the distinct blocks that enter (Sigma always: C_bar needs it at
+        # alpha = 1) as their lower triangles over zeros, in the Fortran
+        # order dsygst copies without a transpose (the set stores Sigma'
+        # symmetric); block i is w_i times block source_i: itself, or
+        # c^i Sigma on a set of scale c
+        c = ms.scale
+        self.w = (1.0, 1.0, 1.0) if c is None else (1.0, c, c * c)
+        self.source = (0, 1, 2) if c is None else (0, 0, 0)
         block = (lambda: ms.Sigma, ms.sigma_prime,
                  lambda: ms.SigmaDoublePrime)
         self.X = {k: np.asfortranarray(np.tril(block[k]()))
-                  for k in sorted({0, *self.free})}
+                  for k in {self.source[i] for i in (0, *self.free)}}
+
+    def traces(self, L, blocks, Z=None):
+        """(Z, a, T): Z the distinct blocks whitened, each by one dsygst on
+        a copy of X_k unless the given Z holds it; a_i = tr Z_i and T_ij =
+        <Z_i, Z_j>_F over `blocks` (0 elsewhere), Z_i = w_i Z_source(i).
+        Each Z_k holds a symmetric matrix as its lower triangle over zeros,
+        so the Frobenius product of two is twice that of the stored arrays
+        less that of their diagonals."""
+        Z, src, w = dict(Z or {}), self.source, self.w
+        for k in {src[i] for i in blocks} - Z.keys():
+            Z[k] = lapack.dsygst(self.X[k], L, itype=1, lower=1)[0]
+
+        @functools.cache  # once per pair of distinct blocks
+        def frobenius(k, m):
+            return (2.0 * np.dot(Z[k].ravel(order="K"), Z[m].ravel(order="K"))
+                    - np.dot(np.diagonal(Z[k]), np.diagonal(Z[m])))
+
+        a, T = np.zeros(3), np.zeros((3, 3))
+        for first, i in enumerate(blocks):
+            a[i] = w[i] * np.diagonal(Z[src[i]]).sum()
+            for j in blocks[first:]:
+                T[i, j] = T[j, i] = w[i] * w[j] * frobenius(src[i], src[j])
+        return Z, a, T
 
     def at(self, b, what=None):
         """The point b, or None when M(B) is not finite or not positive
@@ -182,8 +185,7 @@ class _DilationMap:
         L = _cholesky(M, what)
         if L is None:
             return None
-        Z = {k: _whiten(L, self.X[k]) for k in self.free}
-        a, T = _traces(Z)
+        Z, a, T = self.traces(L, self.free)
         W = self.W
         F = W @ np.linalg.solve(np.eye(2) + W @ _sym2(a) @ W / self.n, W)
         F = 0.5 * (F + F.T)
@@ -240,8 +242,7 @@ def solve_fixed_point(moment_set, alpha, lam, n,
     if P.L is None:  # the last line search failed
         P = fmap.at(P.b)
     if 0 not in fmap.free:  # alpha = 1: C_bar needs tr(Sigma'' R Sigma R)
-        P.Z[0] = _whiten(P.L, fmap.X[0])
-        P.a, P.T = _traces(P.Z)
+        _, P.a, P.T = fmap.traces(P.L, (0, *fmap.free), P.Z)
     P.Z = None
     R, _ = lapack.dpotri(P.L, lower=1, overwrite_c=1)
     R += np.tril(R, -1).T

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import detequiv, ridge, schemes
+from . import detequiv, features, ridge, schemes
 from .datasets import (
     IMAGE_SIDE,
     PATCH_SIDE,
@@ -31,8 +31,7 @@ from .datasets import (
 )
 from .errors import (ConfigError, DataError, InvalidDimensionError,
                      NumericalFailureError)
-from .features import (FeatureMap, block_columns, identity_map,
-                       random_mlp_map)
+from .features import block_columns, identity_map, random_mlp_map
 from .moments import (
     CHUNK,
     DRAWS,
@@ -468,11 +467,11 @@ class _FreshDraws:
 class _Subsamples:
     """A fixed training set: every replicate restarts from its seed for
     each n and subsamples n columns without replacement; the risk is the
-    error on the held-out set."""
+    error on the held-out set, whose features are computed once."""
 
     train: InpaintingTask
-    test: InpaintingTask
-    fmap: FeatureMap
+    test_features: np.ndarray
+    test_Y: np.ndarray
 
     def units(self, seeds, n_list):
         return [(s, (n,)) for n in dict.fromkeys(n_list) for s in seeds]
@@ -482,8 +481,8 @@ class _Subsamples:
         return self.train.X[:, cols], self.train.Y[:, cols]
 
     def risk(self, theta, chi, overlap, moment_set):
-        return ridge.empirical_generalization(theta, self.test.X,
-                                              self.test.Y, self.fmap)
+        return ridge.empirical_generalization(theta, self.test_features,
+                                              self.test_Y)
 
 
 def _replicate(source, fmap, scheme, n_mc_aug, alpha_grid, seed_seq, n_list):
@@ -768,5 +767,7 @@ def mnist_pipeline(config, csv_name=None):
         fmap, None, scheme, lambda a, b: (train.X[:, a:b], train.Y[:, a:b]),
         train.X.shape[1], rng,
     )
-    return _sweep(config, _Subsamples(train, test, fmap), fmap, scheme,
-                  moment_set, csv_name)
+    source = _Subsamples(train, features.apply_features(fmap, test.X),
+                         test.Y)
+    del test  # only its features and labels are read
+    return _sweep(config, source, fmap, scheme, moment_set, csv_name)

@@ -69,14 +69,14 @@ def psd_clip(M, floor=0.0):
 def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
     """Vectorized per-sample moments of all columns of (X, Y).
 
-    Returns (MuX: p x n, LambdaBar: p x p, OmegaBar: p x q, draws) where
-    LambdaBar, OmegaBar are the empirical averages over the n samples
+    Returns (MuX: p x n, LambdaBar: p x p, OmegaBar: p x q, draws, scale)
+    where LambdaBar, OmegaBar are the empirical averages over the n samples
     (unbiased per-sample normalization); mu_y = y is not estimated.
     Identity features take the closed form of schemes.closed_moments, with
-    the batch's coordinate second moments and second-moment matrix, and
-    draws = 0; otherwise draws = n_mc Monte-Carlo draws per sample, pushed
-    through the feature map in one batch. One column gives the moments of
-    one datum.
+    the batch's coordinate second moments and second-moment matrix: MuX =
+    c X, draws = 0 and scale = c; otherwise n_mc draws per sample go
+    through the feature map in one batch, and scale is None. One column
+    gives the moments of one datum.
 
     The draws and the feature map run in float32 (the kernel's values
     carry a Monte-Carlo error far above its rounding). The means are
@@ -93,7 +93,7 @@ def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
     if feature_map.kind == "identity":
         c, LambdaBar, OmegaBar = closed_moments(
             scheme, (X * X).mean(1), lambda: X @ X.T / n, q)
-        return c * X, LambdaBar, OmegaBar, 0
+        return c * X, LambdaBar, OmegaBar, 0, c
     if n_mc < 2:
         raise InsufficientSamplesError(
             "n_mc >= 2 required without a closed form"
@@ -115,7 +115,7 @@ def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
         Sxy = (Pa @ Ya.T.astype(np.float32)).astype(float) / (n * n_mc)
         Mxy = MuX @ MuY.T / n
         OmegaBar = n_mc / (n_mc - 1) * (Sxy - Mxy)
-    return MuX, LambdaBar, OmegaBar, n_mc
+    return MuX, LambdaBar, OmegaBar, n_mc, None
 
 
 # the largest magnitude whose square is finite
@@ -142,10 +142,11 @@ class MomentSet:
     Frozen, the set checks itself where it is made and in replace: p x p,
     p x q and length-q shapes (InvalidDimensionError), every entry and
     its square finite (NumericalFailureError), and the p x p blocks
-    exactly symmetric and the provenance one of PROVENANCES
-    (PreconditionViolationError). Only a replicate's set ("sample") has
-    SigmaPrime = None, read through sigma_prime(): its fit's system has
-    b12 = 0, and forming it costs a p x n x p product.
+    exactly symmetric, the provenance one of PROVENANCES and, at a scale
+    c (identity features, mu_x = c x), Sigma' = c Sigma and Sigma'' =
+    c c Sigma exactly (PreconditionViolationError). Only a replicate's set
+    ("sample") has SigmaPrime = None, read through sigma_prime(): its
+    fit's system has b12 = 0, and forming it costs a p x n x p product.
     """
 
     Sigma: np.ndarray
@@ -158,6 +159,7 @@ class MomentSet:
     OmegaBar: np.ndarray
     n_mc_used: int = 0
     provenance: str = "closed-form"
+    scale: float | None = None
 
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
@@ -181,6 +183,14 @@ class MomentSet:
                     f"{what} has a non-finite entry or square")
             if form == "pp" and not np.array_equal(M, M.T):
                 raise PreconditionViolationError(f"{what} is not symmetric")
+        c = self.scale
+        if c is not None and not all(
+                M is None or np.array_equal(M, w * self.Sigma)
+                for M, w in ((self.SigmaPrime, c), (self.SigmaDoublePrime,
+                                                    c * c))):
+            raise PreconditionViolationError(
+                f"a moment set of scale {c!r} needs SigmaPrime = c Sigma "
+                "and SigmaDoublePrime = c c Sigma")
 
     @property
     def q(self):
@@ -196,25 +206,26 @@ class MomentSet:
 
 CHUNK = 512  # data columns per estimation block
 DRAWS = 10  # augmentations per data column of a Monte-Carlo moment set
-# A block's rounding relative to its moment set's size: 1e-8 in float64;
-# for a Monte-Carlo block, the CHUNK * DRAWS float32 terms (draws,
-# features, sgemm products) a chunk sums, each rounded within float32's
-# epsilon, add up as a random walk to sqrt(CHUNK * DRAWS) eps = 8.5e-6
+# A Monte-Carlo block's rounding relative to its moment set's size: the
+# CHUNK * DRAWS float32 terms (draws, features, sgemm products) a chunk
+# sums, each rounded within float32's epsilon, add up as a random walk to
+# sqrt(CHUNK * DRAWS) eps = 8.5e-6
 _KERNEL_ROUNDING = float(np.sqrt(CHUNK * DRAWS) * np.finfo(np.float32).eps)
 
 
 def estimate_moment_set(feature_map, truth_map, scheme, take, total, rng,
                         theta_star=None, noise_sigma2=None):
-    """Estimate every MomentSet block by Monte-Carlo averaging over `total`
-    data columns, read in blocks of CHUNK columns: ``take(a, b)`` returns
-    the columns a..b-1 as (X: d x (b-a), Y: q x (b-a)). provenance is
+    """Estimate every MomentSet block by averaging over `total` data
+    columns, read in blocks of CHUNK columns: ``take(a, b)`` returns the
+    columns a..b-1 as (X: d x (b-a), Y: q x (b-a)). provenance is
     "empirical-plugin" when truth_map is None (labels read from the data),
     "monte-carlo" otherwise.
 
-    Each column's augmentation moments come from DRAWS draws (none with
-    identity features). SigmaDoublePrime, the one block built from two
-    estimated means, is debiased by LambdaBar/draws with the draw count
-    the chunks report, so every block is unbiased. The label blocks read Y
+    Identity features sum only X X^T, X Y^T and Y^2: identity_moment_set
+    of their averages needs no clip, a Gram having no negative eigenvalue.
+    Otherwise each column's augmentation moments come from DRAWS draws,
+    and SigmaDoublePrime, built from two estimated means, is debiased by
+    LambdaBar/draws, so every block is unbiased. The label blocks read Y
     itself: mu_y = y for every scheme.
 
     When theta_star and noise_sigma2 are given (synthetic well-known truth),
@@ -232,6 +243,8 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total, rng,
                            (theta_star, truth_map, noise_sigma2))
     if condition_labels:
         theta_star = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
+    provenance = "empirical-plugin" if truth_map is None else "monte-carlo"
+    identity = feature_map.kind == "identity"
     sums = {}  # MomentSet field -> sum over the columns read so far
 
     def add(name, block):
@@ -242,37 +255,55 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total, rng,
     for a in range(0, total, CHUNK):
         X, Y = take(a, min(a + CHUNK, total))
         Phi = apply_features(feature_map, X)
-        MuX, Lam_c, Om_c, draws = batch_sample_moments(
-            scheme, feature_map, X, Y, DRAWS, rng)
+        if not identity:
+            MuX, Lam_c, Om_c, draws, _ = batch_sample_moments(
+                scheme, feature_map, X, Y, DRAWS, rng)
+            add("LambdaBar", X.shape[1] * Lam_c)
+            add("OmegaBar", X.shape[1] * Om_c)
         if condition_labels:
             Y = theta_star.T @ apply_features(truth_map, X)
-        for name, A, B in (("Sigma", Phi, Phi), ("SigmaPrime", Phi, MuX),
-                           ("SigmaDoublePrime", MuX, MuX), ("G1", Phi, Y),
-                           ("G3", MuX, Y)):
+        products = (("Sigma", Phi, Phi), ("G1", Phi, Y))
+        if not identity:
+            products += (("SigmaPrime", Phi, MuX),
+                         ("SigmaDoublePrime", MuX, MuX), ("G3", MuX, Y))
+        for name, A, B in products:
             add(name, A @ B.T)
         add("EY2", (Y * Y).sum(1))
-        add("LambdaBar", X.shape[1] * Lam_c)
-        add("OmegaBar", X.shape[1] * Om_c)
 
     for M in sums.values():
         M /= total
-    if draws:
-        # remove the O(1/draws) bias of mu_hat outer products
-        sums["SigmaDoublePrime"] -= sums["LambdaBar"] / draws
     if condition_labels:
         sums["EY2"] += float(noise_sigma2)
+    if identity:
+        S, G1 = sums["Sigma"], sums["G1"]
+        return identity_moment_set(S, G1, sums["EY2"], closed_moments(
+            scheme, np.diag(S), lambda: S, G1.shape[1]), total, provenance)
+    # remove the O(1/draws) bias of mu_hat outer products
+    sums["SigmaDoublePrime"] -= sums["LambdaBar"] / draws
     sums["SigmaPrime"] = symmetrize(sums["SigmaPrime"])
     # the set checks its blocks finite before eigh reads them
-    ms = MomentSet(**sums, n_mc_used=total, provenance="empirical-plugin"
-                   if truth_map is None else "monte-carlo")
+    ms = MomentSet(**sums, n_mc_used=total, provenance=provenance)
     del sums  # each clip below then frees the block it replaces
     ms = replace(ms, Sigma=psd_clip(ms.Sigma))
     # the other blocks' rounding is relative to the size of Sigma
-    floor = ((_KERNEL_ROUNDING if draws else 1e-8)
-             * float(np.linalg.eigvalsh(ms.Sigma)[-1]))
+    floor = _KERNEL_ROUNDING * float(np.linalg.eigvalsh(ms.Sigma)[-1])
     for name in ("SigmaDoublePrime", "LambdaBar"):
         ms = replace(ms, **{name: psd_clip(getattr(ms, name), floor)})
     return ms
+
+
+def identity_moment_set(S, G1, EY2, closed, n_mc_used, provenance):
+    """The MomentSet of identity features (population, plug-in estimate or
+    replicate's sample) from its one Gram S = E[x x^T], G1 = E[x y^T],
+    EY2 = E[y^2] and closed = schemes.closed_moments = (c, LambdaBar,
+    OmegaBar): mu_x = c x, so Sigma' = c S (none for a "sample"),
+    Sigma'' = c c S, G3 = c G1, and the set's scale is c."""
+    c, LambdaBar, OmegaBar = closed
+    return MomentSet(
+        Sigma=S, SigmaPrime=None if provenance == "sample" else c * S,
+        SigmaDoublePrime=c * c * S, G1=G1, G3=c * G1, EY2=EY2,
+        LambdaBar=LambdaBar, OmegaBar=OmegaBar, n_mc_used=n_mc_used,
+        provenance=provenance, scale=c)
 
 
 def closed_population_moment_set(Sigma, scheme, theta_star, sigma2):
@@ -280,22 +311,15 @@ def closed_population_moment_set(Sigma, scheme, theta_star, sigma2):
     map and centered data with covariance Sigma, for any scheme.
 
     Sigma is symmetrized first (Q diag(e) Q^T is not exactly symmetric).
-    schemes.closed_moments gives (c, LambdaBar, OmegaBar) with
-    v = diag Sigma and S = Sigma; then Sigma' = c Sigma, Sigma'' = c^2 Sigma,
-    G1 = Sigma theta*, G3 = c G1 and EY2 = theta*^T Sigma theta* + sigma2.
-    Every block is an exact formula, so no Monte-Carlo error enters the
-    equivalents.
+    G1 = Sigma theta* and EY2 = theta*^T Sigma theta* + sigma2: every block
+    is an exact formula, so no Monte-Carlo error enters the equivalents.
     """
     Sigma = symmetrize(np.asarray(Sigma, dtype=float))
     theta = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
-    q = theta.shape[1]
-    c, LambdaBar, OmegaBar = closed_moments(scheme, np.diag(Sigma),
-                                            lambda: Sigma, q)
     G1 = Sigma @ theta
     # theta^T Sigma theta per output: ridge.quadratic_form with its GEMM
     # already done as G1
-    return MomentSet(Sigma=Sigma, SigmaPrime=c * Sigma,
-                     SigmaDoublePrime=c * c * Sigma, G1=G1, G3=c * G1,
-                     EY2=np.einsum("ij,ij->j", theta, G1) + sigma2,
-                     LambdaBar=LambdaBar, OmegaBar=OmegaBar,
-                     n_mc_used=0, provenance="closed-form")
+    return identity_moment_set(
+        Sigma, G1, np.einsum("ij,ij->j", theta, G1) + sigma2,
+        closed_moments(scheme, np.diag(Sigma), lambda: Sigma, theta.shape[1]),
+        0, "closed-form")

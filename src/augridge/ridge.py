@@ -37,7 +37,7 @@ from scipy.linalg import lapack
 from .errors import (EmptyInputError, InvalidDimensionError,
                      InvalidParameterError, NumericalFailureError)
 from .features import apply_features
-from .moments import MomentSet, symmetrize
+from .moments import MomentSet, identity_moment_set, symmetrize
 
 
 def assemble_design(X, Y, feature_map, sample_moments):
@@ -46,10 +46,11 @@ def assemble_design(X, Y, feature_map, sample_moments):
     mu_x Y^T / n, EY2 the mean of Y^2, the averaged LambdaBar and OmegaBar,
     no SigmaPrime, n_mc_used = n and provenance "sample".
 
-    sample_moments is the (MuX, LambdaBar, OmegaBar, draws) tuple from
-    moments.batch_sample_moments. When the per-sample means were
-    estimated from draws > 0 augmentations, the O(1/draws) bias of
-    SigmaDoublePrime (an outer product of estimated means) is removed.
+    sample_moments is the (MuX, LambdaBar, OmegaBar, draws, scale) tuple
+    from moments.batch_sample_moments. With exact means mu_x = c x (scale
+    c), the set is moments.identity_moment_set of its one Gram. When the
+    means were estimated from draws > 0 augmentations, the O(1/draws) bias
+    of SigmaDoublePrime (an outer product of estimated means) is removed.
     """
     X = np.asarray(X, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -59,20 +60,22 @@ def assemble_design(X, Y, feature_map, sample_moments):
     if Y.shape[1] != n:
         raise InvalidDimensionError("X and Y column counts differ")
     Phi = apply_features(feature_map, X)
-    MuX, LambdaBar, OmegaBar, draws = sample_moments
+    MuX, LambdaBar, OmegaBar, draws, scale = sample_moments
     if MuX.shape[1] != n:
         raise InvalidDimensionError("per-sample moments do not match n")
     # numpy's A @ A.T mirrors one triangle: exactly symmetric, as required
     Sigma = Phi @ Phi.T / n
+    G1, EY2 = Phi @ Y.T / n, (Y * Y).mean(1)
+    if scale is not None:
+        return identity_moment_set(Sigma, G1, EY2,
+                                   (scale, LambdaBar, OmegaBar), n, "sample")
     SigmaDoublePrime = MuX @ MuX.T / n
     if draws:
         SigmaDoublePrime -= LambdaBar / draws
     return MomentSet(
-        Sigma=Sigma, SigmaPrime=None,
-        SigmaDoublePrime=SigmaDoublePrime, G1=Phi @ Y.T / n,
-        G3=MuX @ Y.T / n, EY2=(Y * Y).mean(1), LambdaBar=LambdaBar,
-        OmegaBar=OmegaBar, n_mc_used=n, provenance="sample",
-    )
+        Sigma=Sigma, SigmaPrime=None, SigmaDoublePrime=SigmaDoublePrime,
+        G1=G1, G3=MuX @ Y.T / n, EY2=EY2, LambdaBar=LambdaBar,
+        OmegaBar=OmegaBar, n_mc_used=n, provenance="sample")
 
 
 def _not_positive_definite(A, what):
@@ -186,14 +189,14 @@ def xi_derivative_fd(system, lam, Sigma):
     return float(out[0, 0]) if out.shape == (1, 1) else out
 
 
-def empirical_generalization(theta, test_X, test_Y, feature_map):
-    """Mean squared test error of theta, averaged over outputs."""
-    test_X = np.asarray(test_X, dtype=float)
+def empirical_generalization(theta, test_features, test_Y):
+    """Mean squared test error of theta on a test set's features, averaged
+    over outputs."""
+    test_features = np.asarray(test_features, dtype=float)
     test_Y = np.atleast_2d(np.asarray(test_Y, dtype=float))
-    if test_X.shape[1] == 0:
+    if test_features.shape[1] == 0:
         raise EmptyInputError("empty test set")
-    pred = theta.T @ apply_features(feature_map, test_X)
-    return float(np.mean((pred - test_Y) ** 2))
+    return float(np.mean((theta.T @ test_features - test_Y) ** 2))
 
 
 def quadratic_form(A, S, B):

@@ -320,7 +320,7 @@ def closed_moments(scheme, v, S, q):
         return 1.0, scheme.sigma_aug ** 2 * np.eye(d), np.zeros((d, q))
     if scheme.kind in ("masking", "salt-and-pepper"):
         m, s = scheme.keep_prob, scheme.replacement  # s = 0 for masking
-        return (m, (1.0 - m) * (m * np.diag(v) + float(s) ** 2 * np.eye(d)),
+        return (m, np.diag((1.0 - m) * (m * v + float(s) ** 2)),
                 np.zeros((d, q)))
     if scheme.kind == "heteroskedastic":
         s_x, s_y = scheme.s_x, scheme.s_y

@@ -343,7 +343,7 @@ def test_whitened_traces_match_two_triangular_solves():
     K = G @ G.T
     ms = replace(_aniso_masking_ms(p, seed=6), Sigma=K[:p, :p],
                  SigmaPrime=0.5 * (K[:p, p:] + K[p:, :p]),
-                 SigmaDoublePrime=K[p:, p:])
+                 SigmaDoublePrime=K[p:, p:], scale=None)
     alpha, lam, n = 0.5, 0.05, 150
     state = solve_fixed_point(ms, alpha, lam, n)
     assert state.converged
@@ -387,3 +387,46 @@ def test_sample_set_refuses_every_reader_of_sigma_prime(seed, alpha, b12,
             wellspecified_reduction(state, compute_second_order(state, ms),
                                     ms, theta, 0.0)
     assert raised.value.exit_code == 2
+
+
+@pytest.mark.parametrize("c", [1.0, 0.5, 0.7])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_a_recorded_scale_whitens_sigma_alone(monkeypatch, c, alpha):
+    # a set of scale c has Sigma' = c Sigma and Sigma'' = c c Sigma, so a
+    # Newton point whitens Sigma once and scales the result. Against the
+    # same blocks with the scale dropped (a dsygst per block), the state
+    # is bit for bit the same where c^k Z is exact (c = 1 and 0.5), and
+    # within rounding at c = 0.7; the scaled solve whitens once a point
+    # (at alpha = 1 the last point's Z_0 is kept for C_bar)
+    from augridge import detequiv
+
+    p, lam, n = 60, 0.05, 45
+    rng = np.random.default_rng(71)
+    Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    ms = closed_population_moment_set((Q * rng.uniform(0.1, 3.0, p)) @ Q.T,
+                                      masking(c), rng.standard_normal(p)
+                                      / np.sqrt(p), 0.1)
+    assert ms.scale == c
+    dsygst, calls = detequiv.lapack.dsygst, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return dsygst(*args, **kwargs)
+
+    monkeypatch.setattr(detequiv.lapack, "dsygst", counted)
+    states, counts = [], []
+    for s in (ms, replace(ms, scale=None)):
+        calls.clear()
+        states.append(solve_fixed_point(s, alpha, lam, n))
+        counts.append(len(calls))
+    scaled, plain = states
+    assert scaled.converged and scaled.iterations == plain.iterations
+    free = detequiv._free(alpha)
+    assert counts[1] == len(free) * counts[0] + (alpha == 1.0)
+    for name in ("B", "T_traces", "R_bar"):
+        got, want = getattr(scaled, name), getattr(plain, name)
+        if c in (1.0, 0.5):
+            assert np.array_equal(got, want), name
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())

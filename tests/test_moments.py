@@ -22,12 +22,14 @@ from augridge.moments import (
     batch_sample_moments,
     closed_population_moment_set,
     estimate_moment_set,
+    identity_moment_set,
     psd_clip,
     symmetrize,
 )
 from augridge.ridge import assemble_design
 from augridge.schemes import (
     additive_noise,
+    closed_moments,
     heteroskedastic,
     masking,
     mixture,
@@ -48,8 +50,8 @@ def _draws(spec, rng):
 def _one_column(scheme, fm, z, n_mc, rng):
     """The moments of one datum: a one-column batch_sample_moments call."""
     x, y = z
-    mu_x, lam, om, _ = batch_sample_moments(scheme, fm, x[:, None],
-                                            y[:, None], n_mc, rng)
+    mu_x, lam, om, _, _ = batch_sample_moments(scheme, fm, x[:, None],
+                                               y[:, None], n_mc, rng)
     return mu_x[:, 0], lam, om
 
 
@@ -112,7 +114,7 @@ def test_empirical_average_shrinks_like_root_n():
         for rep in range(60):
             rng = _rng(1000 * n + rep)
             X = spec.covariance_sqrt() @ rng.standard_normal((d, n))
-            _, lam_bar, _, _ = batch_sample_moments(
+            _, lam_bar, _, _, _ = batch_sample_moments(
                 scheme, fm, X, np.zeros((1, n)), 2, rng)
             dev.append(np.linalg.norm(lam_bar - ms.LambdaBar))
         errs[n] = np.mean(dev)
@@ -225,7 +227,8 @@ def test_estimate_reads_fixed_data_in_chunks():
     ms = estimate_moment_set(fm, None, masking(0.7), take, n, rng)
     assert seen == [(0, 512), (512, 1024), (1024, 1100)]
     assert ms.provenance == "empirical-plugin" and ms.n_mc_used == n
-    MuX, Lam, Om, _ = batch_sample_moments(masking(0.7), fm, X, Y, 2, rng)
+    MuX, Lam, Om, _, _ = batch_sample_moments(masking(0.7), fm, X, Y, 2,
+                                              rng)
     expected = {
         "Sigma": X @ X.T / n, "SigmaPrime": X @ MuX.T / n,
         "SigmaDoublePrime": MuX @ MuX.T / n, "G1": X @ Y.T / n,
@@ -456,8 +459,8 @@ def test_psd_clip_floor_of_the_float32_kernel(monkeypatch):
     kernel = moments.batch_sample_moments
 
     def shifted(*args):
-        MuX, Lam, Om, draws = kernel(*args)
-        return MuX, Lam - 1e-4 * size * np.outer(v, v), Om, draws
+        MuX, Lam, Om, draws, scale = kernel(*args)
+        return MuX, Lam - 1e-4 * size * np.outer(v, v), Om, draws, scale
 
     monkeypatch.setattr(moments, "batch_sample_moments", shifted)
     with pytest.warns(UserWarning, match="clipping eigenvalue -"):
@@ -546,7 +549,7 @@ def _float64_moments(scheme, fm, X, Y, n_mc, rng):
     MuX = Pa.reshape(p, n, n_mc).mean(axis=2)
     Lam = symmetrize(n_mc / (n_mc - 1)
                      * (Pa @ Pa.T / (n * n_mc) - MuX @ MuX.T / n))
-    return MuX, Lam, np.zeros((p, Y.shape[0])), n_mc
+    return MuX, Lam, np.zeros((p, Y.shape[0])), n_mc, None
 
 
 def _rel(a, b):
@@ -640,3 +643,65 @@ def test_a_broken_moment_set_is_refused_where_it_is_made(p, q, seed, fault,
         state = solve_fixed_point(bad, 0.5, 0.1, 10)
         equivalents(state, compute_second_order(state, bad), bad, 0.1)
     assert raised.value.exit_code == error.exit_code
+
+
+_HET_SY = heteroskedastic(0.3 * np.ones((5, 2)) + 0.1 * np.eye(5, 2),
+                          np.array([[0.4, -0.2], [0.1, 0.3]]))
+
+
+@pytest.mark.parametrize("scheme", [
+    additive_noise(0.4), masking(0.7), salt_and_pepper(0.6, 0.5), _HET_SY,
+    mixture([masking(0.5), _HET_SY, additive_noise(0.2)], [0.3, 0.3, 0.4]),
+], ids=["additive", "masking", "salt-and-pepper", "heteroskedastic",
+        "mixture"])
+def test_identity_plugin_is_the_closed_form_of_the_data(scheme):
+    # the chunked identity estimate sums X X^T, X Y^T and Y^2 over three
+    # chunks, and equals identity_moment_set of the whole data's second
+    # moments at once: every block, the scale, and no clip (a Gram is PSD)
+    d, q, N = 5, 2, 1100
+    rng = _rng(31)
+    X = rng.standard_normal((d, d)) @ rng.standard_normal((d, N))
+    Y = rng.standard_normal((q, d)) @ X + rng.standard_normal((q, N))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ms = estimate_moment_set(identity_map(d), None, scheme,
+                                 lambda a, b: (X[:, a:b], Y[:, a:b]), N,
+                                 _rng(32))
+    S = X @ X.T / N
+    exact = identity_moment_set(
+        S, X @ Y.T / N, (Y * Y).mean(1),
+        closed_moments(scheme, np.diag(S), lambda: S, q), N,
+        "empirical-plugin")
+    assert ms.provenance == "empirical-plugin" and ms.n_mc_used == N
+    assert ms.scale == exact.scale
+    for f in fields(MomentSet):
+        got, want = getattr(ms, f.name), getattr(exact, f.name)
+        if isinstance(want, np.ndarray):
+            scale = max(np.abs(want).max(), 1.0)
+            assert np.abs(got - want).max() <= 1e-12 * scale, f.name
+
+
+@pytest.mark.parametrize("fault", ["sigma-prime", "sigma-double-prime",
+                                   "scale", "sample"])
+def test_a_set_whose_blocks_are_not_its_scaled_sigma_is_refused(fault):
+    # a set of scale c must have Sigma' = c Sigma and Sigma'' = c c Sigma
+    # exactly: one ulp off in a symmetric block, a scale that its blocks do
+    # not have, or a replicate's set whose Sigma'' is off, each exit 2
+    rng = _rng(33)
+    A = rng.standard_normal((4, 4))
+    ms = closed_population_moment_set(A @ A.T, masking(0.5),
+                                      rng.standard_normal(4), 0.1)
+    assert ms.scale == 0.5
+    up = np.nextafter(ms.SigmaDoublePrime, np.inf)  # still symmetric
+    change = {
+        "sigma-prime": dict(SigmaPrime=np.nextafter(ms.SigmaPrime, np.inf)),
+        "sigma-double-prime": dict(SigmaDoublePrime=up),
+        "scale": dict(scale=0.6),
+        "sample": dict(SigmaPrime=None, provenance="sample",
+                       SigmaDoublePrime=up),
+    }[fault]
+    with pytest.raises(PreconditionViolationError,
+                       match="needs SigmaPrime = c Sigma") as raised:
+        replace(ms, **change)
+    assert raised.value.exit_code == 2
+    replace(ms, **{**change, "scale": None})  # no scale: valid

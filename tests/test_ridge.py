@@ -32,6 +32,7 @@ from augridge.ridge import (
 from augridge.schemes import (
     additive_noise,
     heteroskedastic,
+    masking,
     salt_and_pepper,
 )
 
@@ -170,7 +171,8 @@ def test_non_finite_design_raises(block, name):
         replace(d, **{block: bad})
     first = {"regularized matrix": "Sigma", "right-hand side": "G1"}[name]
     M = getattr(d, first)
-    huge = replace(d, **{first: 1e154 / np.abs(M).max() * M})
+    # Sigma'' no longer equals the scaled Sigma: the set has no scale
+    huge = replace(d, **{first: 1e154 / np.abs(M).max() * M}, scale=None)
     with np.errstate(over="ignore"), pytest.raises(
             NumericalFailureError, match=f"{name} is not finite"):
         normal_equations(huge, np.diag([1e200, 0.0]), 0.5)
@@ -185,7 +187,7 @@ def test_indefinite_system_names_smallest_eigenvalue():
     psm = batch_sample_moments(additive_noise(0.5), fm, X, np.ones((1, 4)),
                                2, rng)
     # exact means that claim 2 draws: assemble_design debiases by them
-    d = assemble_design(X, np.ones((1, 4)), fm, psm[:3] + (2,))
+    d = assemble_design(X, np.ones((1, 4)), fm, psm[:3] + (2, None))
     lam = 1e-3
     smallest = float(np.linalg.eigvalsh(d.SigmaDoublePrime
                                         + lam * np.eye(6))[0])
@@ -208,7 +210,7 @@ def test_design_debiases_by_the_draw_count():
     scheme = heteroskedastic(rng.standard_normal((3, 2)),
                              rng.standard_normal((1, 2)))
     psm = batch_sample_moments(scheme, fm, X, Y, T, rng)
-    MuX, Lam, Om, draws = psm
+    MuX, Lam, Om, draws, _ = psm
     assert draws == T and np.any(Om != 0)
     d = assemble_design(X, Y, fm, psm)
     assert np.array_equal(d.SigmaDoublePrime,
@@ -223,11 +225,31 @@ def test_identity_design_is_not_debiased():
     Y = rng.standard_normal((1, 6))
     psm = batch_sample_moments(additive_noise(0.5), identity_map(4), X, Y,
                                7, rng)
-    MuX, _, _, draws = psm
+    MuX, _, _, draws, _ = psm
     assert draws == 0
     d = assemble_design(X, Y, identity_map(4), psm)
     assert np.array_equal(d.SigmaDoublePrime, symmetrize(MuX @ MuX.T / 6))
     assert np.array_equal(d.G3, MuX @ Y.T / 6)
+
+
+def test_identity_design_is_one_gram():
+    # masking's exact means mu_x = m x: the sample's set records m, its
+    # Sigma'' is m m Sigma and its G3 m G1, the products of the means
+    # within rounding
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((5, 8))
+    Y = rng.standard_normal((2, 8))
+    fm = identity_map(5)
+    psm = batch_sample_moments(masking(0.7), fm, X, Y, 7, rng)
+    assert psm[3:] == (0, 0.7)
+    d = assemble_design(X, Y, fm, psm)
+    assert d.scale == 0.7 and d.SigmaPrime is None
+    assert np.array_equal(d.Sigma, X @ X.T / 8)
+    assert np.array_equal(d.SigmaDoublePrime, 0.7 * 0.7 * d.Sigma)
+    assert np.array_equal(d.G3, 0.7 * d.G1)
+    MuX = psm[0]
+    np.testing.assert_allclose(d.SigmaDoublePrime, MuX @ MuX.T / 8,
+                               rtol=1e-14, atol=1e-15)
 
 
 @settings(max_examples=20, deadline=None)
@@ -313,14 +335,13 @@ def test_xi_derivative_identity():
 
 
 def test_empirical_generalization_trivials():
-    fm = identity_map(2)
     rng = np.random.default_rng(8)
     X = rng.standard_normal((2, 50))
     theta = np.array([[1.0], [2.0]])
     Y = theta.T @ X
-    assert empirical_generalization(np.zeros((2, 1)), X, Y, fm) == \
+    assert empirical_generalization(np.zeros((2, 1)), X, Y) == \
         pytest.approx(float(np.mean(Y ** 2)))
-    assert empirical_generalization(theta, X, Y, fm) == pytest.approx(0.0)
+    assert empirical_generalization(theta, X, Y) == pytest.approx(0.0)
 
 
 def test_population_generalization_trivials():
@@ -348,7 +369,7 @@ def test_population_matches_empirical():
     N = 200_000
     Xt = rng.standard_normal((d, N))
     Yt = theta_star @ Xt + np.sqrt(sigma2) * rng.standard_normal(N)
-    emp = empirical_generalization(theta, Xt, Yt[None], identity_map(d))
+    emp = empirical_generalization(theta, Xt, Yt[None])
     pop = population_generalization(theta, ms)
     per = (theta[:, 0] @ Xt - Yt) ** 2
     se = per.std() / np.sqrt(N)
@@ -401,7 +422,7 @@ def _hand_built_system(X, Y, fm, psm, alpha):
     """A fit's system written out from the per-sample moments: M =
     (1-a) C + a C'' + a Lambda and H = (1-a) G1 + a G3 + a Omega, with
     C'' debiased by Lambda / draws, each summed left to right."""
-    MuX, Lam, Om, draws = psm
+    MuX, Lam, Om, draws, _ = psm
     n = X.shape[1]
     Phi = apply_features(fm, X)
     C2 = symmetrize(MuX @ MuX.T / n)

@@ -435,3 +435,15 @@ def test_schemes_compare_field_by_field():
             == mixture([heteroskedastic(sx), masking(0.5)], [0.5, 0.5]))
     assert masking(0.5) == masking(0.5) != salt_and_pepper(0.5, 0.0)
     assert masking(0.5) != "masking"
+
+
+@pytest.mark.parametrize("scheme", [masking(0.7), salt_and_pepper(0.6, 0.5)],
+                         ids=["masking", "salt-and-pepper"])
+def test_closed_lambda_is_one_diagonal(scheme):
+    # (1 - m)(m Diag v + s^2 I) built as one diagonal: each diagonal entry
+    # sees the same operations in the same order, so the bits are those
+    # of the expression with its p x p temporaries
+    v = np.random.default_rng(5).uniform(0.0, 3.0, 40)
+    m, s = scheme.keep_prob, scheme.replacement
+    old = (1.0 - m) * (m * np.diag(v) + float(s) ** 2 * np.eye(40))
+    assert np.array_equal(closed_moments(scheme, v, None, 1)[1], old)
