@@ -122,7 +122,6 @@ def _solve_linearized(F, T, free, n, rhs):
 class _Point:
     b: np.ndarray  # (b11, b12, b22)
     L: np.ndarray | None  # Cholesky factor of M(B)
-    Z: dict | None  # block index -> whitened block
     a: np.ndarray  # tr(X_i R_bar)
     T: np.ndarray  # tr(X_i R_bar X_j R_bar)
     F: np.ndarray  # F(B)
@@ -136,29 +135,30 @@ class _DilationMap:
         self.ms, self.alpha, self.lam, self.n = ms, alpha, lam, n
         self.W = np.diag([np.sqrt(1.0 - alpha), np.sqrt(alpha)])
         self.free = _free(alpha)
-        # the distinct blocks that enter (Sigma always: C_bar needs it at
-        # alpha = 1) as their lower triangles over zeros, in the Fortran
-        # order dsygst copies without a transpose (the set stores Sigma'
-        # symmetric); block i is w_i times block source_i: itself, or
-        # c^i Sigma on a set of scale c
+        # the traced blocks: the free ones and Sigma, which C_bar reads at
+        # alpha = 1 (where W's zero first row takes it out of F exactly);
+        # the distinct ones as their lower triangles over zeros, in the
+        # Fortran order dsygst copies without a transpose (the set stores
+        # Sigma' symmetric); block i is w_i times block source_i: itself,
+        # or c^i Sigma on a set of scale c
         c = ms.scale
         self.w = (1.0, 1.0, 1.0) if c is None else (1.0, c, c * c)
         self.source = (0, 1, 2) if c is None else (0, 0, 0)
-        block = (lambda: ms.Sigma, ms.sigma_prime,
-                 lambda: ms.SigmaDoublePrime)
-        self.X = {k: np.asfortranarray(np.tril(block[k]()))
-                  for k in {self.source[i] for i in (0, *self.free)}}
+        block = (ms.Sigma, ms.SigmaPrime, ms.SigmaDoublePrime)
+        self.blocks = tuple(sorted({0, *self.free}))
+        self.X = {k: np.asfortranarray(np.tril(block[k]))
+                  for k in {self.source[i] for i in self.blocks}}
 
-    def traces(self, L, blocks, Z=None):
-        """(Z, a, T): Z the distinct blocks whitened, each by one dsygst on
-        a copy of X_k unless the given Z holds it; a_i = tr Z_i and T_ij =
-        <Z_i, Z_j>_F over `blocks` (0 elsewhere), Z_i = w_i Z_source(i).
-        Each Z_k holds a symmetric matrix as its lower triangle over zeros,
-        so the Frobenius product of two is twice that of the stored arrays
-        less that of their diagonals."""
-        Z, src, w = dict(Z or {}), self.source, self.w
-        for k in {src[i] for i in blocks} - Z.keys():
-            Z[k] = lapack.dsygst(self.X[k], L, itype=1, lower=1)[0]
+    def traces(self, L):
+        """(a, T): a_i = tr Z_i and T_ij = <Z_i, Z_j>_F over the traced
+        blocks (0 elsewhere), Z_i = w_i Z_source(i), each distinct block
+        whitened by one dsygst on a copy of X_k. Each Z_k holds a
+        symmetric matrix as its lower triangle over zeros, so the
+        Frobenius product of two is twice that of the stored arrays less
+        that of their diagonals."""
+        src, w, blocks = self.source, self.w, self.blocks
+        Z = {k: lapack.dsygst(X, L, itype=1, lower=1)[0]
+             for k, X in self.X.items()}
 
         @functools.cache  # once per pair of distinct blocks
         def frobenius(k, m):
@@ -170,7 +170,7 @@ class _DilationMap:
             a[i] = w[i] * np.diagonal(Z[src[i]]).sum()
             for j in blocks[first:]:
                 T[i, j] = T[j, i] = w[i] * w[j] * frobenius(src[i], src[j])
-        return Z, a, T
+        return a, T
 
     def at(self, b, what=None):
         """The point b, or None when M(B) is not finite or not positive
@@ -185,12 +185,12 @@ class _DilationMap:
         L = _cholesky(M, what)
         if L is None:
             return None
-        Z, a, T = self.traces(L, self.free)
+        a, T = self.traces(L)
         W = self.W
         F = W @ np.linalg.solve(np.eye(2) + W @ _sym2(a) @ W / self.n, W)
         F = 0.5 * (F + F.T)
         residual = float(np.linalg.norm(F - _sym2(b)))
-        return _Point(b, L, Z, a, T, F, residual)
+        return _Point(b, L, a, T, F, residual)
 
 
 def solve_fixed_point(moment_set, alpha, lam, n,
@@ -229,7 +229,7 @@ def solve_fixed_point(moment_set, alpha, lam, n,
         if iterations == max_iter:
             break
         b, residual = P.b, P.residual
-        P.L = P.Z = None  # freed before the trials allocate their own
+        P.L = None  # freed before the trials allocate their own
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = fmap.at(b + t * step)
@@ -241,9 +241,6 @@ def solve_fixed_point(moment_set, alpha, lam, n,
             break
     if P.L is None:  # the last line search failed
         P = fmap.at(P.b)
-    if 0 not in fmap.free:  # alpha = 1: C_bar needs tr(Sigma'' R Sigma R)
-        _, P.a, P.T = fmap.traces(P.L, (0, *fmap.free), P.Z)
-    P.Z = None
     R, _ = lapack.dpotri(P.L, lower=1, overwrite_c=1)
     R += np.tril(R, -1).T
     return DilationState(
@@ -322,7 +319,7 @@ def wellspecified_reduction(state, D, moment_set, theta_star, sigma2):
     th = np.atleast_2d(np.asarray(theta_star, dtype=float).T).T
     scale = max(float(np.linalg.norm(ms.Sigma)), 1e-300)
     for name, M, ref in (
-        ("SigmaPrime", ms.sigma_prime(), ms.Sigma),
+        ("SigmaPrime", ms.SigmaPrime, ms.Sigma),
         ("SigmaDoublePrime", ms.SigmaDoublePrime, ms.Sigma),
         ("G1", ms.G1, ms.Sigma @ th),
         ("G3", ms.G3, ms.G1),

@@ -392,12 +392,18 @@ def _peak_terms(config):
         peak, sizes = block_peak, {col_key: col}
     cells = (len(config.n_grid or (n,)) * len(config.lambda_grid)
              * len(config.alpha_grid))
+    # a sweep keeps each replicate's seed and its fits' scalars (about 450
+    # and 170 bytes each in CPython 3.11), a theta_hat sum per cell and the
+    # fits in flight: one replicate's, or half of them in a pool (two
+    # chunks of R / (4 workers) units per worker, see _run_units)
+    R = config.replicates
+    live = 1 if workers <= 1 else (R + 1) // 2
     terms = [
         (peak, sizes),
         (8 * d * d, {"data.d": d}),
         (6 * 8 * p * p, {p_key: p}),  # the moment set's p x p blocks
-        (8 * config.replicates * cells * p * q,  # the kept theta_hat
-         {"replicates": config.replicates, p_key: p}),
+        (R * (512 + 192 * cells), {"replicates": R}),
+        (8 * (1 + live) * cells * p * q, {"replicates": live, p_key: p}),
     ]
     for section in ("features", "truth_features"):
         layers = _layers(config, section)
@@ -526,6 +532,7 @@ def _run_unit(unit, payload=None):
             out[(n, lam, alpha)] = (
                 source.risk(theta, chi, overlap, moment_set),
                 float(np.mean(overlap)), float(np.mean(chi)), theta)
+        del system  # released before _replicate forms the next
     return out
 
 
@@ -536,17 +543,18 @@ def _init_worker(payload):
 
 
 def _run_units(payload, units, workers):
-    """The units' results in unit order, serially or in a process pool that
-    receives the payload once per worker, not once per chunk. The pool
-    starts all its processes at once, so it has no more than there are
-    units or usable CPUs."""
+    """Yield the units' results in unit order, serially or from a process
+    pool that receives the payload once per worker, not once per chunk.
+    The pool starts all its processes at once, so it has no more than
+    there are units or usable CPUs."""
     workers = min(workers, len(units), schemes.usable_cpus())
     if workers <= 1:
-        return [_run_unit(u, payload) for u in units]
+        yield from (_run_unit(u, payload) for u in units)
+        return
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(payload,)) as pool:
-        return list(pool.map(_run_unit, units,
-                             chunksize=max(1, len(units) // (4 * workers))))
+        yield from pool.map(_run_unit, units,
+                            chunksize=max(1, len(units) // (4 * workers)))
 
 
 def _det_columns(moment_set, n, lam, alpha, sigma2):
@@ -581,10 +589,14 @@ def _sweep(config, source, fmap, scheme, moment_set, csv_name):
     Every fixed point is solved before any Monte-Carlo, so an unconverged
     cell fails at once, and only the row's scalars are kept of a solve.
     Replicate seeds are spawned from the master seed, the source splits
-    them into work units (seed, n_list), and results are reduced in unit
-    order, so the rows do not depend on the worker count. The label noise
-    config.data["noise_sigma2"] enters only the bias^2 of the mean fit
-    and of the equivalents. A row with a non-finite value raises
+    them into work units (seed, n_list), and each unit's fits are folded
+    in unit order into per-cell scalars and theta_hat sums, so the rows do
+    not depend on the worker count. At the mean fit theta_bar, under the
+    source's risk g, var_emp = sigma2 + R/(R-1) (g_mean - g(theta_bar))
+    (a ddof-0 spread made unbiased; bias2_emp = g(theta_bar) - sigma2 at
+    R = 1) and bias2_emp = g_mean - var_emp, so the label noise
+    config.data["noise_sigma2"] enters only these bias^2 and the
+    equivalents'. A row with a non-finite value raises
     NumericalFailureError before any CSV is written.
     """
     sigma2 = config.data["noise_sigma2"]
@@ -595,21 +607,28 @@ def _sweep(config, source, fmap, scheme, moment_set, csv_name):
     seeds = np.random.SeedSequence(config.seed).spawn(config.replicates)
     payload = (source, fmap, scheme, config.lambda_grid, config.alpha_grid,
                config.n_mc_aug, moment_set)
-    results = _run_units(payload, source.units(seeds, n_list), config.workers)
+    scalars = {cell: [] for cell in cells}  # (risk, overlap, chi) per fit
+    theta_sum = dict.fromkeys(cells, 0)
+    for result in _run_units(payload, source.units(seeds, n_list),
+                             config.workers):
+        for cell, (*fit_scalars, theta) in result.items():
+            scalars[cell].append(fit_scalars)
+            theta_sum[cell] = theta_sum[cell] + theta
     p = fmap.output_dim
     rows = []
     for cell in cells:
-        vals = [r[cell] for r in results if cell in r]
-        gs, ovs, chis = (np.array([v[k] for v in vals]) for k in range(3))
-        th = sum(v[3] for v in vals) / len(vals)  # the replicates' mean
-        chi, overlap = ridge.quadratic_terms(th, moment_set)
-        bias2 = float(np.mean(ridge.population_risk(chi, overlap,
-                                                    moment_set))) - sigma2
+        gs, ovs, chis = map(np.array, zip(*scalars[cell]))
+        R = len(gs)
+        th = theta_sum[cell] / R  # the replicates' mean
+        g_fit = source.risk(th, *ridge.quadratic_terms(th, moment_set),
+                            moment_set)
+        g_mean = float(gs.mean())
+        bias2 = g_fit - sigma2 - ((g_mean - g_fit) / (R - 1) if R > 1 else 0)
         n, lam, alpha = cell
         row = ResultRow(
             lam, alpha, n, p, config.data_dim(), p / n,
-            float(gs.mean()), _std(gs), float(ovs.mean()), _std(ovs),
-            float(chis.mean()), _std(chis), bias2, float(gs.mean()) - bias2,
+            g_mean, _std(gs), float(ovs.mean()), _std(ovs),
+            float(chis.mean()), _std(chis), bias2, g_mean - bias2,
             *det[cell],
         )
         _check_row(row)

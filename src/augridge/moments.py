@@ -144,13 +144,12 @@ class MomentSet:
     its square finite (NumericalFailureError), and the p x p blocks
     exactly symmetric, the provenance one of PROVENANCES and, at a scale
     c (identity features, mu_x = c x), Sigma' = c Sigma and Sigma'' =
-    c c Sigma exactly (PreconditionViolationError). Only a replicate's set
-    ("sample") has SigmaPrime = None, read through sigma_prime(): its
-    fit's system has b12 = 0, and forming it costs a p x n x p product.
+    c c Sigma exactly (PreconditionViolationError). Every set, a
+    replicate's ("sample") too, has every block.
     """
 
     Sigma: np.ndarray
-    SigmaPrime: np.ndarray | None
+    SigmaPrime: np.ndarray
     SigmaDoublePrime: np.ndarray
     G1: np.ndarray
     G3: np.ndarray
@@ -166,14 +165,9 @@ class MomentSet:
             raise PreconditionViolationError(
                 f"moment set provenance {self.provenance!r} is not one of "
                 f"{', '.join(PROVENANCES)}")
-        if self.SigmaPrime is None and self.provenance != "sample":
-            raise PreconditionViolationError(
-                f"a {self.provenance} moment set needs SigmaPrime")
         size = dict(zip("pq", np.shape(self.G1)))
         for name, form in _SHAPES.items():
             M, shape = getattr(self, name), tuple(size.get(c, 0) for c in form)
-            if M is None:
-                continue
             what = f"moment set block {name}"
             if 0 in shape or np.shape(M) != shape:
                 raise InvalidDimensionError(
@@ -185,9 +179,8 @@ class MomentSet:
                 raise PreconditionViolationError(f"{what} is not symmetric")
         c = self.scale
         if c is not None and not all(
-                M is None or np.array_equal(M, w * self.Sigma)
-                for M, w in ((self.SigmaPrime, c), (self.SigmaDoublePrime,
-                                                    c * c))):
+                np.array_equal(M, w * self.Sigma) for M, w in
+                ((self.SigmaPrime, c), (self.SigmaDoublePrime, c * c))):
             raise PreconditionViolationError(
                 f"a moment set of scale {c!r} needs SigmaPrime = c Sigma "
                 "and SigmaDoublePrime = c c Sigma")
@@ -195,13 +188,6 @@ class MomentSet:
     @property
     def q(self):
         return self.G1.shape[1]
-
-    def sigma_prime(self):
-        """SigmaPrime, which a replicate's set does not have."""
-        if self.SigmaPrime is None:
-            raise PreconditionViolationError(
-                "a sample moment set has no SigmaPrime (b12 = 0 only)")
-        return self.SigmaPrime
 
 
 CHUNK = 512  # data columns per estimation block
@@ -296,14 +282,15 @@ def identity_moment_set(S, G1, EY2, closed, n_mc_used, provenance):
     """The MomentSet of identity features (population, plug-in estimate or
     replicate's sample) from its one Gram S = E[x x^T], G1 = E[x y^T],
     EY2 = E[y^2] and closed = schemes.closed_moments = (c, LambdaBar,
-    OmegaBar): mu_x = c x, so Sigma' = c S (none for a "sample"),
-    Sigma'' = c c S, G3 = c G1, and the set's scale is c."""
+    OmegaBar): mu_x = c x, so Sigma' = c S, Sigma'' = c c S, G3 = c G1,
+    and the set's scale is c, but for a replicate's ("sample"): only a
+    fixed point reads a scale, and its check costs two p x p comparisons."""
     c, LambdaBar, OmegaBar = closed
     return MomentSet(
-        Sigma=S, SigmaPrime=None if provenance == "sample" else c * S,
-        SigmaDoublePrime=c * c * S, G1=G1, G3=c * G1, EY2=EY2,
-        LambdaBar=LambdaBar, OmegaBar=OmegaBar, n_mc_used=n_mc_used,
-        provenance=provenance, scale=c)
+        Sigma=S, SigmaPrime=c * S, SigmaDoublePrime=c * c * S, G1=G1,
+        G3=c * G1, EY2=EY2, LambdaBar=LambdaBar, OmegaBar=OmegaBar,
+        n_mc_used=n_mc_used, provenance=provenance,
+        scale=None if provenance == "sample" else c)
 
 
 def closed_population_moment_set(Sigma, scheme, theta_star, sigma2):

@@ -42,14 +42,14 @@ from .moments import MomentSet, identity_moment_set, symmetrize
 
 def assemble_design(X, Y, feature_map, sample_moments):
     """The MomentSet of the n columns of (X, Y): Sigma = phi phi^T / n,
-    SigmaDoublePrime = mu_x mu_x^T / n, G1 = phi Y^T / n, G3 =
-    mu_x Y^T / n, EY2 the mean of Y^2, the averaged LambdaBar and OmegaBar,
-    no SigmaPrime, n_mc_used = n and provenance "sample".
+    SigmaPrime = sym(phi mu_x^T) / n, SigmaDoublePrime = mu_x mu_x^T / n,
+    G1 = phi Y^T / n, G3 = mu_x Y^T / n, EY2 the mean of Y^2, the averaged
+    LambdaBar and OmegaBar, n_mc_used = n and provenance "sample".
 
     sample_moments is the (MuX, LambdaBar, OmegaBar, draws, scale) tuple
     from moments.batch_sample_moments. With exact means mu_x = c x (scale
-    c), the set is moments.identity_moment_set of its one Gram. When the
-    means were estimated from draws > 0 augmentations, the O(1/draws) bias
+    c), the set is moments.identity_moment_set of its one Gram. Otherwise
+    the means come from draws >= 2 augmentations, and the O(1/draws) bias
     of SigmaDoublePrime (an outer product of estimated means) is removed.
     """
     X = np.asarray(X, dtype=float)
@@ -69,13 +69,11 @@ def assemble_design(X, Y, feature_map, sample_moments):
     if scale is not None:
         return identity_moment_set(Sigma, G1, EY2,
                                    (scale, LambdaBar, OmegaBar), n, "sample")
-    SigmaDoublePrime = MuX @ MuX.T / n
-    if draws:
-        SigmaDoublePrime -= LambdaBar / draws
     return MomentSet(
-        Sigma=Sigma, SigmaPrime=None, SigmaDoublePrime=SigmaDoublePrime,
-        G1=G1, G3=MuX @ Y.T / n, EY2=EY2, LambdaBar=LambdaBar,
-        OmegaBar=OmegaBar, n_mc_used=n, provenance="sample")
+        Sigma=Sigma, SigmaPrime=symmetrize(Phi @ MuX.T / n),
+        SigmaDoublePrime=MuX @ MuX.T / n - LambdaBar / draws, G1=G1,
+        G3=MuX @ Y.T / n, EY2=EY2, LambdaBar=LambdaBar, OmegaBar=OmegaBar,
+        n_mc_used=n, provenance="sample")
 
 
 def _not_positive_definite(A, what):
@@ -107,9 +105,8 @@ def normal_equations(moment_set, B, alpha):
     """The system (Sigma_bar(B) + alpha LambdaBar, Gamma_bar(B) + alpha
     OmegaBar) of a moment set at symmetric 2x2 weights B (see the module
     docstring), which every lambda shares. After the b11 term, a term of
-    weight 0 is skipped: its block is neither read nor formed (a sample's
-    missing SigmaPrime at b12 = 0). A finite set can overflow at a large
-    B, so both arrays are checked finite here, once per system."""
+    weight 0 is skipped. A finite set can overflow at a large B, so both
+    arrays are checked finite here, once per system."""
     if not 0.0 <= alpha <= 1.0:
         raise InvalidParameterError(f"alpha must be in [0,1], got {alpha}")
     ms = moment_set
@@ -117,17 +114,16 @@ def normal_equations(moment_set, B, alpha):
     system = []
     for name, first, terms in (
         ("regularized matrix", ms.Sigma,
-         ((2.0 * b12, ms.sigma_prime),
-          (b22, lambda: ms.SigmaDoublePrime), (alpha, lambda: ms.LambdaBar))),
+         ((2.0 * b12, ms.SigmaPrime), (b22, ms.SigmaDoublePrime),
+          (alpha, ms.LambdaBar))),
         ("right-hand side", ms.G1,
-         ((b12, lambda: ms.G1 + ms.G3), (b22, lambda: ms.G3),
-          (alpha, lambda: ms.OmegaBar))),
+         ((b12, ms.G1 + ms.G3), (b22, ms.G3), (alpha, ms.OmegaBar))),
     ):
         S = b11 * first
         T = None  # one buffer for every later term
         for w, block in terms:
             if w != 0.0:
-                T = np.multiply(w, block(), out=T)
+                T = np.multiply(w, block, out=T)
                 S += T
         if not np.isfinite(S).all():
             raise NumericalFailureError(f"{name} is not finite")

@@ -280,14 +280,9 @@ def test_criterion_07_moment_closed_forms():
     z = (np.array([0.2, -0.1]), np.array([1.0]))
     _, lam_c, om_c = closed_moments(het, z[0] ** 2,
                                     lambda: np.outer(z[0], z[0]), 1)
-    dx = np.empty((2, N))
-    dy = np.empty((1, N))
     rng = np.random.default_rng(2)
-    for t in range(N):
-        xp, yp = sample_augmented_batch(het, z[0][:, None], z[1][:, None], 1,
-                                        rng)
-        dx[:, t] = xp[:, 0]
-        dy[0, t] = yp[0, 0]
+    dx, dy = sample_augmented_batch(het, z[0][:, None], z[1][:, None], N,
+                                    rng)
     full_se = _grouped_se(dx, dy)
     full = np.cov(np.vstack([dx, dy]))
     assert np.all(np.abs(full[:2, :2] - lam_c) <= 4 * full_se[:2, :2] + 1e-12)

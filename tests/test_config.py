@@ -120,6 +120,7 @@ TOO_BIG = [
     ("data.d", 10 ** 19, 3),
     ("n_grid", [10 ** 19], 3),
     ("features.output_dim", 10 ** 19, 3),
+    ("replicates", 10 ** 15, 3),
 ]
 
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -357,36 +357,55 @@ def test_whitened_traces_match_two_triangular_solves():
     np.testing.assert_allclose(P.T, T, rtol=1e-12, atol=0.0)
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**16), alpha=st.floats(0.01, 0.99),
-       b12=st.floats(0.01, 1.0),
-       call=st.sampled_from(["fixed-point", "normal-equations",
-                             "wellspecified"]))
-def test_sample_set_refuses_every_reader_of_sigma_prime(seed, alpha, b12,
-                                                        call):
-    # a replicate's set has no SigmaPrime: a fixed point at 0 < alpha < 1,
-    # a system at b12 != 0 and the well-specified reduction each raise a
-    # PreconditionViolationError (exit 2) that names it, before any
-    # factorization; an alpha = 0 fixed point never reads it
-    rng = np.random.default_rng(seed)
-    p, n = 4, 10
-    theta = rng.standard_normal(p)
-    X = rng.standard_normal((p, n))
+def _same(a, b):
+    """a and b equal bit for bit: arrays, numbers, strings, and sequences,
+    dicts and dataclasses of them."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("features", ["identity", "random-mlp"])
+def test_a_replicate_set_is_read_like_any_other(features):
+    # a replicate's set has every block, Sigma' among them: a fixed point
+    # at alpha 1/2, a system at b12 != 0, the second order, the
+    # equivalents and the well-specified reduction read it bit for bit as
+    # the same blocks marked as a plug-in estimate. With identity features
+    # and noiseless labels the set is well specified; the random-MLP one
+    # is not, and both sets are refused with the same message
+    rng = np.random.default_rng(47)
+    d, n, alpha = 6, 40, 0.5
+    theta = rng.standard_normal(d) / np.sqrt(d)
+    X = rng.standard_normal((d, n))
     Y = theta[None, :] @ X
-    fm = identity_map(p)
-    ms = assemble_design(X, Y, fm, batch_sample_moments(
-        additive_noise(0.5), fm, X, Y, 2, rng))
-    state = solve_fixed_point(ms, 0.0, 0.1, n)
-    with pytest.raises(PreconditionViolationError,
-                       match="SigmaPrime") as raised:
-        if call == "fixed-point":
-            solve_fixed_point(ms, alpha, 0.1, n)
-        elif call == "normal-equations":
-            normal_equations(ms, np.array([[0.5, b12], [b12, 0.5]]), alpha)
-        else:
-            wellspecified_reduction(state, compute_second_order(state, ms),
-                                    ms, theta, 0.0)
-    assert raised.value.exit_code == 2
+    fm = (identity_map(d) if features == "identity"
+          else random_mlp_map(d, [7], 5, seed=2))
+    sample = assemble_design(X, Y, fm, batch_sample_moments(
+        additive_noise(0.5), fm, X, Y, 4, rng))
+    theta_star = theta[:fm.output_dim]  # the truth for identity features
+
+    def read(ms):
+        state = solve_fixed_point(ms, alpha, 0.1, n)
+        D = compute_second_order(state, ms)
+        try:
+            reduction = wellspecified_reduction(state, D, ms, theta_star, 0.0)
+        except PreconditionViolationError as exc:
+            reduction = str(exc)
+        return (normal_equations(ms, np.array([[0.5, 0.2], [0.2, 0.4]]),
+                                 alpha),
+                state, D, equivalents(state, D, ms, 0.0), reduction)
+
+    got = read(sample)
+    assert got[1].converged
+    assert isinstance(got[4], dict if features == "identity" else str)
+    assert _same(got, read(replace(sample, provenance="empirical-plugin")))
 
 
 @pytest.mark.parametrize("c", [1.0, 0.5, 0.7])
@@ -396,8 +415,8 @@ def test_a_recorded_scale_whitens_sigma_alone(monkeypatch, c, alpha):
     # Newton point whitens Sigma once and scales the result. Against the
     # same blocks with the scale dropped (a dsygst per block), the state
     # is bit for bit the same where c^k Z is exact (c = 1 and 0.5), and
-    # within rounding at c = 0.7; the scaled solve whitens once a point
-    # (at alpha = 1 the last point's Z_0 is kept for C_bar)
+    # within rounding at c = 0.7; the scaled solve whitens once a point,
+    # the plain one once a traced block (Sigma and the free ones)
     from augridge import detequiv
 
     p, lam, n = 60, 0.05, 45
@@ -422,7 +441,7 @@ def test_a_recorded_scale_whitens_sigma_alone(monkeypatch, c, alpha):
     scaled, plain = states
     assert scaled.converged and scaled.iterations == plain.iterations
     free = detequiv._free(alpha)
-    assert counts[1] == len(free) * counts[0] + (alpha == 1.0)
+    assert counts[1] == len({0, *free}) * counts[0]
     for name in ("B", "T_traces", "R_bar"):
         got, want = getattr(scaled, name), getattr(plain, name)
         if c in (1.0, 0.5):

@@ -221,6 +221,27 @@ def test_bias_variance_split_sums():
         assert r.bias2_det + r.var_det == pytest.approx(r.g_det, rel=1e-12)
 
 
+def test_empirical_variance_is_unbiased():
+    # g is quadratic, so g_mean - g(theta_bar) is the fits' spread with
+    # ddof 0, (R - 1)/R of their variance: uncorrected, var_emp - sigma2
+    # would be 10% low at R = 10. Over 100 sweeps of a closed-form cell,
+    # that gap is at least 5 standard errors of the mean, and the mean
+    # corrected var_emp - sigma2 lies within 3 of var_det - sigma2
+    sigma2, sweeps = 0.5, 100
+    cfg = {"data": {"kind": "synthetic", "d": 40, "n": 80,
+                    "spectrum": "power-law", "noise_sigma2": sigma2},
+           "scheme": {"kind": "masking", "keep_prob": 0.7},
+           "lambda_grid": [0.05], "alpha_grid": [0.5], "replicates": 10}
+    ms = build_moment_set(ExperimentConfig.from_dict(cfg))
+    rows = [run_sweep(ExperimentConfig.from_dict(dict(cfg, seed=s)),
+                      moment_set=ms)[0] for s in range(sweeps)]
+    var = np.array([r.var_emp for r in rows]) - sigma2
+    target = rows[0].var_det - sigma2
+    se = var.std(ddof=1) / np.sqrt(sweeps)
+    assert 0.1 * target >= 5 * se
+    assert abs(var.mean() - target) <= 3 * se
+
+
 def test_moment_set_closed_path_for_identity_features():
     config = ExperimentConfig.from_dict(_tiny_cfg())
     ms = build_moment_set(config)

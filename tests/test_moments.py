@@ -606,8 +606,9 @@ def test_a_broken_moment_set_is_refused_where_it_is_made(p, q, seed, fault,
                                                         data):
     # one field of a valid population set made wrong: a shape, a NaN, an
     # entry whose square overflows, one asymmetric ulp in a symmetric
-    # block, no SigmaPrime on a set that is not a sample, or a provenance
-    # that is not one of the four names in use. Each is a package error
+    # block, no SigmaPrime (a shape, on a set of any provenance), or a
+    # provenance that is not one of the four names in use. Each is a
+    # package error
     # with its exit code, never a bare numpy, scipy or attribute error,
     # whether from the set or from a solve on it
     rng = _rng(seed)
@@ -631,9 +632,9 @@ def test_a_broken_moment_set_is_refused_where_it_is_made(p, q, seed, fault,
         M[0, 1] = np.nextafter(M[0, 1], np.inf)
         change, error = {field: M}, PreconditionViolationError
     elif fault == "no-sigma-prime":
-        change = dict(SigmaPrime=None, provenance=data.draw(st.sampled_from(
-            ["closed-form", "monte-carlo", "empirical-plugin"])))
-        error = PreconditionViolationError
+        change = dict(SigmaPrime=None,
+                      provenance=data.draw(st.sampled_from(PROVENANCES)))
+        error = InvalidDimensionError
     else:
         change = dict(provenance=data.draw(
             st.text(max_size=20).filter(lambda s: s not in PROVENANCES)))
@@ -686,7 +687,8 @@ def test_identity_plugin_is_the_closed_form_of_the_data(scheme):
 def test_a_set_whose_blocks_are_not_its_scaled_sigma_is_refused(fault):
     # a set of scale c must have Sigma' = c Sigma and Sigma'' = c c Sigma
     # exactly: one ulp off in a symmetric block, a scale that its blocks do
-    # not have, or a replicate's set whose Sigma'' is off, each exit 2
+    # not have, or a set marked as a replicate's whose Sigma'' is off,
+    # each exit 2
     rng = _rng(33)
     A = rng.standard_normal((4, 4))
     ms = closed_population_moment_set(A @ A.T, masking(0.5),
@@ -697,8 +699,7 @@ def test_a_set_whose_blocks_are_not_its_scaled_sigma_is_refused(fault):
         "sigma-prime": dict(SigmaPrime=np.nextafter(ms.SigmaPrime, np.inf)),
         "sigma-double-prime": dict(SigmaDoublePrime=up),
         "scale": dict(scale=0.6),
-        "sample": dict(SigmaPrime=None, provenance="sample",
-                       SigmaDoublePrime=up),
+        "sample": dict(provenance="sample", SigmaDoublePrime=up),
     }[fault]
     with pytest.raises(PreconditionViolationError,
                        match="needs SigmaPrime = c Sigma") as raised:

@@ -233,9 +233,9 @@ def test_identity_design_is_not_debiased():
 
 
 def test_identity_design_is_one_gram():
-    # masking's exact means mu_x = m x: the sample's set records m, its
-    # Sigma'' is m m Sigma and its G3 m G1, the products of the means
-    # within rounding
+    # masking's exact means mu_x = m x: the sample's Sigma' is m Sigma,
+    # its Sigma'' m m Sigma and its G3 m G1, the products of the means
+    # within rounding; a replicate's set records no scale
     rng = np.random.default_rng(17)
     X = rng.standard_normal((5, 8))
     Y = rng.standard_normal((2, 8))
@@ -243,7 +243,8 @@ def test_identity_design_is_one_gram():
     psm = batch_sample_moments(masking(0.7), fm, X, Y, 7, rng)
     assert psm[3:] == (0, 0.7)
     d = assemble_design(X, Y, fm, psm)
-    assert d.scale == 0.7 and d.SigmaPrime is None
+    assert d.scale is None
+    assert np.array_equal(d.SigmaPrime, 0.7 * d.Sigma)
     assert np.array_equal(d.Sigma, X @ X.T / 8)
     assert np.array_equal(d.SigmaDoublePrime, 0.7 * 0.7 * d.Sigma)
     assert np.array_equal(d.G3, 0.7 * d.G1)
@@ -443,8 +444,8 @@ def _hand_built_system(X, Y, fm, psm, alpha):
                                   "mlp-heteroskedastic-sy"])
 def test_fit_system_matches_the_hand_built_formula(case, alpha):
     # normal_equations at B = W^2 on a sample's moment set is, bit for
-    # bit, the fit's formula; the set has no SigmaPrime, which b12 = 0
-    # never reads
+    # bit, the fit's formula; b12 = 0 never reads the set's SigmaPrime,
+    # c Sigma for exact means mu_x = c x and sym(phi mu_x^T) / n otherwise
     rng = np.random.default_rng(16)
     d, n, T = 5, 12, 6
     X = rng.standard_normal((d, n))
@@ -461,7 +462,9 @@ def test_fit_system_matches_the_hand_built_formula(case, alpha):
     if case == "mlp-heteroskedastic-sy":
         assert np.any(psm[2] != 0)
     design = assemble_design(X, Y, fm, psm)
-    assert design.SigmaPrime is None
+    MuX, c = psm[0], psm[4]
+    assert np.array_equal(design.SigmaPrime, symmetrize(
+        apply_features(fm, X) @ MuX.T / n) if c is None else c * design.Sigma)
     for got, want in zip(_system(design, alpha),
                          _hand_built_system(X, Y, fm, psm, alpha)):
         assert np.array_equal(got, want)

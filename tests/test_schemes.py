@@ -106,12 +106,9 @@ def test_heteroskedastic_monte_carlo_oracle():
     scheme = heteroskedastic(sx, sy)
     x, y = np.zeros(2), np.zeros(1)
     N = 100_000
-    draws_x = np.empty((2, N))
-    draws_y = np.empty(N)
-    for t in range(N):
-        xp, yp = _one_draw(scheme, x, y, rng)
-        draws_x[:, t] = xp
-        draws_y[t] = yp[0]
+    draws_x, Ya = sample_augmented_batch(scheme, x[:, None], y[:, None], N,
+                                         rng)
+    draws_y = Ya[0]
     lam = np.cov(draws_x)
     om = np.array([np.cov(draws_x[i], draws_y)[0, 1] for i in range(2)])
     assert np.allclose(lam, [[1, 2], [2, 4]], atol=0.05)
