@@ -91,13 +91,26 @@ def block_columns(smallest):
     return COLS * -(-2 ** 20 // (COLS * smallest))
 
 
+def mlp(weights, activation, M, outs):
+    """Run the MLP of weights (hidden layers, then the linear readout) on
+    the columns of M: each layer writes into its array of outs (None
+    allocates it), the activation works in place after every hidden layer,
+    and the readout's output is returned. The weights share M's dtype."""
+    act = _ACTIVATIONS[activation]
+    h = M
+    for i, (W, out) in enumerate(zip(weights, outs)):
+        h = np.matmul(W, h, out=out)
+        if i < len(weights) - 1:
+            act(h, out=h)
+    return h
+
+
 def apply_features(fmap: FeatureMap, M):
     """Apply fmap to every column of the d x n matrix M (a vector is a
     single column); returns p x n (or a length-p vector) in M's float
-    dtype: float32 stays float32 (the Monte-Carlo kernel), anything else
-    is computed in float64. The MLP runs in blocks of COLS columns,
-    written into one p x n output, so no hidden activation exists at full
-    width."""
+    dtype: float32 stays float32, anything else is computed in float64.
+    The MLP runs in blocks of COLS columns, written into one p x n output,
+    so no hidden activation exists at full width."""
     M = np.asarray(M)
     if M.dtype != np.float32:
         M = M.astype(float, copy=False)
@@ -111,17 +124,12 @@ def apply_features(fmap: FeatureMap, M):
     if fmap.kind == "identity":
         out = M.copy()
     else:
-        act = _ACTIVATIONS[fmap.activation]
-        *hidden, readout = (W.astype(M.dtype, copy=False)
-                            for W in fmap.weights)
+        weights = [W.astype(M.dtype, copy=False) for W in fmap.weights]
         n = M.shape[1]
-        cols = block_columns(min(W.size for W in fmap.weights))
+        cols = block_columns(min(W.size for W in weights))
         edges = [i * cols for i in range(max(1, n // cols))] + [n]
         out = np.empty((fmap.output_dim, n), dtype=M.dtype)
+        hidden = [None] * (len(weights) - 1)
         for a, b in zip(edges, edges[1:]):
-            h = M[:, a:b]
-            for W in hidden:
-                h = W @ h
-                act(h, out=h)
-            np.matmul(readout, h, out=out[:, a:b])
+            mlp(weights, fmap.activation, M[:, a:b], hidden + [out[:, a:b]])
     return out[:, 0] if single else out

@@ -31,13 +31,14 @@ from .datasets import (
 )
 from .errors import (ConfigError, DataError, InvalidDimensionError,
                      NumericalFailureError)
-from .features import block_columns, identity_map, random_mlp_map
+from .features import identity_map, random_mlp_map
 from .moments import (
     CHUNK,
     DRAWS,
     batch_sample_moments,
     closed_population_moment_set,
     estimate_moment_set,
+    kernel_columns,
 )
 
 
@@ -367,27 +368,39 @@ def _peak_terms(config):
     T = config.n_mc_aug if drawn else 1
     workers = min(config.workers, schemes.usable_cpus())
     q = 1 if config.data["kind"] == "synthetic" else PATCH_SIDE * PATCH_SIDE
-    # a batch of augmented columns holds, per column, a float32 x', its
-    # float32 phi(x') and its float64 repeated labels, and the MLP's
-    # hidden activations of one block of columns; each sampler thread
-    # holds the temporaries of one column of draws
-    col = 4 * d + 4 * p + 8 * q
+    widths = [size for size, _ in layers]
+    # the MLP kernel's two buffers: the even layers', input first, and
+    # the odd layers'
+    col = 4 * (max(widths[::2]) + max(widths[1::2])) if drawn else 0
     col_key = "data.d" if d >= p else p_key
-    hidden = sum(h for h, _ in layers[1:-1])  # 0 for the identity
-    block = 2 * block_columns(min((a * b for (a, _), (b, _)
-                                   in zip(layers, layers[1:])), default=1))
+    smallest = min((a * b for (a, _), (b, _) in zip(layers, layers[1:])),
+                   default=1)
+    weights = 4 * sum(a * b for (a, _), (b, _) in zip(layers, layers[1:]))
 
-    def batch(cols, draws, threads):
-        return (col * cols * draws + 4 * hidden * min(cols * draws, block)
-                + drawn * threads * schemes.THREAD_BYTES_PER_ENTRY * draws * d)
+    def batch(cols, draws):
+        # a batch holds its float64 MuX and repeated labels. The MLP
+        # kernel adds a float32 copy of X and of the weights and the
+        # float64 sums of its Gram products, and each sampler thread
+        # holds one block (moments.batch_sample_moments): the two float32
+        # buffers of its draws and layer outputs, one column's draw
+        # temporaries and its float32 Gram products. A pool worker runs
+        # one sampler thread
+        shared = 8 * p * cols + 8 * q * cols * draws
+        if not drawn:
+            return shared
+        per = kernel_columns(cols, draws, smallest)
+        threads = 1 if workers > 1 else schemes.sampler_width(
+            cols, draws, d, per)
+        block = (col * per * draws + 4 * p * (p + q)
+                 + schemes.THREAD_BYTES_PER_ENTRY * draws * d)
+        return (shared + 4 * d * cols + weights + 8 * p * (p + q)
+                + threads * block)
 
-    # the replicate batches, one in each worker, which runs one sampler
-    # thread, or a moment-set block, which runs alone before the pool
-    # starts
-    threads = 1 if workers > 1 else schemes.sampler_width(n, T, d)
-    peak = workers * batch(n, T, threads)
+    # the replicate batches, one in each worker, or a moment-set block,
+    # which runs alone before the pool starts
+    peak = workers * batch(n, T)
     sizes = {col_key: col, n_key: n, "n_mc_aug": T, "workers": workers}
-    block_peak = batch(CHUNK, DRAWS, schemes.sampler_width(CHUNK, DRAWS, d))
+    block_peak = batch(CHUNK, DRAWS)
     if peak < block_peak:
         peak, sizes = block_peak, {col_key: col}
     cells = (len(config.n_grid or (n,)) * len(config.lambda_grid)

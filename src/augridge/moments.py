@@ -30,14 +30,15 @@ Monte-Carlo estimation notes:
 
 from __future__ import annotations
 
+import threading
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (InsufficientSamplesError, InvalidDimensionError,
                      NumericalFailureError, PreconditionViolationError)
-from .features import apply_features
+from .features import apply_features, block_columns, mlp
 from .schemes import closed_moments, sample_augmented_batch
 
 
@@ -66,6 +67,16 @@ def psd_clip(M, floor=0.0):
     return symmetrize((V * w) @ V.T)
 
 
+def kernel_columns(n, n_mc, smallest):
+    """Data columns per block of the Monte-Carlo kernel: n columns of n_mc
+    draws go through an MLP whose smallest layer has `smallest` weights in
+    the fewest equal blocks of about features.block_columns(smallest)
+    augmented columns (one data column at least). The sums depend on these
+    edges alone, which the feature map, n and n_mc fix."""
+    blocks = -(-n * n_mc // block_columns(smallest))
+    return -(-n // blocks)
+
+
 def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
     """Vectorized per-sample moments of all columns of (X, Y).
 
@@ -75,15 +86,20 @@ def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
     Identity features take the closed form of schemes.closed_moments, with
     the batch's coordinate second moments and second-moment matrix: MuX =
     c X, draws = 0 and scale = c; otherwise n_mc draws per sample go
-    through the feature map in one batch, and scale is None. One column
-    gives the moments of one datum.
+    through the feature map, and scale is None. One column gives the
+    moments of one datum.
 
-    The draws and the feature map run in float32 (the kernel's values
-    carry a Monte-Carlo error far above its rounding). The means are
-    accumulated in float64, each Gram product is one float32 GEMM whose
-    small result is cast to float64, and every debias subtraction (here,
-    in ridge.assemble_design and in estimate_moment_set) is in float64.
-    All the returned blocks are float64.
+    The MLP kernel streams: each block of kernel_columns data columns is
+    drawn into its thread's buffers, sent through the MLP, and reduced to
+    its columns of MuX and its Gram products, on the sampler's threads
+    (sample_augmented_batch), so no augmented draw or feature exists at
+    full width. The draws and the feature map run in float32 (the
+    kernel's values carry a Monte-Carlo error far above its rounding).
+    The means are accumulated in float64, each block's Gram product is one
+    float32 GEMM whose small result is summed over the blocks in float64,
+    and every debias subtraction (here, in ridge.assemble_design and in
+    estimate_moment_set) is in float64. All the returned blocks are
+    float64.
     """
     X = np.asarray(X, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -98,23 +114,44 @@ def batch_sample_moments(scheme, feature_map, X, Y, n_mc, rng):
         raise InsufficientSamplesError(
             "n_mc >= 2 required without a closed form"
         )
-    Xa, Ya = sample_augmented_batch(scheme, X, Y, n_mc, rng)
-    Pa = apply_features(feature_map, Xa)
-    del Xa  # freed before the Gram products
-    MuX = Pa.reshape(p, n, n_mc).mean(axis=2, dtype=float)
-    # mean of per-sample unbiased covariances, via one GEMM:
+    weights = [W.astype(np.float32) for W in feature_map.weights]
+    rows = [X.shape[0]] + [W.shape[0] for W in weights]
+    MuX = np.empty((p, n))
+    preserving = scheme.label_preserving
+    per = kernel_columns(n, n_mc, min(W.size for W in weights))
+    local = threading.local()
+
+    def block(a, b, fill):
+        # each thread keeps two buffers for all its blocks, which take
+        # turns: the draws and every even layer's output in one, every
+        # odd layer's in the other, so a layer never writes over its input
+        if not hasattr(local, "bufs"):
+            local.bufs = [np.empty(per * n_mc * max(rows[k::2]),
+                                   dtype=np.float32) for k in (0, 1)]
+        bufs, m = local.bufs, (b - a) * n_mc
+        Xa = bufs[0][:m * rows[0]].reshape(m, rows[0])
+        Ya = fill(Xa)
+        Pa = mlp(weights, feature_map.activation, Xa.T,
+                 [bufs[k % 2][:m * r].reshape(r, m)
+                  for k, r in enumerate(rows[1:], 1)])
+        MuX[:, a:b] = Pa.reshape(p, b - a, n_mc).mean(axis=2, dtype=float)
+        if preserving:
+            return (Pa @ Pa.T,)
+        # Ya in float32 too: a float64 operand would promote all of Pa
+        return Pa @ Pa.T, Pa @ Ya.T.astype(np.float32)
+
+    (S, *Sxy), Ya = sample_augmented_batch(scheme, X, Y, n_mc, rng, block,
+                                           per)
+    # mean of per-sample unbiased covariances:
     # (n_mc/(n_mc-1)) [ (1/(n n_mc)) sum phi phi^T - (1/n) sum mu mu^T ]
-    S = (Pa @ Pa.T).astype(float) / (n * n_mc)
     M = MuX @ MuX.T / n
-    LambdaBar = symmetrize(n_mc / (n_mc - 1) * (S - M))
-    if scheme.label_preserving:
+    LambdaBar = symmetrize(n_mc / (n_mc - 1) * (S / (n * n_mc) - M))
+    if preserving:
         OmegaBar = np.zeros((p, q))
     else:
         MuY = Ya.reshape(q, n, n_mc).mean(axis=2)
-        # Ya in float32 too: a float64 operand would promote all of Pa
-        Sxy = (Pa @ Ya.T.astype(np.float32)).astype(float) / (n * n_mc)
         Mxy = MuX @ MuY.T / n
-        OmegaBar = n_mc / (n_mc - 1) * (Sxy - Mxy)
+        OmegaBar = n_mc / (n_mc - 1) * (Sxy[0] / (n * n_mc) - Mxy)
     return MuX, LambdaBar, OmegaBar, n_mc, None
 
 
@@ -124,6 +161,14 @@ _LARGEST = float(np.sqrt(np.finfo(float).max))
 _SHAPES = dict(Sigma="pp", SigmaPrime="pp", SigmaDoublePrime="pp", G1="pq",
                G3="pq", EY2="q", LambdaBar="pp", OmegaBar="pq")
 PROVENANCES = ("closed-form", "monte-carlo", "empirical-plugin", "sample")
+
+
+def _check_finite(name, M):
+    """NumericalFailureError unless every entry of the block and its
+    square are finite."""
+    if not (M.min() >= -_LARGEST and M.max() <= _LARGEST):
+        raise NumericalFailureError(
+            f"moment set block {name} has a non-finite entry or square")
 
 
 @dataclass(frozen=True)
@@ -172,9 +217,7 @@ class MomentSet:
             if 0 in shape or np.shape(M) != shape:
                 raise InvalidDimensionError(
                     f"{what} has shape {np.shape(M)}, not {shape}")
-            if not (M.min() >= -_LARGEST and M.max() <= _LARGEST):
-                raise NumericalFailureError(
-                    f"{what} has a non-finite entry or square")
+            _check_finite(name, M)
             if form == "pp" and not np.array_equal(M, M.T):
                 raise PreconditionViolationError(f"{what} is not symmetric")
         c = self.scale
@@ -267,15 +310,16 @@ def estimate_moment_set(feature_map, truth_map, scheme, take, total, rng,
     # remove the O(1/draws) bias of mu_hat outer products
     sums["SigmaDoublePrime"] -= sums["LambdaBar"] / draws
     sums["SigmaPrime"] = symmetrize(sums["SigmaPrime"])
-    # the set checks its blocks finite before eigh reads them
-    ms = MomentSet(**sums, n_mc_used=total, provenance=provenance)
-    del sums  # each clip below then frees the block it replaces
-    ms = replace(ms, Sigma=psd_clip(ms.Sigma))
+    # the clipped blocks are checked finite before eigh reads them, and
+    # the set checks every block once it is whole
+    for name in ("Sigma", "SigmaDoublePrime", "LambdaBar"):
+        _check_finite(name, sums[name])
+    sums["Sigma"] = psd_clip(sums["Sigma"])
     # the other blocks' rounding is relative to the size of Sigma
-    floor = _KERNEL_ROUNDING * float(np.linalg.eigvalsh(ms.Sigma)[-1])
+    floor = _KERNEL_ROUNDING * float(np.linalg.eigvalsh(sums["Sigma"])[-1])
     for name in ("SigmaDoublePrime", "LambdaBar"):
-        ms = replace(ms, **{name: psd_clip(getattr(ms, name), floor)})
-    return ms
+        sums[name] = psd_clip(sums[name], floor)
+    return MomentSet(**sums, n_mc_used=total, provenance=provenance)
 
 
 def identity_moment_set(S, G1, EY2, closed, n_mc_used, provenance):

@@ -21,6 +21,8 @@ data's second moments, Omega a constant.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import numbers
 import os
@@ -141,11 +143,11 @@ def usable_cpus():
         return os.cpu_count() or 1
 
 
-# draws x data dimension per task of the sampler's thread pool: a task
-# outweighs its dispatch, and each thread's temporaries stay well under
-# a megabyte, so per-thread malloc arenas keep little
+# draws x data dimension per task of the sampler's thread pool when it
+# only draws: a task outweighs its dispatch, and each thread's temporaries
+# stay well under a megabyte, so per-thread malloc arenas keep little
 TASK_ENTRIES = 1 << 17
-# draws x data dimension per column below which the columns run in the
+# draws x data dimension per column below which draws alone run in the
 # calling thread: a column holds the interpreter lock for a few dozen
 # microseconds of numpy calls, and below this its lock-free draws take
 # no longer, so threads would only take turns (on 2 cores, 2000 entries
@@ -165,28 +167,58 @@ def _columns_per_task(entries):
     return max(1, TASK_ENTRIES // entries)
 
 
-def sampler_width(n, n_draws, d):
+def sampler_width(n, n_draws, d, per=None):
     """The threads that sample_augmented_batch runs n columns of n_draws
-    draws of d entries on, for a scheme without a heteroskedastic
-    component: 1 (the calling thread) when a column has fewer than
-    POOL_COLUMN_ENTRIES entries, else SAMPLER_THREADS (None:
-    usable_cpus()), and no more than there are tasks."""
-    entries = n_draws * d
-    if entries < POOL_COLUMN_ENTRIES:
-        return 1
-    tasks = -(-n // _columns_per_task(entries))
-    return min(SAMPLER_THREADS or usable_cpus(), tasks)
+    draws of d entries on, in tasks of per columns: SAMPLER_THREADS (None:
+    usable_cpus()), and no more than there are tasks. Without per, the
+    tasks only draw, about TASK_ENTRIES entries each, and run in the
+    calling thread (width 1) when a column has fewer than
+    POOL_COLUMN_ENTRIES entries; a reducer's tasks release the lock in
+    its BLAS calls, so they need no such floor."""
+    if per is None:
+        if n_draws * d < POOL_COLUMN_ENTRIES:
+            return 1
+        per = _columns_per_task(n_draws * d)
+    return min(SAMPLER_THREADS or usable_cpus(), -(-n // per))
 
 
-def _has_product(scheme):
-    """Whether the scheme draws through a matrix product: a
-    heteroskedastic kind, alone or in a mixture."""
-    if scheme.kind == "mixture":
-        return any(_has_product(c) for c in scheme.components)
-    return scheme.kind == "heteroskedastic"
+@functools.cache
+def _blas_calls():
+    """(get, set) of the thread count of numpy's BLAS, the calls of its
+    bundled scipy-openblas, or None where numpy links a BLAS without
+    them. Found on first use, so importing augridge loads no ctypes."""
+    import ctypes
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = (getattr(lib, f"scipy_openblas_{op}_num_threads64_")
+                    for op in ("get", "set"))
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
 
 
-def sample_augmented_batch(scheme, X, Y, n_draws, rng):
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's BLAS on one thread and restore the
+    caller's count after, also when the block raises; yields whether the
+    count could be set."""
+    calls = _blas_calls()
+    if calls is None:
+        yield False
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(before)
+
+
+def sample_augmented_batch(scheme, X, Y, n_draws, rng, reduce=None,
+                           per=None):
     """n_draws augmentations of every column of (X, Y) in one call.
 
     Returns (Xa, Ya) of shapes (d, n*n_draws) and (q, n*n_draws); the draws
@@ -197,42 +229,72 @@ def sample_augmented_batch(scheme, X, Y, n_draws, rng):
     from them are summed in float64 (moments.batch_sample_moments). Ya is
     float64.
 
+    With a reducer, no Xa exists at full width: the columns are taken in
+    blocks of per (a..b-1; None for about TASK_ENTRIES entries), and each
+    block's task returns the arrays of reduce(a, b, fill), where fill(out)
+    draws the block into out, a row-major ((b-a)*n_draws, d) float32
+    array, and returns the block of Ya. The calling thread sums each
+    array over the blocks in float64, in block order, and the call
+    returns (sums, Ya).
+
     Every data column draws from its own child generator, spawned once per
     call (rng.spawn(n)); the caller's bit generator does not advance, but
     its seed sequence counts the children, so two generators must not
     share one seed sequence object. No value depends on how the columns
-    are grouped into tasks of about TASK_ENTRIES entries, or on how many
-    threads run them. The tasks run on a pool of sampler_width threads,
-    which lives only for the call. The pool runs random draws and
-    elementwise numpy only: a scheme with a heteroskedastic component,
-    whose s_x eta is a matrix product, runs in the calling thread.
+    are grouped into tasks, or on how many threads run them; the sums
+    depend on the blocks, which the caller fixes. The tasks run on a pool
+    of sampler_width threads, which lives only for the call, with numpy's
+    BLAS on one thread throughout: the tasks' matrix products then share
+    the cores with the pool, not with BLAS threads of their own. Where
+    numpy's BLAS thread count cannot be set, every task runs in the
+    calling thread.
     """
-    X = np.asarray(X, dtype=np.float32)
+    X = np.asarray(X)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     T = int(n_draws)
     if T < 1:
         raise InvalidParameterError("n_draws must be >= 1")
     d, n = X.shape
-    XT = np.ascontiguousarray(X.T)
+    XT = np.ascontiguousarray(X.T, dtype=np.float32)
     Yr = np.repeat(Y, T, axis=1)
-    Xa = np.empty((n * T, d), dtype=np.float32)
     gens = rng.spawn(n)
-    per = _columns_per_task(T * d)
+
+    def fill(a, b, out):
+        for i in range(a, b):
+            _batch_constant(scheme, XT[i], out[(i - a) * T:(i - a + 1) * T],
+                            Yr[:, i * T:(i + 1) * T], gens[i])
+        return Yr[:, a * T:b * T]
+
+    Xa = None
+    if reduce is None:  # draws only, into one full-width Xa
+        Xa = np.empty((n * T, d), dtype=np.float32)
+
+        def reduce(a, b, fill):
+            fill(Xa[a * T:b * T])
+            return ()
+
+    step = per or _columns_per_task(T * d)
 
     def task(a):
-        for i in range(a, min(a + per, n)):
-            rows = slice(i * T, (i + 1) * T)
-            _batch_constant(scheme, XT[i], Xa[rows], Yr[:, rows], gens[i])
+        b = min(a + step, n)
+        return reduce(a, b, functools.partial(fill, a, b))
 
-    starts = range(0, n, per)
-    width = 1 if _has_product(scheme) else sampler_width(n, T, d)
-    if width <= 1:
-        for a in starts:
-            task(a)
-    else:
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            list(pool.map(task, starts))
-    return Xa.T, Yr
+    sums = None
+    with contextlib.ExitStack() as stack:
+        pinned = stack.enter_context(_one_blas_thread())
+        width = sampler_width(n, T, d, per) if pinned else 1
+        if width > 1:
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=width))
+            parts = pool.map(task, range(0, n, step))
+        else:
+            parts = map(task, range(0, n, step))
+        for part in parts:
+            if sums is None:
+                sums = [np.array(M, dtype=float) for M in part]
+            else:
+                for total, M in zip(sums, part):
+                    total += M
+    return (sums, Yr) if Xa is None else (Xa.T, Yr)
 
 
 def _batch_constant(scheme, x, out, y, gen):

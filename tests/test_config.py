@@ -16,7 +16,8 @@ from augridge import harness, schemes
 from augridge.cli import main as cli_main
 from augridge.harness import CONFIG_TABLE, ExperimentConfig
 from augridge.features import block_columns
-from augridge.moments import CHUNK, DRAWS, batch_sample_moments
+from augridge.moments import (CHUNK, DRAWS, batch_sample_moments,
+                              kernel_columns)
 from test_acceptance import CR1_CFG
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -151,38 +152,48 @@ def test_malformed_config_exit_code(tmp_path, monkeypatch, capsys, path,
 def test_preflight_batch_term(monkeypatch):
     # the Monte-Carlo batch term is the larger of a replicate batch,
     # n * n_mc_aug columns in each worker, and a moment-set block of
-    # CHUNK * DRAWS columns, which runs before the pool starts. Each
-    # column holds a float32 x' and phi(x') and a float64 label, the MLP
-    # one block of hidden activations, of fewer than twice block_columns
-    # columns, and each sampler thread one column's temporaries (a pool
-    # worker runs one). With the CPU count pinned at 4, at CR1_CFG's size
+    # CHUNK * DRAWS columns, which runs before the pool starts. A batch
+    # holds its float64 MuX and repeated labels, a float32 copy of X and
+    # of the weights and the float64 sums of its Gram products; each
+    # sampler thread (a pool worker runs one) holds one block of
+    # kernel_columns data columns: the two float32 buffers of its draws
+    # and layer outputs, the even layers' (x, phi) and the odd layers'
+    # (the hidden layer), one column's draw temporaries and its float32
+    # Gram products. With the CPU count pinned at 2, at CR1_CFG's size
     # the term bounds the traced peak of one replicate batch from above,
     # within 5%, wherever the test runs
-    monkeypatch.setattr(schemes, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(schemes, "usable_cpus", lambda: 2)
     d, h, p, n, n_mc_aug = 200, 200, 150, 300, 200
-    batch = (4 * d + 4 * p + 8) * n * n_mc_aug + 4 * h * 2 * block_columns(
-        h * p)
-    thread = schemes.THREAD_BYTES_PER_ENTRY * n_mc_aug * d
+    per = kernel_columns(n, n_mc_aug, h * p)
+    assert per * n_mc_aug <= block_columns(h * p) and per == 20
+    block = (4 * (max(d, p) + h) * per * n_mc_aug + 4 * p * (p + 1)
+             + schemes.THREAD_BYTES_PER_ENTRY * n_mc_aug * d)
+    shared = (8 * p * n + 8 * n * n_mc_aug + 4 * d * n
+              + 4 * (d * h + h * p) + 8 * p * (p + 1))
     config = ExperimentConfig.from_dict(CR1_CFG)
     term = harness._peak_terms(config)[0][0]
-    assert term == batch + 4 * thread
+    assert term == shared + 2 * block
     assert harness._peak_terms(ExperimentConfig.from_dict(
-        dict(CR1_CFG, workers=2)))[0][0] == 2 * (batch + thread)
+        dict(CR1_CFG, workers=2)))[0][0] == 2 * (shared + block)
     rng = np.random.default_rng(0)
     X = rng.standard_normal((d, n))
+    scheme, fmap = config.build_scheme(), config.build_feature_map()
     tracemalloc.start()
     try:
-        batch_sample_moments(config.build_scheme(),
-                             config.build_feature_map(), X, X[:1], n_mc_aug,
-                             rng)
+        batch_sample_moments(scheme, fmap, X, X[:1], n_mc_aug, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= term <= 1.05 * peak
-    col = 4 * 6 + 4 * 4 + 8
+    # TINY_MLP: a moment-set block of CHUNK columns and DRAWS draws is one
+    # kernel block on one thread
+    d, h, p = 6, 5, 4
     assert harness._peak_terms(ExperimentConfig.from_dict(TINY_MLP))[0] == (
-        col * CHUNK * DRAWS + 4 * 5 * CHUNK * DRAWS
-        + schemes.THREAD_BYTES_PER_ENTRY * DRAWS * 6, {"data.d": col})
+        8 * p * CHUNK + 8 * CHUNK * DRAWS + 4 * d * CHUNK
+        + 4 * (d * h + h * p) + 8 * p * (p + 1)
+        + 4 * (d + h) * CHUNK * DRAWS + 4 * p * (p + 1)
+        + schemes.THREAD_BYTES_PER_ENTRY * DRAWS * d,
+        {"data.d": 4 * (d + h)})
 
 
 _SCALAR = (st.none() | st.booleans() | st.integers(-3, 4) | st.floats()

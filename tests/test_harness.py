@@ -4,12 +4,13 @@ import json
 import re
 import struct
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from augridge import detequiv, harness, schemes
+from augridge import detequiv, harness, moments, schemes
 from augridge.cli import main as cli_main
 from augridge.errors import NumericalFailureError
 from augridge.harness import (
@@ -184,6 +185,35 @@ def test_sweep_rows_do_not_depend_on_kernel_threads(monkeypatch, case):
         runs.append([r.to_list() for r in run_sweep(config)])
         assert threading.active_count() == alive
     assert all(rows == runs[0] for rows in runs[1:])
+
+
+def test_sweep_rows_without_the_blas_pin(monkeypatch):
+    # where numpy's BLAS thread count cannot be set, the kernel runs in
+    # the calling thread, with the rows of the pool. Blocks of 64
+    # augmented columns split each replicate (16 columns, 4 draws) and
+    # each moment-set chunk into several tasks
+    started = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool started")
+
+    monkeypatch.setattr(moments, "block_columns", lambda smallest: 64)
+    monkeypatch.setattr(schemes, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(schemes, "ThreadPoolExecutor", CountingPool)
+    config = ExperimentConfig.from_dict(_tiny_cfg(
+        features={"kind": "random-mlp", "hidden_sizes": [6],
+                  "output_dim": 5},
+        n_mc_data=600))
+    pooled = [r.to_list() for r in run_sweep(config)]
+    assert started and set(started) == {2}
+    monkeypatch.setattr(schemes, "_blas_calls", lambda: None)
+    monkeypatch.setattr(schemes, "ThreadPoolExecutor", no_pool)
+    assert [r.to_list() for r in run_sweep(config)] == pooled
 
 
 def test_sweep_seed_changes_results():

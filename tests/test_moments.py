@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from augridge import moments
+from augridge import moments, schemes
 from augridge.datasets import SyntheticSpec, sample_synthetic
 from augridge.detequiv import (compute_second_order, equivalents,
                                solve_fixed_point)
@@ -537,6 +538,88 @@ def test_batch_kernel_is_float32_with_float64_blocks(scheme):
         tracemalloc.stop()
     assert all(M.dtype == np.float64 for M in out[:3])
     assert peak <= (4 * d + 4 * p + 8 * q) * n * T + 10 * 8 * p * p + 2 ** 20
+
+
+def test_kernel_runs_numpy_blas_on_one_thread(monkeypatch):
+    # every task of the kernel (four blocks of 16 columns here, on two
+    # threads) runs numpy's BLAS on one thread, and the caller's count is
+    # back after the call, also when a task raises
+    calls = schemes._blas_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS has no thread-count call")
+    get, put = calls
+    monkeypatch.setattr(schemes, "usable_cpus", lambda: 2)
+    fm = random_mlp_map(16, [64], 32, seed=1)
+    X = _rng(1).standard_normal((16, 64))
+    seen = []
+    kernel_mlp = moments.mlp
+
+    def recording(*args):
+        seen.append(get())
+        return kernel_mlp(*args)
+
+    def failing(*args):
+        raise RuntimeError("task failed")
+
+    before = get()
+    try:
+        put(2)
+        monkeypatch.setattr(moments, "mlp", recording)
+        batch_sample_moments(masking(0.5), fm, X, X[:1], 200, _rng(2))
+        assert seen == [1] * 4 and get() == 2
+        monkeypatch.setattr(moments, "mlp", failing)
+        with pytest.raises(RuntimeError, match="task failed"):
+            batch_sample_moments(masking(0.5), fm, X, X[:1], 200, _rng(2))
+        assert get() == 2
+    finally:
+        put(before)
+
+
+@pytest.mark.parametrize("scheme", [
+    salt_and_pepper(0.5, 0.7),
+    heteroskedastic(np.full((8, 2), 0.3), np.ones((1, 2))),
+], ids=["salt-and-pepper", "heteroskedastic-sy"])
+def test_kernel_blocks_do_not_depend_on_threads(monkeypatch, scheme):
+    # the kernel's tasks write disjoint columns of MuX and of the labels,
+    # and the calling thread sums their Gram products in block order: with
+    # more threads than cores and a short switch interval, 64 blocks of one
+    # column give every block the bits of one thread
+    monkeypatch.setattr(moments, "block_columns", lambda smallest: 1)
+    fm = random_mlp_map(8, [6], 5, seed=1)
+    X = _rng(1).standard_normal((8, 64))
+    Y = _rng(2).standard_normal((1, 64))
+    outs = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for threads in (1, 8):
+            monkeypatch.setattr(schemes, "usable_cpus", lambda t=threads: t)
+            outs.append(batch_sample_moments(scheme, fm, X, Y, 9, _rng(3)))
+    finally:
+        sys.setswitchinterval(interval)
+    for one, many in zip(*outs):
+        assert np.array_equal(one, many)
+
+
+def test_estimate_checks_its_set_once(monkeypatch):
+    # a Monte-Carlo estimate clips its blocks first and builds its set
+    # once: one full check, not one more per clipped block
+    checks = []
+    check = MomentSet.__post_init__
+
+    def counting(ms):
+        checks.append(ms.provenance)
+        check(ms)
+
+    monkeypatch.setattr(MomentSet, "__post_init__", counting)
+    d = 5
+    spec = SyntheticSpec(d=d, n=8, theta_star=np.ones(d) / np.sqrt(d),
+                         truth_map=identity_map(d), noise_sigma2=0.3)
+    rng = _rng(6)
+    estimate_moment_set(random_mlp_map(d, [7], 4, seed=2), identity_map(d),
+                        salt_and_pepper(0.5, 0.7), _draws(spec, rng), 1100,
+                        rng, theta_star=spec.theta_star, noise_sigma2=0.3)
+    assert checks == ["monte-carlo"]
 
 
 def _float64_moments(scheme, fm, X, Y, n_mc, rng):

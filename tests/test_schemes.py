@@ -1,4 +1,5 @@
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -379,22 +380,31 @@ def test_threads_write_disjoint_rows(monkeypatch):
 
 @pytest.mark.parametrize("case", ["heteroskedastic-sy",
                                   "mixture-heteroskedastic"])
-def test_matrix_products_stay_in_the_calling_thread(monkeypatch, case):
-    # a heteroskedastic component's s_x eta is a BLAS call, so a scheme
-    # holding one never starts the sampler's thread pool
-    def no_pool(*args, **kwargs):
-        raise AssertionError("thread pool started")
+def test_matrix_products_run_on_the_pool(monkeypatch, case):
+    # numpy's BLAS runs one thread for the whole call, so a
+    # heteroskedastic component's s_x eta, a matrix product, runs on the
+    # sampler's thread pool like any other draw, with the calling
+    # thread's bits
+    started = []
 
-    monkeypatch.setattr(schemes, "ThreadPoolExecutor", no_pool)
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
     monkeypatch.setattr(schemes, "TASK_ENTRIES", 1)
     monkeypatch.setattr(schemes, "POOL_COLUMN_ENTRIES", 0)
-    monkeypatch.setattr(schemes, "usable_cpus", lambda: 8)
     X = np.random.default_rng(4).standard_normal((_STREAM_D, 64))
-    sample_augmented_batch(_STREAM_CASES[case](), X, X[:_STREAM_Q], 9,
-                           np.random.default_rng(13))
-    with pytest.raises(AssertionError, match="thread pool started"):
-        sample_augmented_batch(_STREAM_CASES["mixture"](), X, X[:_STREAM_Q],
-                               9, np.random.default_rng(13))
+    batches = []
+    monkeypatch.setattr(schemes, "ThreadPoolExecutor", CountingPool)
+    for threads in (1, 8):
+        monkeypatch.setattr(schemes, "usable_cpus", lambda t=threads: t)
+        batches.append(sample_augmented_batch(
+            _STREAM_CASES[case](), X, X[:_STREAM_Q], 9,
+            np.random.default_rng(13)))
+    assert started == [8]
+    for one, many in zip(*batches):
+        assert np.array_equal(one, many)
 
 
 def test_masks_exact_at_the_ends_of_the_range():
